@@ -99,14 +99,17 @@ atlas-quick:
 	    --markdown atlas.md --json atlas.json
 
 ## the sharded atlas pipeline end to end: 3 shard sweeps over a shared
-## unit cache, deterministic merge, byte-compare against an unsharded
-## sweep, incremental render, and a query-service smoke (what the CI
-## atlas-shard-smoke job runs and uploads)
+## unit cache (shard 1 on a 2-worker pool, so the byte-compare covers
+## the pooled path), deterministic merge, byte-compare against an
+## unsharded sweep, incremental render, and a query-service smoke (what
+## the CI atlas-shard-smoke job runs and uploads)
 atlas-shard-smoke:
-	for i in 0 1 2; do \
-	    $(PYTHON) -m repro atlas --quick --shard $$i/3 \
-	        --cache-dir .atlas-cache --resume || exit 1; \
-	done
+	$(PYTHON) -m repro atlas --quick --shard 0/3 \
+	    --cache-dir .atlas-cache --resume
+	$(PYTHON) -m repro atlas --quick --shard 1/3 --workers 2 \
+	    --cache-dir .atlas-cache --resume
+	$(PYTHON) -m repro atlas --quick --shard 2/3 \
+	    --cache-dir .atlas-cache --resume
 	$(PYTHON) -m repro atlas merge atlas-0-of-3.jsonl \
 	    atlas-1-of-3.jsonl atlas-2-of-3.jsonl --out atlas.jsonl
 	$(PYTHON) -m repro atlas --quick --log atlas-unsharded.jsonl \

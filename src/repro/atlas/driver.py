@@ -4,21 +4,21 @@ One :func:`run_atlas` call walks a :class:`~repro.atlas.lattice.
 LatticeSpec` end to end:
 
 1. every cell becomes one ``kind="atlas"`` campaign unit
-   (:func:`repro.experiments.campaign.enumerate_atlas_units`), sharing
-   the campaign engine's content-hash disk cache, so an already
-   computed cell is replayed instead of re-executed;
-2. pending units fan out over a ``ProcessPoolExecutor`` exactly like a
-   campaign (heaviest first, ``workers <= 1`` runs inline);
-3. as results arrive, the driver fuses each cell's evidence with the
-   closed-form claim (:func:`repro.atlas.evidence.fuse_evidence`) and
-   appends one row to the streaming JSONL log **in lattice order** --
-   units are only submitted while their index is within a fixed window
-   of the write frontier, so out-of-order completions wait in a
-   reorder buffer hard-bounded by that window (a small multiple of the
-   pool width), never the whole lattice;
-4. a fused ``CONFLICT`` aborts the sweep -- queued units are cancelled
-   -- with :class:`~repro.core.errors.AtlasConflict` unless
-   ``strict=False``.
+   (:func:`repro.experiments.campaign.enumerate_atlas_units`); a shard
+   keeps its :func:`~repro.experiments.campaign.shard_units` stripe;
+2. the units run in lattice order through the shared unit pipeline
+   (:func:`repro.experiments.campaign.run_units`): one process pool
+   (``workers <= 1`` runs inline), a read-ahead window bounded by the
+   pool width, and the campaign engine's content-hash disk cache, so an
+   already computed cell is replayed instead of re-executed;
+3. the pipeline hands results back in lattice order, and the driver's
+   row function fuses each cell's evidence with the closed-form claim
+   (:func:`repro.atlas.evidence.fuse_evidence`) and appends one row to
+   the streaming JSONL log;
+4. a fused ``CONFLICT`` aborts the sweep with
+   :class:`~repro.core.errors.AtlasConflict` unless ``strict=False``;
+   like a failing unit, it cancels the queued work and names the cell's
+   unit in a note.
 
 Resume: ``resume=True`` keeps the valid prefix of an existing log
 (:meth:`~repro.atlas.stream.AtlasLog.resume_prefix`) *and* consults the
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -48,7 +47,8 @@ from repro.experiments.campaign import (
     CampaignCache,
     CampaignUnit,
     enumerate_atlas_units,
-    execute_unit,
+    run_units,
+    shard_units,
 )
 
 
@@ -196,19 +196,9 @@ def run_atlas(
         [(c.label, c.params, c.variant) for c in cells],
         seed=seed, quick=quick,
     )
-    if shard is None:
-        selected = list(range(len(units)))
-    else:
-        shard_index, shard_count = shard
-        if shard_count < 1 or not 0 <= shard_index < shard_count:
-            raise ConfigurationError(
-                f"bad shard {shard_index}/{shard_count}: "
-                f"need 0 <= index < count"
-            )
-        selected = [
-            pos for pos in range(len(units))
-            if pos % shard_count == shard_index
-        ]
+    selected = range(len(units))
+    if shard is not None:
+        selected = shard_units(selected, *shard)
     inject = dict(inject or {})
     if inject and resume:
         # Resumed rows (and cached unit results) were fused without the
@@ -224,102 +214,46 @@ def run_atlas(
     outcome = AtlasOutcome(
         lattice=lattice, log_path=log.path, cells_total=len(selected)
     )
+
+    def tally(row: dict, how: str) -> None:
+        outcome.verdicts[row["verdict"]] += 1
+        if row["verdict"] == CONFLICT:
+            outcome.conflicts.append(row)
+        if progress:
+            progress(f"{how:<8} {row['label']} [{row['verdict']}]")
+
     if resume:
         outcome.resumed = log.resume_prefix(
             [units[pos].unit_id for pos in selected]
         )
         for row in log.rows(limit=outcome.resumed):
-            outcome.verdicts[row["verdict"]] += 1
-            if row["verdict"] == CONFLICT:
-                outcome.conflicts.append(row)
-            if progress:
-                progress(f"resumed  {row['label']} [{row['verdict']}]")
+            tally(row, "resumed")
     else:
         log.reset()
 
-    # ``slot`` is a position within ``selected`` (the shard's own row
-    # order); the row itself carries the *global* lattice index.
-    next_slot = outcome.resumed
-    reorder: dict[int, dict] = {}
+    # The pipeline delivers in input order, so the row function pairs
+    # each result with the next remaining lattice index.
+    todo = selected[outcome.resumed:]
+    indices = iter(todo)
 
-    def flush(buffered: dict[int, dict]) -> None:
-        """Write every row whose predecessors are all written."""
-        nonlocal next_slot
-        while next_slot in buffered:
-            index = selected[next_slot]
-            cell, unit = cells[index], units[index]
-            row = _fuse_row(
-                index, cell, unit, buffered.pop(next_slot),
-                inject.get(cell.label, ()), strict,
-            )
-            log.append(row)
-            next_slot += 1
-            outcome.written += 1
-            outcome.verdicts[row["verdict"]] += 1
-            if row["verdict"] == CONFLICT:
-                outcome.conflicts.append(row)
-            if progress:
-                progress(f"fused    {row['label']} [{row['verdict']}]")
-
-    pending: list[tuple[int, CampaignUnit]] = []
-    for slot in range(outcome.resumed, len(selected)):
-        unit = units[selected[slot]]
-        hit = cache.load(unit) if (cache is not None and resume) else None
-        if hit is not None:
+    def finish(unit: CampaignUnit, result: dict, cached: bool) -> None:
+        index = next(indices)
+        cell = cells[index]
+        row = _fuse_row(
+            index, cell, unit, result, inject.get(cell.label, ()), strict,
+        )
+        log.append(row)
+        outcome.written += 1
+        if cached:
             outcome.cached += 1
-            reorder[slot] = hit
         else:
-            pending.append((slot, unit))
-    flush(reorder)
-
-    def finish(slot: int, unit: CampaignUnit, result: dict) -> None:
-        if cache is not None:
-            cache.store(unit, result)
-        outcome.executed += 1
-        reorder[slot] = result
+            outcome.executed += 1
+        tally(row, "fused")
 
     try:
-        if workers <= 1:
-            for slot, unit in pending:
-                finish(slot, unit, execute_unit(unit))
-                flush(reorder)
-        elif pending:
-            # Bounded-window fan-out in LATTICE order (not the campaign
-            # engine's heaviest-first): a unit is only submitted while
-            # its slot is within ``window`` of the write frontier, so
-            # in-flight futures plus reorder-buffered results never
-            # exceed the window -- even when the frontier cell is the
-            # slowest of the batch, workers go idle instead of buffering
-            # the rest of the lattice in memory.
-            window = max(4 * workers, 16)
-            pos = 0
-            futures: dict = {}
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                try:
-                    while pos < len(pending) or futures:
-                        while (
-                            pos < len(pending)
-                            and len(futures) < window
-                            and pending[pos][0] < next_slot + window
-                        ):
-                            slot, unit = pending[pos]
-                            futures[pool.submit(
-                                execute_unit, unit.to_dict()
-                            )] = (slot, unit)
-                            pos += 1
-                        done, _ = wait(
-                            set(futures), return_when=FIRST_COMPLETED
-                        )
-                        for future in done:
-                            slot, unit = futures.pop(future)
-                            finish(slot, unit, future.result())
-                        flush(reorder)
-                except BaseException:
-                    # Abort means abort: a conflict (or any failure)
-                    # must not let thousands of queued cells run to
-                    # completion before the error surfaces.
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    raise
+        run_units(
+            (units[index] for index in todo), workers, finish, cache, resume,
+        )
     finally:
         outcome.elapsed_s = time.perf_counter() - start  # reprolint: disable=RL002 -- diagnostic timing only
     return outcome

@@ -1044,8 +1044,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", type=int, default=None,
                    help="total instance budget")
     p.add_argument("--duration", type=float, default=None,
-                   help="wall-clock budget in seconds (checked between "
-                        "scheduling waves)")
+                   help="wall-clock budget in seconds (the farm stops "
+                        "after the first window logged past it)")
     p.add_argument("--window", type=int, default=250,
                    help="instances per window (checkpoint cadence and "
                         "pool unit of work)")

@@ -16,11 +16,15 @@ set of independent, serialisable work units:
   multi-machine splits.
 * :func:`execute_unit` is the picklable worker entry point: it rebuilds
   everything from the spec and returns a plain-dict result.
-* :func:`run_campaign` fans units out over a
-  :class:`concurrent.futures.ProcessPoolExecutor` (or runs them inline
-  for ``workers <= 1``), consults a :class:`CampaignCache` so re-runs
-  only execute the delta, and folds everything into a
-  :class:`CampaignReport` with JSON and Markdown emitters.
+* :func:`execute_units` is the one ordered pool loop of the package
+  and :func:`run_units` the cache-aware pipeline on top of it: units
+  stream in lazily, run inline or on one process pool, and come back
+  in input order, with the unit cache serving hits and storing the
+  rest.  Campaign, atlas and soak all run through it.
+* :func:`run_campaign` feeds its units heaviest first through
+  :func:`run_units`, so re-runs with ``resume`` only execute the
+  delta, and folds everything into a :class:`CampaignReport` with JSON
+  and Markdown emitters.
 
 Determinism: unit results depend only on the unit spec, and the report
 assembles them in enumeration order, so the same seed yields an
@@ -37,10 +41,12 @@ import json
 import os
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections import deque
+from concurrent import futures
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import repro
 from repro.analysis.bounds import solvable
@@ -259,6 +265,14 @@ class CampaignUnit:
         )
 
 
+def _require_unique_labels(cells: Sequence[tuple]) -> None:
+    """Refuse a battery whose cell labels repeat (labels are the
+    aggregation key)."""
+    labels = [cell[0] for cell in cells]
+    if len(set(labels)) != len(labels):
+        raise ConfigurationError(f"duplicate cell labels in {labels}")
+
+
 def enumerate_units(
     cells: Sequence[tuple[str, SystemParams]] | None = None,
     seed: int = 0,
@@ -288,9 +302,7 @@ def enumerate_units(
     """
     if cells is None:
         cells = table1_cells()
-    labels = [label for label, _ in cells]
-    if len(set(labels)) != len(labels):
-        raise ConfigurationError(f"duplicate cell labels in {labels}")
+    _require_unique_labels(cells)
     units: list[CampaignUnit] = []
     for label, params in cells:
         if solvable(params):
@@ -338,9 +350,7 @@ def enumerate_explore_units(
 
     if cells is None:
         cells = explore_battery()
-    labels = [label for label, _ in cells]
-    if len(set(labels)) != len(labels):
-        raise ConfigurationError(f"duplicate cell labels in {labels}")
+    _require_unique_labels(cells)
     return [
         CampaignUnit.for_cell(
             label, params, "explore",
@@ -381,9 +391,7 @@ def enumerate_delay_units(
     """
     if cells is None:
         cells = delay_cells()
-    labels = [label for label, _ in cells]
-    if len(set(labels)) != len(labels):
-        raise ConfigurationError(f"duplicate cell labels in {labels}")
+    _require_unique_labels(cells)
     for label, params in cells:
         if params.synchrony is not PSYNC or not solvable(params):
             raise ConfigurationError(
@@ -427,9 +435,7 @@ def enumerate_atlas_units(
     Raises:
         ConfigurationError: On duplicate cell labels.
     """
-    labels = [label for label, _, _ in cells]
-    if len(set(labels)) != len(labels):
-        raise ConfigurationError(f"duplicate cell labels in {labels}")
+    _require_unique_labels(cells)
     return [
         CampaignUnit.for_cell(
             label, params, "atlas",
@@ -437,6 +443,34 @@ def enumerate_atlas_units(
         )
         for label, params, variant in cells
     ]
+
+
+def soak_window_unit(
+    profile: str, farm_seed: int, start: int, count: int
+) -> CampaignUnit:
+    """The ``kind="soak"`` unit of one window of the instance stream.
+
+    ``variant`` names the profile, ``assignment_index`` the window's
+    first instance and ``byzantine_index`` its instance count (the
+    slice-key fields repurposed as the stream slice -- a soak window
+    spans many cells, so it has no single ``(n, ell, t)``; the cell
+    fields carry the trivial placeholder and are unused).  The unit id
+    still content-hashes the full spec, so windows from a different
+    profile, seed, window size or schema never collide in the cache.
+    This is the only place a window unit is built: bounded plans
+    (:func:`enumerate_soak_units`) and the farm's open-ended window
+    stream both call it.
+    """
+    return CampaignUnit(
+        label=f"soak/{profile}",
+        n=1, ell=1, t=0,
+        synchrony="sync", numerate=False, restricted=False,
+        kind="soak",
+        assignment_index=start,
+        byzantine_index=count,
+        seed=farm_seed,
+        variant=profile,
+    )
 
 
 def enumerate_soak_units(
@@ -447,15 +481,8 @@ def enumerate_soak_units(
 ) -> list[CampaignUnit]:
     """Expand a soak farm budget into window units.
 
-    One ``kind="soak"`` unit per window of the deterministic instance
-    stream: ``variant`` names the profile, ``assignment_index`` the
-    window's first instance, ``byzantine_index`` its instance count
-    (the slice-key fields repurposed as the stream slice -- a soak
-    window spans many cells, so it has no single ``(n, ell, t)``; the
-    cell fields carry the trivial placeholder and are unused).  The
-    unit id still content-hashes the full spec, so windows from a
-    different profile, seed, window size or schema never collide in
-    the cache.
+    One :func:`soak_window_unit` per window of the deterministic
+    instance stream.
 
     Args:
         profile: A :data:`repro.soak.mixture.PROFILES` key.
@@ -476,33 +503,26 @@ def enumerate_soak_units(
         raise ConfigurationError(
             f"soak instance budget must be >= 0, got {instances}"
         )
-    units = []
-    for start in range(0, instances, window):
-        units.append(
-            CampaignUnit(
-                label=f"soak/{profile}",
-                n=1, ell=1, t=0,
-                synchrony="sync", numerate=False, restricted=False,
-                kind="soak",
-                assignment_index=start,
-                byzantine_index=min(window, instances - start),
-                seed=farm_seed,
-                variant=profile,
-            )
+    return [
+        soak_window_unit(
+            profile, farm_seed, start, min(window, instances - start)
         )
-    return units
+        for start in range(0, instances, window)
+    ]
 
 
-def shard_units(
-    units: Sequence[CampaignUnit], index: int, count: int
-) -> list[CampaignUnit]:
+_T = TypeVar("_T")
+
+
+def shard_units(units: Sequence[_T], index: int, count: int) -> list[_T]:
     """Select stripe ``index`` of ``count`` from the unit grid.
 
     Striping by position keeps each shard a representative mix of cheap
     and expensive units; the ``count`` shards partition the grid.
 
     Args:
-        units: The full unit list (enumeration order).
+        units: The full unit list (enumeration order), or any sequence
+            striped the same way (the atlas stripes lattice positions).
         index: Zero-based shard index, ``0 <= index < count``.
         count: Total number of shards.
 
@@ -668,15 +688,9 @@ def execute_unit(unit: CampaignUnit | Mapping) -> dict:
 
 def _unit_weight(unit: CampaignUnit) -> int:
     """Crude cost estimate used to schedule heavy units first."""
-    if unit.kind == "soak":
-        # Windows are near-uniform; weight by instance count so a
-        # short final window schedules last.
-        return max(1, unit.byzantine_index)
     if unit.kind == "explore":
         # Per-round tree exploration (synchronous scopes) dwarfs the
         # persistent-face sweeps, and certificates dwarf violations.
-        # (Atlas units never pass through here: their driver submits
-        # in lattice order to keep its streaming reorder buffer small.)
         return unit.n ** 3 * (40 if unit.synchrony == "sync" else 4)
     weight = unit.n * unit.n
     if unit.synchrony == "psync":
@@ -687,74 +701,181 @@ def _unit_weight(unit: CampaignUnit) -> int:
     return weight
 
 
-def execute_units(
-    pending: Sequence[CampaignUnit],
-    workers: int,
-    finish: Callable[[CampaignUnit, dict], None],
-) -> None:
-    """Execute units inline or on a process pool, heaviest first.
+def in_flight_bound(workers: int) -> int:
+    """How far :func:`execute_units` reads ahead of its delivery frontier.
 
-    The shared fan-out loop behind :func:`run_campaign` and the soak
-    farm's window shards.  ``finish`` is invoked in completion order
-    with each unit's result (store to cache, fold into a report, ...).
-
-    Failure contract: the first worker exception aborts the batch
-    *promptly*.  Every queued-but-unstarted unit is cancelled before
-    the pool is torn down, so one poisoned unit costs at most the units
-    already running (one per worker), never the whole campaign's tail.
-    The exception is re-raised with the failing unit's ``describe()``
-    and id attached as a note.
-
-    Args:
-        pending: Units to execute (any order; the pool path re-sorts
-            heaviest first for LPT-style makespan).
-        workers: Pool size; ``<= 1`` runs inline in this process.
-        finish: Callback ``(unit, result)`` run in this process for
-            each completed unit, in completion order.
+    Counts units running or queued on the pool plus finished results
+    waiting for their delivery turn.  Inline runs hold one unit; a pool
+    gets enough slack that a slow unit at the frontier does not idle
+    the other workers at once, while memory stays O(workers), never
+    O(units).
     """
-    def attach(exc: BaseException, unit: CampaignUnit) -> None:
+    return 1 if workers <= 1 else max(16, 4 * workers)
+
+
+@contextmanager
+def _blame(unit: CampaignUnit) -> Iterator[None]:
+    """Attach ``unit``'s ``describe()`` and id to an escaping exception."""
+    try:
+        yield
+    except Exception as exc:
         exc.add_note(
             f"while executing campaign unit {unit.describe()} "
             f"({unit.unit_id})"
         )
+        raise
 
+
+def _split(
+    item: CampaignUnit | tuple[CampaignUnit, object],
+) -> tuple[CampaignUnit, dict | None, CampaignCache | None]:
+    """A pending item as ``(unit, finished result, cache to fill)``."""
+    if not isinstance(item, tuple):
+        return item, None, None
+    unit, extra = item
+    if isinstance(extra, CampaignCache):
+        return unit, None, extra
+    return unit, extra, None
+
+
+def execute_units(
+    pending: Iterable[CampaignUnit | tuple[CampaignUnit, object]],
+    workers: int,
+    finish: Callable[[CampaignUnit, dict], None],
+) -> None:
+    """Execute units inline or on one process pool, delivering in order.
+
+    The one pool loop behind every driver (:func:`run_units` adds the
+    unit cache on top).  ``pending`` is read lazily -- it may be an
+    unbounded generator -- and never more than
+    :func:`in_flight_bound` items past the last delivered one.  Each
+    item is a unit to execute or a ``(unit, extra)`` pair, where
+    ``extra`` is the unit's already-finished result (a cache hit, which
+    only takes its turn in the delivery order), a :class:`CampaignCache`
+    to store the result in as soon as the unit completes -- before its
+    delivery turn, so a failure elsewhere never loses it -- or ``None``.
+    ``finish(unit, result)`` runs in this process, in the order the
+    items were read.
+
+    Failure contract, inline and pooled alike: the first unit that
+    raises -- in a worker or inside ``finish`` -- aborts the run as
+    soon as it fails, not when its delivery turn comes.  Queued units
+    are cancelled, no further item is read, and the exception is
+    re-raised with the unit's ``describe()`` and id attached as a note.
+
+    Args:
+        pending: Units (or pairs) in delivery order.
+        workers: Pool size; ``<= 1`` runs inline in this process.
+        finish: Callback ``(unit, result)``, called once per item in
+            input order.
+    """
     if workers <= 1:
-        for unit in pending:
-            try:
-                result = execute_unit(unit)
-            except Exception as exc:
-                attach(exc, unit)
-                raise
-            finish(unit, result)
+        for item in pending:
+            unit, result, cache = _split(item)
+            with _blame(unit):
+                if result is None:
+                    result = execute_unit(unit)
+                    if cache is not None:
+                        cache.store(unit, result)
+                finish(unit, result)
         return
 
-    # Heavy units first: better makespan under LPT-style greedy
-    # scheduling, identical results in any order.
-    ordered = sorted(pending, key=_unit_weight, reverse=True)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    bound = in_flight_bound(workers)
+    # [unit, future, cache still to fill] per item read, in input order.
+    window: deque[list] = deque()
+
+    def result_of(entry: list) -> dict:
+        """The entry's result, stored in its cache the first time."""
+        unit, future, cache = entry
+        result = future.result()
+        if cache is not None:
+            cache.store(unit, result)
+            entry[2] = None
+        return result
+
+    def settle(limit: int) -> None:
+        """Store what completed, raise the first failure, then deliver
+        the finished head of the window until ``limit`` items remain."""
+        while True:
+            failed = None
+            for entry in window:
+                if not entry[1].done():
+                    continue
+                if entry[1].exception() is not None:
+                    failed = failed or entry
+                else:
+                    with _blame(entry[0]):
+                        result_of(entry)
+            if failed is not None:
+                with _blame(failed[0]):
+                    failed[1].result()
+            while window and window[0][1].done():
+                entry = window.popleft()
+                with _blame(entry[0]):
+                    finish(entry[0], result_of(entry))
+            if len(window) <= limit:
+                return
+            futures.wait(
+                [f for _, f, _ in window if not f.done()],
+                return_when=futures.FIRST_COMPLETED,
+            )
+
+    with futures.ProcessPoolExecutor(max_workers=workers) as pool:
         try:
-            futures = {
-                pool.submit(execute_unit, unit.to_dict()): unit
-                for unit in ordered
-            }
-            remaining = set(futures)
-            while remaining:
-                done, remaining = wait(remaining,
-                                       return_when=FIRST_COMPLETED)
-                for future in done:
-                    unit = futures[future]
-                    try:
-                        result = future.result()
-                    except Exception as exc:
-                        attach(exc, unit)
-                        raise
-                    finish(unit, result)
+            for item in pending:
+                unit, result, cache = _split(item)
+                if result is None:
+                    future = pool.submit(execute_unit, unit.to_dict())
+                else:
+                    future = futures.Future()
+                    future.set_result(result)
+                window.append([unit, future, cache])
+                settle(bound - 1)
+            settle(0)
         except BaseException:
             # Without this, the executor's __exit__ joins every
-            # outstanding future, so one bad unit would make the whole
-            # campaign hang until all unrelated heavy units finish.
+            # outstanding future, so one bad unit would make the run
+            # hang until all unrelated queued units finish.
             pool.shutdown(wait=False, cancel_futures=True)
             raise
+
+
+def run_units(
+    units: Iterable[CampaignUnit],
+    workers: int,
+    finish: Callable[[CampaignUnit, dict, bool], None],
+    cache: CampaignCache | None = None,
+    resume: bool = False,
+) -> None:
+    """The cache-aware unit pipeline behind campaign, atlas and soak.
+
+    Reads ``units`` lazily and serves each from ``cache`` when
+    ``resume`` is set and the cache holds it; the rest execute through
+    :func:`execute_units` and are stored in ``cache`` (when given) as
+    soon as each completes.  ``finish(unit, result, cached)`` is called
+    in input order, ``cached`` telling a replayed result from an
+    executed one.  Ordering, the read-ahead bound and the failure
+    contract are those of :func:`execute_units`.
+
+    Args:
+        units: The units in delivery order (any iterable).
+        workers: Pool size; ``<= 1`` runs inline in this process.
+        finish: The driver's row function.
+        cache: Optional unit cache.
+        resume: Read the cache, so only missing units execute.
+    """
+    served: deque[bool] = deque()
+
+    def feed() -> Iterator[tuple[CampaignUnit, object]]:
+        for unit in units:
+            hit = cache.load(unit) if cache is not None and resume else None
+            served.append(hit is not None)
+            yield unit, cache if hit is None else hit
+
+    execute_units(
+        feed(), workers,
+        lambda unit, result: finish(unit, result, served.popleft()),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -1109,29 +1230,27 @@ def run_campaign(
 
     results: dict[str, dict] = {}
     cached = 0
-    pending: list[CampaignUnit] = []
-    for unit in units:
-        hit = cache.load(unit) if (cache is not None and resume) else None
-        if hit is not None:
-            results[unit.unit_id] = hit
+
+    def finish(unit: CampaignUnit, result: dict, hit: bool) -> None:
+        nonlocal cached
+        results[unit.unit_id] = result
+        if hit:
             cached += 1
             if progress:
                 progress(f"cached   {unit.describe()}")
-        else:
-            pending.append(unit)
-
-    def finish(unit: CampaignUnit, result: dict) -> None:
-        results[unit.unit_id] = result
-        if cache is not None:
-            cache.store(unit, result)
-        if progress:
+        elif progress:
             progress(
                 f"executed {unit.describe()} "
                 f"({result['elapsed_s']:.2f}s, "
                 f"{len(result['records'])} runs)"
             )
 
-    execute_units(pending, workers, finish)
+    # Heavy units first: better makespan under LPT-style greedy
+    # scheduling, identical results in any order.
+    run_units(
+        sorted(units, key=_unit_weight, reverse=True),
+        workers, finish, cache, resume,
+    )
 
     return CampaignReport(
         cells=cells,
@@ -1139,7 +1258,7 @@ def run_campaign(
         quick=quick,
         unit_results=[results[u.unit_id] for u in units],
         workers=max(1, workers),
-        executed=len(pending),
+        executed=len(units) - cached,
         cached=cached,
         elapsed_s=time.perf_counter() - start,  # reprolint: disable=RL002 -- diagnostic timing only
     )

@@ -10,7 +10,6 @@ from repro.sim.adversary import (
 from repro.sim.delay import (
     AlwaysBoundedUnknownDelays,
     DelayPolicy,
-    DelayRoundSimulator,
     DelaySimulationResult,
     EventuallyBoundedDelays,
     ReferenceDelaySimulator,
@@ -31,7 +30,6 @@ from repro.sim.metrics import (
     Metrics,
     RoundDeliveries,
     metrics_from_deliveries,
-    metrics_from_trace,
     payload_size,
 )
 from repro.sim.network import ReferenceRoundEngine, RoundEngine
@@ -64,7 +62,6 @@ __all__ = [
     "ComposedTiming",
     "DelayBased",
     "DelayPolicy",
-    "DelayRoundSimulator",
     "DelaySimulationResult",
     "EventuallyBoundedDelays",
     "ExecutionKernel",
@@ -101,7 +98,6 @@ __all__ = [
     "Trace",
     "make_processes",
     "metrics_from_deliveries",
-    "metrics_from_trace",
     "normalize_emissions",
     "payload_size",
     "run_agreement",

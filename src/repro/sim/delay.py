@@ -30,12 +30,10 @@ a delay-1 network.)
 The round simulation itself now executes on the unified kernel: the
 :class:`~repro.sim.kernel.DelayBased` timing model stamps each round's
 late edges straight onto the message fabric (see
-:func:`run_delay_execution`).  :class:`DelayRoundSimulator`, the old
-per-message tick loop's entry point, survives as a **deprecated** shim
-delegating to the kernel; the tick loop itself is kept verbatim as
-:class:`ReferenceDelaySimulator`, the differential oracle the delay
-equivalence tests and ``benchmarks/test_bench_delay_kernel.py`` compare
-the kernel against.
+:func:`run_delay_execution`).  The old per-message tick loop is kept
+verbatim as :class:`ReferenceDelaySimulator`, the differential oracle
+the delay equivalence tests and ``benchmarks/test_bench_delay_kernel.py``
+compare the kernel against.
 
 Determinism: delay policies derive their per-message RNG from
 :func:`repro.core.canonical.stable_seed`, never from the builtin
@@ -46,7 +44,6 @@ policies differ between interpreter runs).
 from __future__ import annotations
 
 import random
-import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
@@ -248,9 +245,7 @@ def run_delay_execution(
 ) -> DelaySimulationResult:
     """Run round-based processes over a delay network, on the kernel.
 
-    This is the non-deprecated replacement for
-    :class:`DelayRoundSimulator`: it builds an
-    :class:`~repro.sim.kernel.ExecutionKernel` with a
+    Builds an :class:`~repro.sim.kernel.ExecutionKernel` with a
     :class:`~repro.sim.kernel.DelayBased` timing model, runs it, and
     packages the delay-specific bookkeeping (losses, tick count) into a
     :class:`DelaySimulationResult`.  The losses are correct-to-correct
@@ -285,73 +280,6 @@ def run_delay_execution(
         max_rounds=max_rounds, stop_when_all_decided=stop_when_all_decided
     )
     return _kernel_delay_result(kernel, executed)
-
-
-class DelayRoundSimulator:
-    """**Deprecated** shim: the old entry point, now kernel-backed.
-
-    Historically this class ran the DLS round simulation through a
-    per-message tick loop; it now builds an
-    :class:`~repro.sim.kernel.ExecutionKernel` with a
-    :class:`~repro.sim.kernel.DelayBased` timing model and delegates --
-    use the kernel (or :func:`run_delay_execution`) directly in new
-    code.  Constructing it emits a :class:`DeprecationWarning`.
-
-    One observable difference from the tick loop: recorded drops cover
-    correct-to-correct edges only.  The tick loop also logged late
-    messages addressed to Byzantine slots, which have no receiving
-    process (the old loop's per-message oracle,
-    :class:`ReferenceDelaySimulator`, still does).
-    """
-
-    def __init__(
-        self,
-        params: SystemParams,
-        assignment: IdentityAssignment,
-        processes: Sequence[Process | None],
-        policy: DelayPolicy,
-        byzantine: Sequence[int] = (),
-        adversary: Adversary | None = None,
-    ) -> None:
-        warnings.warn(
-            "DelayRoundSimulator is deprecated; run delay-based executions "
-            "through repro.sim.kernel.ExecutionKernel with a DelayBased "
-            "timing model (or repro.sim.delay.run_delay_execution)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if assignment.n != params.n or len(processes) != params.n:
-            raise ConfigurationError("process/assignment/params size mismatch")
-        self.params = params
-        self.assignment = assignment
-        self.processes = list(processes)
-        self.policy = policy
-        self.byzantine = tuple(sorted(set(byzantine)))
-        self._kernel = ExecutionKernel(
-            params=params,
-            assignment=assignment,
-            processes=self.processes,
-            byzantine=self.byzantine,
-            adversary=adversary,
-            timing=DelayBased(policy),
-        )
-        self.adversary = self._kernel.adversary
-
-    @property
-    def trace(self) -> Trace:
-        return self._kernel.trace
-
-    @property
-    def _correct(self) -> tuple[int, ...]:
-        return self._kernel.correct
-
-    def run(
-        self, max_rounds: int, stop_when_all_decided: bool = True
-    ) -> DelaySimulationResult:
-        executed = self._kernel.run(
-            max_rounds=max_rounds, stop_when_all_decided=stop_when_all_decided
-        )
-        return _kernel_delay_result(self._kernel, executed)
 
 
 class ReferenceDelaySimulator:

@@ -20,10 +20,10 @@ not get?*
   the tick window ``[r*delta, (r+1)*delta)``; a message whose
   policy-assigned delay lands it outside its window is *lost*, which is
   exactly the basic-model loss the paper's equivalence argument
-  describes.  The per-message tick loop of the legacy
-  ``DelayRoundSimulator`` is replaced by per-round late-delta stamping
-  on the fabric, and the policy's ``max_late_tick`` contract lets
-  punctual rounds skip delay evaluation entirely -- the delay models
+  describes.  The legacy per-message tick loop is replaced by
+  per-round late-delta stamping on the fabric, and the policy's
+  ``max_late_tick`` contract lets punctual rounds skip delay
+  evaluation entirely -- the delay models
   inherit the fabric's shared-canonical-base fast path.
 
 **The message fabric.**  Each :meth:`ExecutionKernel.step` executes one
@@ -50,11 +50,9 @@ Determinism: given identical processes, adversary and timing model,
 the kernel produces byte-identical traces.  All iteration is over
 sorted indices and inboxes are canonically ordered.
 
-Compatibility shims: :class:`repro.sim.network.RoundEngine` is the
+Compatibility shim: :class:`repro.sim.network.RoundEngine` is the
 kernel with a :class:`BasicPsync`/:class:`LockStep` model built from
-its legacy ``drop_schedule``/``topology`` arguments, and
-:class:`repro.sim.delay.DelayRoundSimulator` is a deprecated wrapper
-over the kernel with a :class:`DelayBased` model.
+its legacy ``drop_schedule``/``topology`` arguments.
 """
 
 from __future__ import annotations

@@ -6,19 +6,11 @@ relative costs of the algorithms (e.g. the 3x round overhead of the
 Figure 3 transformation, or the echo amplification of authenticated
 broadcast) are visible in the regenerated tables.
 
-Two accounting paths exist:
-
-* **exact** -- the network engine's message fabric counts every edge it
-  actually delivers (after topology cuts and drop schedules) and logs a
-  :class:`RoundDeliveries` record per round;
-  :func:`metrics_from_deliveries` folds the log into :class:`Metrics`.
-  This is what :func:`repro.sim.runner.run_execution` reports.
-* **estimated** (deprecated) -- :func:`metrics_from_trace` multiplies
-  each broadcast by a uniform ``fanout``.  That is exact only on the
-  complete topology with no drops; under a restricting
-  :class:`~repro.sim.topology.Topology` it *overcounts*, which is why
-  it now refuses restricted topologies outright and warns on every
-  call.
+Accounting is exact: the network engine's message fabric counts every
+edge it actually delivers (after topology cuts and drop schedules) and
+logs a :class:`RoundDeliveries` record per round;
+:func:`metrics_from_deliveries` folds the log into :class:`Metrics`.
+This is what :func:`repro.sim.runner.run_execution` reports.
 
 "Bytes" are approximated by the length of ``repr(payload)``, which is
 stable, cheap, and good enough to compare algorithms against each other
@@ -27,12 +19,8 @@ within this package.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Hashable, Iterable
-
-from repro.core.errors import ConfigurationError
-from repro.sim.trace import Trace
 
 
 @dataclass
@@ -201,75 +189,3 @@ class WindowAggregator:
             "messages": self.messages,
             "losses": self.losses,
         }
-
-
-def metrics_from_trace(
-    trace: Trace, fanout: int, topology=None, drop_schedule=None
-) -> Metrics:
-    """Estimate metrics from a finished trace.  **Deprecated.**
-
-    ``fanout`` is the number of recipients of each correct broadcast
-    (``n`` under the complete topology with self-delivery).  The
-    estimate is exact only there: restricted topologies and drop
-    schedules deliver fewer edges than ``broadcasts * fanout``.  Use
-    :func:`metrics_from_deliveries` with the engine's delivery log for
-    exact costs; this shim remains for trace-only consumers and will be
-    removed once none are left.
-
-    Args:
-        trace: The finished execution trace.
-        fanout: Recipients per correct broadcast.
-        topology: The topology the execution ran under, when known.
-            Anything other than ``None`` or a complete topology raises,
-            because the uniform-fanout estimate would silently
-            overcount.
-        drop_schedule: The drop schedule the execution ran under, when
-            known.  A schedule that can lose messages (any schedule
-            whose stabilisation round is positive) raises for the same
-            reason.
-
-    Returns:
-        The estimated metrics.
-
-    Raises:
-        ConfigurationError: When ``topology`` or ``drop_schedule``
-            restricts delivery.
-    """
-    warnings.warn(
-        "metrics_from_trace estimates costs from a uniform fanout; "
-        "use metrics_from_deliveries(engine.deliveries) for exact "
-        "accounting",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if topology is not None:
-        from repro.sim.topology import CompleteTopology
-
-        if not isinstance(topology, CompleteTopology):
-            raise ConfigurationError(
-                f"metrics_from_trace assumes full fanout but the execution "
-                f"ran under {topology!r}; use metrics_from_deliveries for "
-                f"exact accounting under restricted topologies"
-            )
-    if drop_schedule is not None and drop_schedule.gst > 0:
-        raise ConfigurationError(
-            f"metrics_from_trace assumes full fanout but the execution "
-            f"ran under a drop schedule stabilising at round "
-            f"{drop_schedule.gst}; use metrics_from_deliveries for exact "
-            f"accounting under message loss"
-        )
-    m = Metrics(rounds=len(trace))
-    for record in trace:
-        m.correct_broadcasts += len(record.payloads)
-        m.correct_messages += len(record.payloads) * fanout
-        m.byzantine_messages += record.byzantine_message_count
-        m.payload_bytes += sum(
-            payload_size(p) * fanout for p in record.payloads.values()
-        )
-        m.payload_bytes += sum(
-            payload_size(p)
-            for per_recipient in record.emissions.values()
-            for payloads in per_recipient.values()
-            for p in payloads
-        )
-    return m

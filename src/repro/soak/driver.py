@@ -3,21 +3,22 @@
 One :func:`run_soak` call drives the deterministic instance stream of a
 profile (:mod:`repro.soak.mixture`) window by window:
 
-1. every window of ``window`` consecutive instances becomes one
-   ``kind="soak"`` campaign unit
-   (:func:`repro.experiments.campaign.enumerate_soak_units` shape),
-   executed on batched kernels and fanned out over the campaign
-   engine's shared pool loop (:func:`repro.experiments.campaign.
-   execute_units`) with its content-hash disk cache and prompt
-   cancel-on-first-failure;
-2. finished windows stream into an append-only JSONL log
-   (:class:`~repro.atlas.stream.AtlasLog`) **in stream order** -- one
-   row per instance plus one *checkpoint row* per window carrying the
-   cumulative verdict/latency/loss counters
-   (:class:`~repro.sim.metrics.WindowAggregator`);
+1. a generator yields one ``kind="soak"`` campaign unit per window of
+   ``window`` consecutive instances
+   (:func:`repro.experiments.campaign.soak_window_unit`), executed on
+   batched kernels through the shared unit pipeline
+   (:func:`repro.experiments.campaign.run_units`): one process pool,
+   the content-hash disk cache, and prompt cancel-on-first-failure;
+2. the pipeline hands finished windows back **in stream order**, and
+   the driver's row function appends one row per instance plus one
+   *checkpoint row* per window carrying the cumulative
+   verdict/latency/loss counters
+   (:class:`~repro.sim.metrics.WindowAggregator`) to an append-only
+   JSONL log (:class:`~repro.atlas.stream.AtlasLog`);
 3. the farm stops at the ``instances`` budget, the ``duration``
-   wall-clock budget, or never (both ``None`` is refused -- pass an
-   explicit budget).
+   wall-clock budget (checked each time the generator yields the next
+   window and each time a window is logged), or never (both ``None`` is
+   refused -- pass an explicit budget).
 
 Resume contract: every row is a deterministic function of
 ``(profile, seed, index)`` -- no wall-clock data is ever logged -- and
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Mapping
 
@@ -43,7 +44,8 @@ from repro.core.errors import ConfigurationError, SimulationError
 from repro.experiments.campaign import (
     CampaignCache,
     CampaignUnit,
-    execute_units,
+    run_units,
+    soak_window_unit,
 )
 from repro.sim.metrics import WindowAggregator
 from repro.soak.mixture import SOAK_SCHEMA, get_profile, sample_instance
@@ -92,6 +94,10 @@ def expected_row_ids(
             ids.append(sample_instance(profile, seed, index).instance_id)
         ids.append(checkpoint_id(profile, seed, w, start + count))
     return ids
+
+
+class _BudgetSpent(Exception):
+    """Raised by the row function to end a farm whose duration is spent."""
 
 
 @dataclass
@@ -209,9 +215,12 @@ def run_soak(
         seed: The farm seed (fixes the whole instance stream).
         instances: Total instance budget; ``None`` for unbounded
             (requires ``duration``).
-        duration: Wall-clock budget in seconds; checked between
-            scheduling waves, so the farm overshoots by at most one
-            wave of in-flight windows.
+        duration: Wall-clock budget in seconds; checked before each
+            new window is read and after each window is logged.  The
+            farm stops at the first window logged past the budget:
+            windows still queued are cancelled and only those already
+            running (at most one per worker) are waited for, so the log
+            holds at most one window past the budget.
         window: Instances per window (the checkpoint cadence and the
             pool's unit of work).
         workers: Pool size; ``<= 1`` executes windows inline.
@@ -266,115 +275,66 @@ def run_soak(
     else:
         log.reset()
 
-    total_windows = (
-        None if instances is None else len(window_plan(instances, window))
-    )
-
-    def plan_entry(w: int) -> tuple[int, int, int]:
-        start = w * window
-        count = (
-            window if instances is None
-            else min(window, instances - start)
-        )
-        return (w, start, count)
-
-    # ``enumerate_soak_units`` builds the whole bounded plan at once;
-    # unbounded farms construct window units one at a time, so the unit
-    # layout is restated here (kept in lockstep by a regression test).
-    def unit_for(w: int) -> CampaignUnit:
-        _, start, count = plan_entry(w)
-        return CampaignUnit(
-            label=f"soak/{profile}",
-            n=1, ell=1, t=0,
-            synchrony="sync", numerate=False, restricted=False,
-            kind="soak",
-            assignment_index=start,
-            byzantine_index=count,
-            seed=seed,
-            variant=profile,
-        )
-
-    next_window = completed_windows  # write frontier
-    cursor = completed_windows       # next window to schedule
-    reorder: dict[int, Mapping] = {}
-
-    def flush() -> None:
-        """Append every window whose predecessors are all written."""
-        nonlocal next_window, skip_in_window
-        while next_window in reorder:
-            w, start, count = plan_entry(next_window)
-            records = list(reorder.pop(next_window)["records"])
-            if len(records) != count:
-                raise SimulationError(
-                    f"soak window {w} returned {len(records)} records, "
-                    f"expected {count}"
-                )
-            rows = []
-            for offset, record in enumerate(records):
-                if offset < skip_in_window:
-                    continue  # already on disk from the resumed prefix
-                spec = sample_instance(profile, seed, start + offset)
-                rows.append(_instance_row(spec, record))
-                agg.add_record(record)
-            rows.append(
-                {
-                    "unit_id": checkpoint_id(profile, seed, w, start + count),
-                    "kind": "checkpoint",
-                    "window": w,
-                    **agg.snapshot(),
-                }
-            )
-            log.append_many(rows)
-            outcome.written_rows += len(rows)
-            skip_in_window = 0
-            next_window += 1
-            if progress:
-                progress(
-                    f"window {w}: +{count} instances "
-                    f"(cum {agg.instances}, {agg.violations} violations)"
-                )
-
     def elapsed() -> float:
         return time.perf_counter() - start_clock  # reprolint: disable=RL002 -- diagnostic timing only
 
-    wave_size = max(4, 2 * max(1, workers))
-    units_by_id: dict[str, int] = {}
+    def windows() -> Iterator[CampaignUnit]:
+        start = completed_windows * window
+        while instances is None or start < instances:
+            if duration is not None and elapsed() >= duration:
+                return
+            count = (
+                window if instances is None
+                else min(window, instances - start)
+            )
+            yield soak_window_unit(profile, seed, start, count)
+            start += count
 
-    def finish(unit: CampaignUnit, result: dict) -> None:
-        if cache is not None:
-            cache.store(unit, result)
-        outcome.executed_windows += 1
-        w = units_by_id[unit.unit_id]
-        outcome.executed_instances += len(result["records"])
-        reorder[w] = result
+    def finish(unit: CampaignUnit, result: dict, cached: bool) -> None:
+        nonlocal skip_in_window
+        start, count = unit.assignment_index, unit.byzantine_index
+        w = start // window
+        records = result["records"]
+        if len(records) != count:
+            raise SimulationError(
+                f"soak window {w} returned {len(records)} records, "
+                f"expected {count}"
+            )
+        rows = []
+        for offset, record in enumerate(records):
+            if offset < skip_in_window:
+                continue  # already on disk from the resumed prefix
+            spec = sample_instance(profile, seed, start + offset)
+            rows.append(_instance_row(spec, record))
+            agg.add_record(record)
+        rows.append(
+            {
+                "unit_id": checkpoint_id(profile, seed, w, start + count),
+                "kind": "checkpoint",
+                "window": w,
+                **agg.snapshot(),
+            }
+        )
+        log.append_many(rows)
+        outcome.written_rows += len(rows)
+        skip_in_window = 0
+        if cached:
+            outcome.cached_windows += 1
+        else:
+            outcome.executed_windows += 1
+            outcome.executed_instances += count
+        if progress:
+            progress(
+                f"window {w}: +{count} instances "
+                f"(cum {agg.instances}, {agg.violations} violations)"
+            )
+        if duration is not None and elapsed() >= duration:
+            raise _BudgetSpent
 
     try:
-        while total_windows is None or next_window < total_windows:
-            if duration is not None and elapsed() >= duration:
-                break
-            wave: list[tuple[int, CampaignUnit]] = []
-            while len(wave) < wave_size and (
-                total_windows is None or cursor < total_windows
-            ):
-                wave.append((cursor, unit_for(cursor)))
-                cursor += 1
-            if not wave:
-                break
-            pending: list[CampaignUnit] = []
-            for w, unit in wave:
-                units_by_id[unit.unit_id] = w
-                hit = (
-                    cache.load(unit)
-                    if (cache is not None and resume) else None
-                )
-                if hit is not None:
-                    outcome.cached_windows += 1
-                    reorder[w] = hit
-                else:
-                    pending.append(unit)
-            if pending:
-                execute_units(pending, workers, finish)
-            flush()
+        run_units(windows(), workers, finish, cache, resume)
+    except _BudgetSpent:
+        pass  # the windows read ahead of the log are cancelled
     finally:
         outcome.elapsed_s = elapsed()
         outcome.instances = agg.instances

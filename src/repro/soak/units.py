@@ -11,8 +11,8 @@ are bit-identical to a solo :func:`~repro.soak.mixture.run_instance`
 replay -- the property the farm's replay contract rests on.
 
 Windows ride the campaign engine (``kind="soak"`` units built by
-:func:`repro.experiments.campaign.enumerate_soak_units`), which gives
-the farm the existing process-pool fan-out, the content-hash disk cache
+:func:`repro.experiments.campaign.soak_window_unit`), which gives the
+farm the shared unit pipeline's process pool, content-hash disk cache
 and prompt cancel-on-failure for free.
 """
 

@@ -295,13 +295,13 @@ class TestDriver:
         layered on top by appending the partial row the dying process
         would have been writing.
         """
-        import repro.atlas.driver as driver_mod
+        import repro.experiments.campaign as campaign_mod
 
         fresh_path, fresh = self._fresh(tmp_path, "fresh.jsonl")
 
         crash_after = 5
         calls = {"n": 0}
-        real_execute = driver_mod.execute_unit
+        real_execute = campaign_mod.execute_unit
 
         def dying_execute(unit):
             if calls["n"] >= crash_after:
@@ -310,10 +310,10 @@ class TestDriver:
             return real_execute(unit)
 
         crashed_path = tmp_path / "crashed.jsonl"
-        monkeypatch.setattr(driver_mod, "execute_unit", dying_execute)
+        monkeypatch.setattr(campaign_mod, "execute_unit", dying_execute)
         with pytest.raises(KeyboardInterrupt):
             run_atlas(TINY, crashed_path, quick=True)
-        monkeypatch.setattr(driver_mod, "execute_unit", real_execute)
+        monkeypatch.setattr(campaign_mod, "execute_unit", real_execute)
 
         # The log holds exactly the cells fused before the kill...
         survivors = crashed_path.read_bytes()
@@ -331,7 +331,7 @@ class TestDriver:
     def test_crash_before_any_cell_resumes_from_scratch(
         self, tmp_path, monkeypatch
     ):
-        import repro.atlas.driver as driver_mod
+        import repro.experiments.campaign as campaign_mod
 
         fresh_path, _ = self._fresh(tmp_path, "fresh.jsonl")
 
@@ -339,7 +339,7 @@ class TestDriver:
             raise KeyboardInterrupt("simulated kill before first cell")
 
         crashed_path = tmp_path / "crashed.jsonl"
-        monkeypatch.setattr(driver_mod, "execute_unit", dying_execute)
+        monkeypatch.setattr(campaign_mod, "execute_unit", dying_execute)
         with pytest.raises(KeyboardInterrupt):
             run_atlas(TINY, crashed_path, quick=True)
         monkeypatch.undo()
@@ -407,6 +407,102 @@ class TestDriver:
         assert outcome.verdicts[CONFLICT] == 1
         rows = list(AtlasLog(path).rows())
         assert rows[0]["verdict"] == CONFLICT
+
+
+def _atlas_unit(label):
+    """The campaign unit the atlas driver builds for a ``TINY`` cell."""
+    units = enumerate_atlas_units(
+        [(c.label, c.params, c.variant) for c in TINY.cells()], quick=True,
+    )
+    return next(u for u in units if u.label == label)
+
+
+def _assert_names_unit(err, unit):
+    notes = getattr(err.value, "__notes__", [])
+    assert any(unit.describe() in note for note in notes)
+    assert any(unit.unit_id in note for note in notes)
+
+
+class TestPooledDriver:
+    """``workers > 1`` runs the shared unit pipeline: same bytes as the
+    inline sweep, same failure contract."""
+
+    def test_pooled_cold_killed_and_resumed_equals_inline(self, tmp_path):
+        inline = tmp_path / "inline.jsonl"
+        run_atlas(TINY, inline, quick=True)
+        expected = inline.read_bytes()
+
+        cache = CampaignCache(tmp_path / "cache")
+        cold = tmp_path / "cold.jsonl"
+        outcome = run_atlas(TINY, cold, quick=True, workers=2, cache=cache)
+        assert outcome.executed == outcome.cells_total
+        assert cold.read_bytes() == expected
+
+        # Kill the driver between appends (no cache, so the resumed
+        # sweep executes the rest on the pool), tear the final line.
+        kill_after = 5
+        fused = []
+
+        def dying(line):
+            if line.startswith("fused"):
+                fused.append(line)
+                if len(fused) == kill_after:
+                    raise KeyboardInterrupt("simulated kill")
+
+        killed = tmp_path / "killed.jsonl"
+        with pytest.raises(KeyboardInterrupt):
+            run_atlas(TINY, killed, quick=True, workers=2, progress=dying)
+        assert len(killed.read_bytes().splitlines()) == kill_after
+        with killed.open("ab") as fh:
+            fh.write(b'{"unit_id": "torn')
+        resumed = run_atlas(TINY, killed, quick=True, workers=2, resume=True)
+        assert resumed.resumed == kill_after
+        assert resumed.executed == resumed.cells_total - kill_after
+        assert killed.read_bytes() == expected
+
+        warm = tmp_path / "warm.jsonl"
+        outcome = run_atlas(
+            TINY, warm, quick=True, workers=2, cache=cache, resume=True,
+        )
+        assert outcome.cached == outcome.cells_total
+        assert warm.read_bytes() == expected
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_unit_names_itself(self, tmp_path, monkeypatch, workers):
+        import repro.atlas.evidence as evidence_mod
+
+        target = TINY.cells()[3]
+        real = evidence_mod.run_atlas_unit
+
+        def poisoned(params, **kwargs):
+            if params == target.params:
+                raise ProvenanceError("poisoned cell")
+            return real(params, **kwargs)
+
+        # Forked pool workers inherit the patched module attribute.
+        monkeypatch.setattr(evidence_mod, "run_atlas_unit", poisoned)
+        path = tmp_path / "log.jsonl"
+        with pytest.raises(ProvenanceError) as err:
+            run_atlas(TINY, path, quick=True, workers=workers)
+        _assert_names_unit(err, _atlas_unit(target.label))
+        assert len(path.read_bytes().splitlines()) <= 3
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_conflict_names_its_unit(self, tmp_path, workers):
+        target = next(
+            c.label for c in TINY.cells()
+            if c.params.synchrony is PSYNC
+        )
+        with pytest.raises(AtlasConflict) as err:
+            run_atlas(
+                TINY, tmp_path / "log.jsonl", quick=True, workers=workers,
+                inject={target: [
+                    {"kind": "explorer", "source": "fixture",
+                     "claim": "solvable", "grade": "witness",
+                     "detail": "forged"},
+                ]},
+            )
+        _assert_names_unit(err, _atlas_unit(target))
 
 
 class TestRender:

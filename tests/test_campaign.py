@@ -18,13 +18,18 @@ from repro.experiments.campaign import (
     CampaignCache,
     CampaignUnit,
     delay_cells,
+    enumerate_atlas_units,
     enumerate_delay_units,
+    enumerate_explore_units,
     enumerate_soak_units,
     enumerate_units,
     execute_unit,
     execute_units,
+    in_flight_bound,
     run_campaign,
+    run_units,
     shard_units,
+    soak_window_unit,
     table1_cells,
 )
 from repro.experiments.harness import (
@@ -88,6 +93,19 @@ class TestUnitEnumeration:
         with pytest.raises(ConfigurationError):
             enumerate_units(cells)
 
+    @pytest.mark.parametrize("enumerate_cells", [
+        lambda cells: enumerate_units(cells),
+        lambda cells: enumerate_explore_units(cells),
+        lambda cells: enumerate_delay_units(cells),
+        lambda cells: enumerate_atlas_units(
+            [(label, params, "campaign") for label, params in cells]
+        ),
+    ], ids=["validation", "explore", "delay", "atlas"])
+    def test_every_enumerator_rejects_duplicate_labels(self, enumerate_cells):
+        cell = CHEAP_CELLS[2]  # psync solvable: valid for every enumerator
+        with pytest.raises(ConfigurationError, match="duplicate cell labels"):
+            enumerate_cells([cell, cell])
+
     def test_default_battery_is_table1(self):
         units = enumerate_units(quick=True)
         assert {u.label for u in units} == {l for l, _ in table1_cells()}
@@ -100,6 +118,12 @@ class TestSharding:
         all_ids = [u.unit_id for shard in shards for u in shard]
         assert sorted(all_ids) == sorted(u.unit_id for u in units)
         assert len(set(all_ids)) == len(all_ids)
+
+    def test_any_sequence_stripes_by_position(self):
+        positions = range(10)
+        assert [shard_units(positions, i, 3) for i in range(3)] == [
+            [0, 3, 6, 9], [1, 4, 7], [2, 5, 8],
+        ]
 
     def test_bad_shard_rejected(self):
         units = enumerate_units(CHEAP_CELLS, quick=True)
@@ -366,18 +390,141 @@ class TestPoolFailureContract:
 
     def test_pool_failure_cancels_queued_units(self):
         poison = self._poison()
-        heavies = self._heavies(4)
+        heavies = self._heavies(6)
         finished = []
         with pytest.raises(ConfigurationError) as err:
             execute_units(
-                [*heavies, poison], 2,
+                [heavies[0], poison, *heavies[1:]], 2,
                 lambda unit, result: finished.append(unit.unit_id),
             )
         assert any(poison.describe() in n for n in err.value.__notes__)
-        # The poison unit is the heaviest, so it is scheduled in the
-        # first wave and fails while at most one heavy unit is in
-        # flight; the cancelled tail must never reach ``finish``.
-        assert len(finished) < len(heavies)
+        assert any(poison.unit_id in n for n in err.value.__notes__)
+        # Scheduling follows caller order: the poison shares the first
+        # pair of workers with heavies[0] and fails in milliseconds.  It
+        # is raised as soon as it completes -- not when its delivery
+        # turn comes after heavies[0] -- and the cancelled tail must
+        # never reach ``finish``.
+        assert finished == []
+
+    def test_units_finished_behind_the_head_are_cached_before_a_failure(
+        self, tmp_path
+    ):
+        # The heavy head is still running when the light units behind
+        # it complete and the poison fails: results are stored as each
+        # unit completes, not at its delivery turn, so a resume never
+        # re-executes them.
+        head = enumerate_soak_units("quick", 0, 450, 450)[0]
+        light = enumerate_soak_units("quick", 1, 3, 1)
+        poison = self._poison()
+        cache = CampaignCache(tmp_path)
+        finished = []
+        with pytest.raises(ConfigurationError) as err:
+            run_units(
+                [head, *light, poison], 2,
+                lambda unit, result, cached: finished.append(unit), cache,
+            )
+        assert any(poison.unit_id in n for n in err.value.__notes__)
+        assert finished == []
+        assert all(cache.load(u) is not None for u in light)
+        assert cache.load(poison) is None
+
+    def test_failure_inside_finish_names_the_unit_and_stops_reading(self):
+        units = enumerate_soak_units("quick", 0, 40, 1)
+        read = []
+
+        def source():
+            for unit in units:
+                read.append(unit)
+                yield unit
+
+        def finish(unit, result):
+            if unit == units[2]:
+                raise ValueError("row function failed")
+
+        for workers in (1, 2):
+            read.clear()
+            with pytest.raises(ValueError) as err:
+                execute_units(source(), workers, finish)
+            assert any(units[2].unit_id in n for n in err.value.__notes__)
+            assert len(read) <= 3 + in_flight_bound(workers)
+
+
+class TestOrderedPipeline:
+    """The one pipeline behind campaign, atlas and soak."""
+
+    def test_finish_runs_in_input_order_despite_completion_order(self):
+        # A heavy window first, cheap ones after: on two workers the
+        # cheap units complete long before the heavy one.
+        heavy = enumerate_soak_units("quick", 0, 300, 300)
+        light = enumerate_soak_units("quick", 1, 6, 1)
+        units = [*heavy, *light]
+        delivered = []
+        execute_units(
+            units, 2, lambda unit, result: delivered.append(unit),
+        )
+        assert delivered == units
+
+    def test_bound_is_one_inline_and_grows_with_the_pool(self):
+        assert in_flight_bound(0) == in_flight_bound(1) == 1
+        assert in_flight_bound(2) == 16
+        assert in_flight_bound(8) == 32
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_reads_at_most_the_bound_past_delivery(self, workers):
+        units = enumerate_soak_units("quick", 0, 40, 1)
+        bound = in_flight_bound(workers)
+        assert len(units) > bound
+        read = []
+        delivered = []
+
+        def source():
+            for unit in units:
+                read.append(unit)
+                yield unit
+
+        def finish(unit, result):
+            assert len(read) <= len(delivered) + bound
+            delivered.append(unit)
+
+        execute_units(source(), workers, finish)
+        assert delivered == units
+
+    def test_bound_holds_on_an_unbounded_generator(self):
+        read = []
+
+        def endless():
+            start = 0
+            while True:
+                read.append(start)
+                yield soak_window_unit("quick", 0, start, 1)
+                start += 1
+
+        delivered = []
+
+        def finish(unit, result):
+            delivered.append(unit)
+            if len(delivered) == 5:
+                raise RuntimeError("enough")
+
+        with pytest.raises(RuntimeError):
+            execute_units(endless(), 2, finish)
+        assert len(read) <= 5 + in_flight_bound(2)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cache_hits_interleave_in_order(self, tmp_path, workers):
+        units = enumerate_soak_units("quick", 0, 8, 1)
+        cache = CampaignCache(tmp_path)
+        for unit in units[::2]:
+            cache.store(unit, execute_unit(unit))
+        delivered = []
+        run_units(
+            units, workers,
+            lambda unit, result, cached: delivered.append((unit, cached)),
+            cache, resume=True,
+        )
+        assert [u for u, _ in delivered] == units
+        assert [cached for _, cached in delivered] == [True, False] * 4
+        assert all(cache.load(u) is not None for u in units)
 
 
 class TestSoakUnits:
@@ -389,6 +536,14 @@ class TestSoakUnits:
         assert all(u.variant == "quick" for u in units)
         assert all(u.seed == 5 for u in units)
         assert len({u.unit_id for u in units}) == len(units)
+
+    def test_enumeration_builds_its_windows_with_soak_window_unit(self):
+        units = enumerate_soak_units("quick", 5, 250, 100)
+        assert units == [
+            soak_window_unit("quick", 5, 0, 100),
+            soak_window_unit("quick", 5, 100, 100),
+            soak_window_unit("quick", 5, 200, 50),
+        ]
 
     def test_profile_seed_and_schema_separate_cache_keys(self):
         base = enumerate_soak_units("quick", 0, 100, 100)[0]

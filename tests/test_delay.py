@@ -5,12 +5,9 @@ unchanged over tick-based networks with adversarial delays, late
 messages become basic-model losses, and post-stabilisation everything
 is punctual -- so Figure 5 / Figure 7 keep their guarantees.  The
 round simulation runs on the unified kernel
-(:func:`repro.sim.delay.run_delay_execution`); the deprecated
-:class:`~repro.sim.delay.DelayRoundSimulator` shim must warn and
-delegate to it.
+(:func:`repro.sim.delay.run_delay_execution`).
 """
 
-import warnings
 
 import pytest
 
@@ -22,8 +19,8 @@ from repro.psync.dls_homonyms import DLSHomonymProcess, dls_horizon
 from repro.psync.restricted import RestrictedNumerateProcess, restricted_horizon
 from repro.sim.delay import (
     AlwaysBoundedUnknownDelays,
-    DelayRoundSimulator,
     EventuallyBoundedDelays,
+    ReferenceDelaySimulator,
     equivalent_basic_gst,
     run_delay_execution,
 )
@@ -129,56 +126,58 @@ class TestRoundSimulation:
             own = [m for m in procs[0].received[r] if m.sender_id == 1]
             assert own, f"round {r} lost the self-message"
 
-
-class TestDeprecatedShim:
-    """DelayRoundSimulator must warn and delegate to the kernel."""
-
-    def _setup(self):
-        params = SystemParams(n=3, ell=3, t=0)
-        assignment = balanced_assignment(3, 3)
-        processes = [EchoProcess(assignment.identifier_of(k))
-                     for k in range(3)]
-        return params, assignment, processes
-
-    def test_construction_warns(self):
-        params, assignment, processes = self._setup()
-        with pytest.warns(DeprecationWarning, match="DelayRoundSimulator"):
-            DelayRoundSimulator(
-                params, assignment, processes,
-                AlwaysBoundedUnknownDelays(true_delta=2),
-            )
-
-    def test_shim_matches_the_kernel_path(self):
+    def test_kernel_matches_the_reference_tick_loop(self):
         policy = EventuallyBoundedDelays(delta=2, gst_tick=10,
                                          chaos_factor=5, seed=6)
-        params, assignment, shim_procs = self._setup()
-        with pytest.warns(DeprecationWarning):
-            shim = DelayRoundSimulator(params, assignment, shim_procs, policy)
-        shim_result = shim.run(max_rounds=8, stop_when_all_decided=False)
+        params, assignment, ref_procs = self.make()
+        ref_result = ReferenceDelaySimulator(
+            params, assignment, ref_procs, policy,
+        ).run(max_rounds=8, stop_when_all_decided=False)
 
-        _, _, kernel_procs = self._setup()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            kernel_result = run_delay_execution(
-                params, assignment, kernel_procs, policy,
-                max_rounds=8, stop_when_all_decided=False,
-            )
-        assert shim_result.dropped == kernel_result.dropped
-        assert shim_result.ticks_executed == kernel_result.ticks_executed
-        assert len(shim.trace) == len(kernel_result.trace)
-        for a, b in zip(shim.trace, kernel_result.trace):
+        _, _, kernel_procs = self.make()
+        kernel_result = run_delay_execution(
+            params, assignment, kernel_procs, policy,
+            max_rounds=8, stop_when_all_decided=False,
+        )
+        assert ref_result.dropped  # the chaos window is exercised
+        assert sorted(ref_result.dropped) == sorted(kernel_result.dropped)
+        assert ref_result.ticks_executed == kernel_result.ticks_executed
+        assert len(ref_result.trace) == len(kernel_result.trace)
+        for a, b in zip(ref_result.trace, kernel_result.trace):
             assert (a.payloads, a.decisions) == (b.payloads, b.decisions)
 
-    def test_shim_exposes_trace_and_correct(self):
-        params, assignment, processes = self._setup()
-        with pytest.warns(DeprecationWarning):
-            shim = DelayRoundSimulator(
-                params, assignment, processes,
-                AlwaysBoundedUnknownDelays(true_delta=2),
-            )
-        shim.run(max_rounds=3, stop_when_all_decided=False)
-        assert len(shim.trace) == 3
-        assert shim._correct == (0, 1, 2)
+    def test_kernel_matches_the_reference_with_a_byzantine_slot(self):
+        policy = EventuallyBoundedDelays(delta=2, gst_tick=8,
+                                         chaos_factor=3, seed=3)
+        params = SystemParams(
+            n=5, ell=3, t=1, synchrony=Synchrony.PARTIALLY_SYNCHRONOUS,
+        )
+        assignment = balanced_assignment(5, 3)
+        byz = (4,)
+
+        def processes():
+            procs = [EchoProcess(assignment.identifier_of(k))
+                     for k in range(5)]
+            procs[4] = None
+            return procs
+
+        ref_result = ReferenceDelaySimulator(
+            params, assignment, processes(), policy, byzantine=byz,
+        ).run(max_rounds=10, stop_when_all_decided=False)
+        kernel_result = run_delay_execution(
+            params, assignment, processes(), policy, byzantine=byz,
+            max_rounds=10, stop_when_all_decided=False,
+        )
+        assert kernel_result.rounds_executed == ref_result.rounds_executed
+        assert kernel_result.ticks_executed == ref_result.ticks_executed
+        assert [(r.round_no, r.payloads, r.emissions, r.decisions)
+                for r in kernel_result.trace] == \
+            [(r.round_no, r.payloads, r.emissions, r.decisions)
+             for r in ref_result.trace]
+        # The kernel records no losses at a Byzantine recipient.
+        assert sorted(kernel_result.dropped) == sorted(
+            drop for drop in ref_result.dropped if drop[2] not in byz
+        )
 
 
 class TestAlgorithmsOverDelayNetworks:

@@ -17,8 +17,6 @@ schedule and adversary combination.  Per the paper's algorithms
 must keep participating so laggards can still finish.
 """
 
-import warnings
-
 import pytest
 
 from repro.adversaries.generic import RandomByzantineAdversary
@@ -29,7 +27,6 @@ from repro.psync.dls_homonyms import dls_factory, dls_horizon
 from repro.sim.adversary import NullAdversary
 from repro.sim.delay import (
     AlwaysBoundedUnknownDelays,
-    DelayRoundSimulator,
     ReferenceDelaySimulator,
     run_delay_execution,
 )
@@ -150,7 +147,7 @@ class TestDelayKernelMatchesTickLoop:
             drop for drop in ref_result.dropped if drop[2] not in byz_set
         )
 
-    def test_deprecated_shim_equals_kernel_path(self):
+    def test_without_adversary(self):
         params = SystemParams(
             n=7, ell=6, t=1, synchrony=Synchrony.PARTIALLY_SYNCHRONOUS
         )
@@ -159,24 +156,23 @@ class TestDelayKernelMatchesTickLoop:
         policy = dict(delay_policy_battery(3))["eventual-d2-gst24"]
         rounds = dls_horizon(params, 16)
 
-        procs_a, _ = build_processes(params, assignment, byz)
-        with pytest.warns(DeprecationWarning):
-            shim = DelayRoundSimulator(
-                params, assignment, procs_a, policy, byzantine=byz,
-            )
-        shim_result = shim.run(max_rounds=rounds)
+        procs_ref, _ = build_processes(params, assignment, byz)
+        ref_result = ReferenceDelaySimulator(
+            params, assignment, procs_ref, policy, byzantine=byz,
+        ).run(max_rounds=rounds)
 
-        procs_b, _ = build_processes(params, assignment, byz)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            kernel_result = run_delay_execution(
-                params, assignment, procs_b, policy, byzantine=byz,
-                max_rounds=rounds,
-            )
+        procs_k, _ = build_processes(params, assignment, byz)
+        kernel_result = run_delay_execution(
+            params, assignment, procs_k, policy, byzantine=byz,
+            max_rounds=rounds,
+        )
 
-        assert canonical(shim_result.trace) == canonical(kernel_result.trace)
-        assert shim_result.dropped == kernel_result.dropped
-        assert shim_result.ticks_executed == kernel_result.ticks_executed
+        assert canonical(ref_result.trace) == canonical(kernel_result.trace)
+        assert ref_result.ticks_executed == kernel_result.ticks_executed
+        byz_set = set(byz)
+        assert sorted(kernel_result.dropped) == sorted(
+            drop for drop in ref_result.dropped if drop[2] not in byz_set
+        )
 
 
 def _fabric_scenarios():

@@ -300,6 +300,28 @@ class TestDriver:
                      log_path=str(tmp_path / "soak.jsonl"))
 
 
+class TestDurationBudget:
+    def test_pooled_farm_stops_at_the_first_window_past_the_budget(
+        self, tmp_path
+    ):
+        # The budget runs out while window 0 is being logged; the pool
+        # has read windows ahead by then, and none of them may reach
+        # the log.
+        import time
+
+        def slow_progress(line):
+            time.sleep(2.0)
+
+        path = tmp_path / "soak.jsonl"
+        outcome = run_soak(PROFILE, seed=SEED, duration=2.0, window=10,
+                           workers=2, log_path=str(path),
+                           progress=slow_progress)
+        assert outcome.instances == 10
+        assert outcome.executed_windows == 1
+        assert [r["kind"] for r in stream_rows(str(path))].count(
+            "checkpoint") == 1
+
+
 class TestCLI:
     def test_soak_subcommand_smoke(self, tmp_path, capsys):
         log = tmp_path / "soak.jsonl"

@@ -7,7 +7,6 @@ from repro.sim.metrics import (
     Metrics,
     RoundDeliveries,
     metrics_from_deliveries,
-    metrics_from_trace,
     payload_size,
 )
 from repro.sim.trace import RoundRecord, Trace
@@ -76,19 +75,6 @@ class TestMetrics:
     def test_payload_size_is_repr_length(self):
         assert payload_size("ab") == len(repr("ab"))
 
-    def test_metrics_from_trace(self):
-        trace = Trace()
-        trace.append(record(0, payloads={0: "x", 1: "y"},
-                            emissions={2: {0: ("e",)}}))
-        trace.append(record(1, payloads={0: "x"}))
-        with pytest.warns(DeprecationWarning):
-            m = metrics_from_trace(trace, fanout=3)
-        assert m.rounds == 2
-        assert m.correct_broadcasts == 3
-        assert m.correct_messages == 9
-        assert m.byzantine_messages == 1
-        assert m.total_messages == 10
-
     def test_merge(self):
         a = Metrics(rounds=1, correct_broadcasts=2, correct_messages=4,
                     byzantine_messages=1, payload_bytes=10)
@@ -100,65 +86,6 @@ class TestMetrics:
 
     def test_summary_format(self):
         assert "rounds" in Metrics().summary()
-
-
-class TestMetricsFromTraceDeprecation:
-    """The deprecation path of the uniform-fanout estimator.
-
-    ``metrics_from_trace`` must (a) always warn, (b) keep working on
-    permissive topologies/schedules where the estimate is exact, and
-    (c) refuse outright when the execution ran under anything that
-    restricts delivery -- a silent overcount would poison reports.
-    """
-
-    def _trace(self):
-        trace = Trace()
-        trace.append(record(0, payloads={0: "x", 1: "y"}))
-        return trace
-
-    def test_always_warns(self):
-        with pytest.warns(DeprecationWarning, match="metrics_from_deliveries"):
-            metrics_from_trace(self._trace(), fanout=2)
-
-    def test_permissive_topology_and_schedule_accepted(self):
-        from repro.sim.partial import NoDrops
-        from repro.sim.topology import CompleteTopology
-
-        with pytest.warns(DeprecationWarning):
-            m = metrics_from_trace(
-                self._trace(), fanout=2,
-                topology=CompleteTopology(), drop_schedule=NoDrops(),
-            )
-        assert m.correct_messages == 4
-
-    def test_restricting_topology_raises(self):
-        from repro.core.errors import ConfigurationError
-        from repro.sim.topology import DirectedTopology
-
-        topology = DirectedTopology({0: frozenset({1})})
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigurationError, match="restricted topolog"):
-                metrics_from_trace(self._trace(), fanout=2, topology=topology)
-
-    @pytest.mark.parametrize("schedule_name", ["silence", "random", "partition"])
-    def test_dropping_schedules_raise(self, schedule_name):
-        from repro.core.errors import ConfigurationError
-        from repro.sim.partial import (
-            PartitionSchedule,
-            RandomDrops,
-            SilenceUntil,
-        )
-
-        schedule = {
-            "silence": SilenceUntil(4),
-            "random": RandomDrops(gst=8, p=0.5),
-            "partition": PartitionSchedule(3, {0}, {1}),
-        }[schedule_name]
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigurationError, match="message loss"):
-                metrics_from_trace(
-                    self._trace(), fanout=2, drop_schedule=schedule
-                )
 
 
 class TestMetricsFromDeliveries:
@@ -186,14 +113,15 @@ class TestMetricsFromDeliveries:
     def test_empty_log(self):
         assert metrics_from_deliveries([]) == Metrics()
 
-    def test_matches_trace_estimate_on_full_fanout(self):
-        """On the complete topology with no drops the estimate is exact."""
+    def test_full_fanout_counts_every_copy(self):
+        """On the complete topology with no drops, every broadcast
+        reaches all ``n`` processes, so the exact count is closed form."""
         from repro.core.identity import balanced_assignment
         from repro.core.params import SystemParams
         from repro.sim.network import RoundEngine
         from repro.sim.process import EchoProcess
 
-        n = 5
+        n, rounds = 5, 4
         assignment = balanced_assignment(n, n)
         engine = RoundEngine(
             params=SystemParams(n=n, ell=n, t=0),
@@ -201,8 +129,9 @@ class TestMetricsFromDeliveries:
             processes=[EchoProcess(assignment.identifier_of(k))
                        for k in range(n)],
         )
-        engine.run(max_rounds=4, stop_when_all_decided=False)
+        engine.run(max_rounds=rounds, stop_when_all_decided=False)
         exact = metrics_from_deliveries(engine.deliveries)
-        with pytest.warns(DeprecationWarning):
-            estimate = metrics_from_trace(engine.trace, fanout=n)
-        assert exact == estimate
+        assert exact.rounds == rounds
+        assert exact.correct_broadcasts == n * rounds
+        assert exact.correct_messages == n * n * rounds
+        assert exact.byzantine_messages == 0

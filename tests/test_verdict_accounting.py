@@ -1,6 +1,6 @@
 """Regressions for verdict and metrics accounting.
 
-Three bug classes are pinned here:
+Two bug classes are pinned here:
 
 * :func:`repro.sim.runner.run_execution` must hand *every* correct
   slot's proposal -- including ``None`` -- to the validity check.  The
@@ -12,9 +12,6 @@ Three bug classes are pinned here:
   ``repr``, whose formatting and set-iteration order can drift across
   Python versions and hash seeds -- and with it the campaign cache
   identity.
-* :func:`repro.sim.metrics.metrics_from_trace` is a deprecated
-  estimate: it must warn on every use and refuse to pretend full
-  fanout when the execution ran under a restricting topology.
 """
 
 import hashlib
@@ -22,19 +19,15 @@ import json
 from dataclasses import asdict
 from typing import Hashable
 
-import pytest
-
 import repro
 from repro.core.canonical import canonical_json, canonical_key
-from repro.core.errors import ConfigurationError
 from repro.core.identity import balanced_assignment
 from repro.core.params import SystemParams
 from repro.experiments.campaign import CACHE_SCHEMA, CampaignUnit
-from repro.sim.metrics import Metrics, metrics_from_trace
+from repro.sim.metrics import Metrics
 from repro.sim.process import Process
 from repro.sim.runner import ExecutionResult, run_execution
-from repro.sim.topology import CompleteTopology, DirectedTopology
-from repro.sim.trace import RoundRecord, Trace
+from repro.sim.trace import Trace
 
 
 class InstantDecider(Process):
@@ -158,32 +151,3 @@ class TestCanonicalKeys:
         # Canonical JSON is loadable and key-sorted, so the id cannot
         # depend on dict insertion order or separator whitespace.
         assert json.loads(payload)[0] == CACHE_SCHEMA
-
-
-class TestMetricsFromTraceShim:
-    def _trace(self):
-        trace = Trace()
-        trace.append(RoundRecord(
-            round_no=0, payloads={0: "x", 1: "y"}, emissions={}, decisions={},
-        ))
-        return trace
-
-    def test_deprecation_warning(self):
-        with pytest.warns(DeprecationWarning, match="metrics_from_deliveries"):
-            m = metrics_from_trace(self._trace(), fanout=3)
-        assert m.correct_messages == 6
-
-    def test_complete_topology_accepted(self):
-        with pytest.warns(DeprecationWarning):
-            m = metrics_from_trace(
-                self._trace(), fanout=3, topology=CompleteTopology()
-            )
-        assert m.correct_messages == 6
-
-    def test_restricting_topology_rejected(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigurationError, match="full fanout"):
-                metrics_from_trace(
-                    self._trace(), fanout=3,
-                    topology=DirectedTopology({0: {1}}),
-                )
