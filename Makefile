@@ -1,6 +1,6 @@
-# Development targets. Everything runs with src/ on the path; no
-# third-party runtime dependencies (pytest + pytest-benchmark for the
-# suites).
+# Development targets. Everything runs with src/ on the path; numpy is
+# the one third-party runtime dependency (pytest + pytest-benchmark for
+# the suites).
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))

@@ -32,7 +32,6 @@ from repro.core.params import SystemParams, Synchrony
 from repro.core.problem import BINARY
 from repro.psync.dls_homonyms import dls_factory
 from repro.psync.restricted import restricted_factory
-from repro.sim import fabric
 from repro.sim.kernel import BasicPsync, ExecutionKernel
 from repro.sim.partial import PartitionSchedule
 from repro.sim.process import Process
@@ -166,8 +165,7 @@ def test_scaling_large_n_kernel_throughput(benchmark):
         return series
 
     series = run_once(benchmark, body)
-    path = "array" if fabric.array_path_enabled() else "scalar"
-    emit(f"Kernel round throughput, always-active partition ({path} path)", [
+    emit("Kernel round throughput, always-active partition", [
         ("n", "steps/s"),
         *[(n, f"{sps:.1f}") for n, sps in series],
     ])
@@ -181,10 +179,9 @@ def test_scaling_large_n_kernel_throughput(benchmark):
          "schedule": "partition-always"},
         ops_per_s=by_n[256],
         extra={
-            "path": path,
             "steps_per_s": {str(n): round(sps, 1) for n, sps in series},
         },
     )
-    # Even the scalar fallback clears one round/s at n=1024; the array
-    # path clears it by orders of magnitude.  A floor, not a race.
+    # The array fabric clears one round/s at n=1024 by orders of
+    # magnitude.  A floor, not a race.
     assert by_n[1024] >= 1.0

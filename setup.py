@@ -7,10 +7,9 @@ This shim lets ``pip install -e . --no-use-pep517`` (and plain
 
 Metadata is declared here rather than in a ``pyproject.toml`` because
 the baked-in toolchain predates reliable PEP 621 editable support.
-numpy is deliberately an *extra* (``repro[fast]``), not a hard
-dependency: every simulation path has a pure-Python fallback
-(see ``repro.sim.fabric``), selected automatically at import, and the
-``REPRO_NO_NUMPY=1`` CI leg keeps that fallback honest.
+numpy is the one runtime dependency: the message fabric
+(``repro.sim.fabric``) decides each round's removals as a numpy mask.
+The frozen ``Reference*`` oracles stay pure Python.
 """
 
 from setuptools import find_packages, setup
@@ -25,12 +24,8 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=[],
+    install_requires=["numpy"],
     extras_require={
-        # Array delivery fabric: ~20x round throughput at n >= 256.
-        # Optional -- without it the scalar path produces byte-identical
-        # results, just slower at large n.
-        "fast": ["numpy"],
         "test": ["pytest", "pytest-benchmark", "hypothesis"],
     },
 )

@@ -530,18 +530,18 @@ def _post_states(
     ident_of = scenario.assignment.identifier_of
     r = engine.round_no
     senders = tuple(payloads)
-    removable = engine.timing.active(r)
+    receivers = engine.correct
+    if engine.timing.active(r):
+        lost = engine.timing.removed_mask(r, receivers, senders).tolist()
+    else:
+        lost = [[False] * len(senders)] * len(receivers)
     result: dict[int, list[tuple[int, bool, Hashable]]] = {}
-    for q in engine.correct:
+    for q, lost_row in zip(receivers, lost):
         # Base (correct-sender) inbox, after the timing model's
-        # removals -- mirrors ExecutionKernel._deliver_round.
-        removed = (
-            set(engine.timing.removed_senders(r, q, senders))
-            if removable else set()
-        )
+        # removals -- mirrors repro.sim.fabric.deliver_round.
         base = [
             Message(ident_of(s), payloads[s])
-            for s in senders if s not in removed
+            for s, gone in zip(senders, lost_row) if not gone
         ]
         outcomes: list[tuple[int, bool, Hashable]] = []
         for delta in deltas:

@@ -48,12 +48,13 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
+import numpy as np
+
 from repro.core.canonical import stable_seed
 from repro.core.errors import ConfigurationError, SimulationError
 from repro.core.identity import IdentityAssignment
 from repro.core.messages import Inbox, Message, ensure_hashable
 from repro.core.params import SystemParams
-from repro.sim import fabric
 from repro.sim.adversary import (
     Adversary,
     AdversaryView,
@@ -90,14 +91,14 @@ class DelayPolicy(ABC):
     ):
         """All of one tick's edge delays as a ``(receivers, senders)`` array.
 
-        The array fabric's batch form of :meth:`delay`: entry ``[i, j]``
+        The message fabric's batch form of :meth:`delay`: entry ``[i, j]``
         is the delay of the message ``senders[j] -> receivers[i]`` sent
         at ``send_tick``.  Self-edges are skipped (left ``0``; they
         never traverse the network and ``delta >= 1`` keeps them
         punctual).  The default queries :meth:`delay` per edge in
         (receiver, sender) order, so RNG-backed policies -- whose
         per-link ``stable_seed`` draws cannot be vectorized
-        byte-identically -- participate in the array path unchanged;
+        byte-identically -- participate in the fabric unchanged;
         closed-form policies may override with real array ops.
 
         Args:
@@ -108,7 +109,6 @@ class DelayPolicy(ABC):
         Returns:
             A numpy int64 array of delays.
         """
-        np = fabric.require_numpy()
         delays = np.zeros((len(receivers), len(senders)), dtype=np.int64)
         for i, q in enumerate(receivers):
             for j, s in enumerate(senders):

@@ -3,63 +3,44 @@
 :class:`~repro.sim.kernel.ExecutionKernel` is the one execution loop of
 the whole package -- every surface (scenario, classic, broadcast,
 explorer, atlas, soak) rides it -- so its per-round delivery is *the*
-hot path of the system.  This module owns that path, in two
-byte-identical implementations selected at import:
+hot path of the system.  This module owns that path, as one function,
+:func:`deliver_round`:
 
-* **array** (numpy) -- the round's removable-sender decision is a
-  single ``(n_receivers, n_senders)`` boolean mask obtained from the
-  timing model in one batch call
-  (:meth:`~repro.sim.kernel.TimingModel.removed_mask`); delivery, byte
-  and loss accounting become mask-sum arithmetic, and receivers whose
-  mask rows coincide *share* one canonically-ordered inbox (the
-  canonical-base fast path of the dict fabric, generalised from the
-  all-ones row to every repeated row).  This is what pushes the kernel
-  from n ~ 64 into the hundreds-to-thousands.
-* **scalar** -- the pre-array per-receiver dict/set loop, kept verbatim
-  as the pure-Python fallback (and as the differential baseline the
-  ``benchmarks/test_bench_fabric.py`` array gate measures against).
+* every round materialises its *canonical base* once -- one message
+  per broadcast, sorted a single time -- and every receiver without an
+  adversary delta or a removal shares that one inbox;
+* on rounds where the timing model may remove edges
+  (:meth:`~repro.sim.kernel.TimingModel.active`), the removal decision
+  is a single ``(n_receivers, n_senders)`` boolean mask obtained in one
+  batch call (:meth:`~repro.sim.kernel.TimingModel.removed_mask`);
+  delivery, byte and loss accounting become mask-sum arithmetic, and
+  receivers whose mask rows coincide *share* one survivor inbox.  This
+  is what pushes the kernel from n ~ 64 into the thousands.  Inactive
+  rounds build no mask and make no numpy call at all.
 
-The scalar path runs when numpy is unavailable or ``REPRO_NO_NUMPY``
-is set in the environment; tests flip paths in-process through
-:func:`forced_path`.  Both paths are pinned byte-identical to each
-other and to the frozen pre-fabric oracles
+numpy is a hard dependency.  The fabric is pinned byte-identical to the
+frozen pure-Python oracles
 (:class:`~repro.sim.network.ReferenceRoundEngine`,
 :class:`~repro.sim.delay.ReferenceDelaySimulator`) by
 ``tests/test_fabric.py`` and the ``tests/test_kernel_conformance.py``
 grid.
 
 Determinism: mask rows are materialised in ascending receiver order,
-survivor inboxes preserve the canonical message order of the dict
-fabric, and loss triples are logged in (receiver-ascending,
-sender-ascending) order on both paths.
+survivor inboxes preserve the canonical message order, and loss triples
+are logged in (receiver-ascending, sender-ascending) order per round.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Mapping, Sequence
 
-from repro.core.errors import SimulationError
+import numpy as np
+
 from repro.core.messages import Inbox, Message
 from repro.sim.metrics import RoundDeliveries, payload_size
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (kernel -> fabric)
     from repro.sim.kernel import ExecutionKernel
-
-try:  # numpy is optional: the scalar fallback keeps the package stdlib-clean
-    if os.environ.get("REPRO_NO_NUMPY"):
-        np = None
-    else:
-        import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    np = None
-
-#: True when the numpy-backed array path is importable and not disabled.
-HAVE_NUMPY = np is not None
-
-#: Module switch consulted per delivery; tests flip it via :func:`forced_path`.
-_USE_ARRAY = HAVE_NUMPY
 
 #: The per-kernel payload-size memo is cleared past this many distinct
 #: payloads so multi-hour soak runs cannot grow it without bound.
@@ -67,44 +48,15 @@ _SIZE_CACHE_LIMIT = 4096
 
 
 def array_path_enabled() -> bool:
-    """True when deliveries currently run through the numpy array path."""
-    return _USE_ARRAY
+    """True: every delivery runs through the array fabric.
 
-
-@contextmanager
-def forced_path(array: bool):
-    """Temporarily force the array or scalar delivery path (tests only).
-
-    Args:
-        array: ``True`` for the numpy path, ``False`` for the scalar
-            fallback.
-
-    Raises:
-        SimulationError: When the array path is requested but numpy is
-            unavailable (or disabled via ``REPRO_NO_NUMPY``).
+    Kept so benchmark environment records can keep naming the path.
     """
-    global _USE_ARRAY
-    if array and not HAVE_NUMPY:
-        raise SimulationError("numpy is unavailable; cannot force the array path")
-    previous = _USE_ARRAY
-    _USE_ARRAY = array
-    try:
-        yield
-    finally:
-        _USE_ARRAY = previous
+    return True
 
 
 def require_numpy():
-    """The numpy module, or a :class:`SimulationError` when absent.
-
-    Mask builders call this so a stray array-path query under the
-    scalar fallback fails loudly instead of half-working.
-    """
-    if np is None:
-        raise SimulationError(
-            "the array fabric needs numpy; install the [fast] extra or "
-            "unset REPRO_NO_NUMPY"
-        )
+    """The numpy module (a hard dependency of the package)."""
     return np
 
 
@@ -113,28 +65,30 @@ def require_numpy():
 # ----------------------------------------------------------------------
 def new_mask(n_receivers: int, n_senders: int):
     """A fresh all-False ``(n_receivers, n_senders)`` boolean mask."""
-    return require_numpy().zeros((n_receivers, n_senders), dtype=bool)
+    return np.zeros((n_receivers, n_senders), dtype=bool)
 
 
-def mask_from_rows(
-    removed_of: Callable[[int], Iterable[int]],
+def mask_from_links(
+    removed: Callable[[int, int], bool],
     receivers: Sequence[int],
     senders: Sequence[int],
 ):
-    """Build a removal mask row by row from a per-receiver scalar query.
+    """Build a removal mask link by link from a per-link predicate.
 
-    This is the default-implementation bridge the vectorized protocol
-    rests on: :meth:`Topology.blocked_mask
-    <repro.sim.topology.Topology.blocked_mask>`,
+    The default-implementation bridge the vectorized protocol rests on:
+    :meth:`Topology.blocked_mask
+    <repro.sim.topology.Topology.blocked_mask>` and
     :meth:`DropSchedule.dropped_mask
-    <repro.sim.partial.DropSchedule.dropped_mask>` and
-    :meth:`TimingModel.removed_mask
-    <repro.sim.kernel.TimingModel.removed_mask>` all fall back to it, so
-    any scalar-only subclass participates in the array fabric unchanged
-    (paying the per-receiver loop it always paid, exactly once).
+    <repro.sim.partial.DropSchedule.dropped_mask>` fall back to it, so a
+    topology or schedule that only defines its per-link primitive
+    (``delivers`` / ``drops``) participates in the array fabric
+    unchanged.  Self-links are never queried nor reported; the
+    predicate is evaluated in (receiver-ascending, sender-ascending)
+    order.
 
     Args:
-        removed_of: ``receiver -> removed sender indices`` scalar query.
+        removed: ``(sender, recipient) -> bool``, True when the link
+            loses its message.
         receivers: Receiving process indices (ascending).
         senders: This round's composing senders (ascending).
 
@@ -142,14 +96,8 @@ def mask_from_rows(
         The boolean removal mask, ``mask[i, j]`` True when
         ``senders[j]`` misses ``receivers[i]``.
     """
-    mask = new_mask(len(receivers), len(senders))
-    column = {s: j for j, s in enumerate(senders)}
-    for i, q in enumerate(receivers):
-        for s in removed_of(q):
-            j = column.get(s)
-            if j is not None:
-                mask[i, j] = True
-    return mask
+    rows = [[s != q and removed(s, q) for s in senders] for q in receivers]
+    return np.array(rows, dtype=bool).reshape(len(receivers), len(senders))
 
 
 def memoized_payload_size(cache: dict, payload: Hashable) -> int:
@@ -181,37 +129,8 @@ def memoized_payload_size(cache: dict, payload: Hashable) -> int:
 
 
 # ----------------------------------------------------------------------
-# Round delivery -- path dispatch
+# Round delivery
 # ----------------------------------------------------------------------
-def deliver_round(
-    kernel: "ExecutionKernel",
-    round_no: int,
-    payloads: Mapping[int, Hashable],
-    emissions: Mapping[int, Mapping[int, tuple[Hashable, ...]]],
-) -> RoundDeliveries:
-    """Deliver one round through the fabric (array or scalar path).
-
-    Rounds with no removable edge (``timing.active`` False) always run
-    the scalar path: it is already optimal there (every receiver without
-    an adversary delta shares the one canonical base tuple), so the mask
-    machinery would only add overhead.
-
-    Args:
-        kernel: The executing kernel (mutated: processes receive
-            inboxes, losses are appended when the timing model logs
-            them).
-        round_no: The current round.
-        payloads: This round's correct payloads (ascending index).
-        emissions: Normalized Byzantine emissions.
-
-    Returns:
-        The round's :class:`~repro.sim.metrics.RoundDeliveries` record.
-    """
-    if _USE_ARRAY and kernel.timing.active(round_no):
-        return _deliver_round_array(kernel, round_no, payloads, emissions)
-    return _deliver_round_scalar(kernel, round_no, payloads, emissions)
-
-
 def _adversary_deltas(
     kernel: "ExecutionKernel",
     emissions: Mapping[int, Mapping[int, tuple[Hashable, ...]]],
@@ -226,116 +145,74 @@ def _adversary_deltas(
     return additions
 
 
-# ----------------------------------------------------------------------
-# Scalar path: the dict fabric (pure-Python fallback)
-# ----------------------------------------------------------------------
-def _deliver_round_scalar(
+def _survivors_of(
+    base: list[Message], canonical: tuple[Message, ...], numerate: bool
+) -> Callable:
+    """``keep row -> surviving canonical messages``, for one round.
+
+    ``canonical`` is the sorted base; a mask row selects a subsequence
+    of it, so per-row work is one compress pass, not a re-sort.  The
+    fragments behind the pass are computed once, here.
+    """
+    if numerate:
+        # canonical[j] is base[order[j]]: survivors of a row are the
+        # canonical positions whose originating column is kept.
+        order = np.asarray(
+            sorted(range(len(base)), key=lambda j: base[j].sort_key()),
+            dtype=np.intp,
+        )
+        return lambda keep: [
+            m for m, k in zip(canonical, keep[order].tolist()) if k
+        ]
+    # Homonym collapse: a canonical message survives while any of its
+    # duplicate-sending columns does.
+    columns_of: dict[Message, list[int]] = {}
+    for j, m in enumerate(base):
+        columns_of.setdefault(m, []).append(j)
+    uniq_cols = [np.asarray(columns_of[m], dtype=np.intp) for m in canonical]
+    return lambda keep: [
+        m for m, cols in zip(canonical, uniq_cols) if keep[cols].any()
+    ]
+
+
+def deliver_round(
     kernel: "ExecutionKernel",
     round_no: int,
     payloads: Mapping[int, Hashable],
     emissions: Mapping[int, Mapping[int, tuple[Hashable, ...]]],
 ) -> RoundDeliveries:
-    """The per-receiver dict/set delivery loop (canonical base + delta)."""
-    numerate = kernel.params.numerate
-    ident_of = kernel.assignment.identifier_of
-    timing = kernel.timing
-    removable = timing.active(round_no)
-    log_losses = timing.logs_losses
-    size_cache = kernel._size_cache
+    """Deliver one round: one mask decides the removals, rows share inboxes.
 
-    # The common base: one message per broadcast, canonicalised once.
-    senders = tuple(payloads)  # ascending (composed over sorted indices)
-    base = [Message(ident_of(s), payloads[s]) for s in senders]
-    sizes = {s: memoized_payload_size(size_cache, payloads[s]) for s in senders}
-    base_bytes = sum(sizes.values())
-    canonical = Inbox(base, numerate=numerate).messages()
+    The round's cost centres are batched:
 
-    additions = _adversary_deltas(kernel, emissions)
+    * *removal decisions* -- on active rounds, one ``(receivers,
+      senders)`` boolean mask from the timing model; inactive rounds
+      skip it entirely;
+    * *accounting* -- delivered-edge and byte totals are mask sums and
+      the loss log is ``np.nonzero`` of the mask;
+    * *inbox stamping* -- receivers without a removal or adversary
+      delta share the round's canonical base inbox; receivers with
+      identical mask rows share one survivor inbox, built once per
+      *distinct* row by compressing that base.
 
-    correct_deliveries = 0
-    correct_bytes = 0
-    byz_deliveries = 0
-    byz_bytes = 0
-    for q in kernel._correct:
-        removed = (
-            timing.removed_senders(round_no, q, senders)
-            if removable else ()
-        )
-        extra = additions.get(q)
-        if not removed and extra is None:
-            # Empty delta: share the round's canonical base tuple.
-            correct_deliveries += len(senders)
-            correct_bytes += base_bytes
-            kernel.processes[q].deliver(
-                round_no, Inbox.from_canonical(canonical, numerate)
-            )
-            continue
-        if removed:
-            if log_losses:
-                # Ascending sender order: the shared loss-log contract
-                # both delivery paths honour.
-                kernel.losses.extend(
-                    (round_no, s, q) for s in sorted(removed)
-                )
-            removed_set = set(removed)
-            messages = [
-                m for s, m in zip(senders, base) if s not in removed_set
-            ]
-            correct_deliveries += len(messages)
-            correct_bytes += base_bytes - sum(sizes[s] for s in removed_set)
-        else:
-            messages = list(base)
-            correct_deliveries += len(senders)
-            correct_bytes += base_bytes
-        if extra:
-            messages.extend(extra)
-            byz_deliveries += len(extra)
-            byz_bytes += sum(
-                memoized_payload_size(size_cache, m.payload) for m in extra
-            )
-        kernel.processes[q].deliver(
-            round_no, Inbox(messages, numerate=numerate)
-        )
-    return RoundDeliveries(
-        round_no=round_no,
-        correct_broadcasts=len(senders),
-        correct_deliveries=correct_deliveries,
-        byzantine_deliveries=byz_deliveries,
-        correct_payload_bytes=correct_bytes,
-        byzantine_payload_bytes=byz_bytes,
-    )
+    Args:
+        kernel: The executing kernel (mutated: processes receive
+            inboxes, losses are appended when the timing model logs
+            them).
+        round_no: The current round.
+        payloads: This round's correct payloads (ascending index).
+        emissions: Normalized Byzantine emissions.
 
-
-# ----------------------------------------------------------------------
-# Array path: batched masks, shared survivor inboxes
-# ----------------------------------------------------------------------
-def _deliver_round_array(
-    kernel: "ExecutionKernel",
-    round_no: int,
-    payloads: Mapping[int, Hashable],
-    emissions: Mapping[int, Mapping[int, tuple[Hashable, ...]]],
-) -> RoundDeliveries:
-    """Mask-batched delivery: one `removed_mask` call decides the round.
-
-    The three cost centres of the scalar loop become array work:
-
-    * *removal decisions* -- one ``(receivers, senders)`` boolean mask
-      from the timing model instead of a per-receiver Python query;
-    * *accounting* -- delivered-edge and byte totals are mask sums
-      (``n_recv * n_send - mask.sum()``, ``base_bytes - mask @ sizes``)
-      and the loss log is ``np.nonzero`` of the mask, instead of
-      per-recipient list comprehensions;
-    * *inbox stamping* -- receivers with identical mask rows share one
-      survivor inbox, built once per *distinct* row by compressing the
-      round's canonical base (the all-False row degenerates to the dict
-      fabric's shared-canonical fast path).
+    Returns:
+        The round's :class:`~repro.sim.metrics.RoundDeliveries` record.
     """
     numerate = kernel.params.numerate
     ident_of = kernel.assignment.identifier_of
     timing = kernel.timing
     size_cache = kernel._size_cache
 
-    senders = tuple(payloads)
+    # The common base: one message per broadcast, canonicalised once.
+    senders = tuple(payloads)  # ascending (composed over sorted indices)
     n_send = len(senders)
     base = [Message(ident_of(s), payloads[s]) for s in senders]
     sizes = [memoized_payload_size(size_cache, payloads[s]) for s in senders]
@@ -346,93 +223,59 @@ def _deliver_round_array(
 
     receivers = kernel._correct
     n_recv = len(receivers)
-    mask = timing.removed_mask(round_no, receivers, senders)
-
-    # Accounting: mask-sum arithmetic replaces the per-recipient sums.
-    if n_send and n_recv:
+    correct_deliveries = n_recv * n_send
+    correct_bytes = n_recv * base_bytes
+    mask = None
+    row_removes = None  # per receiver: does its mask row remove anything
+    if timing.active(round_no):
+        mask = timing.removed_mask(round_no, receivers, senders)
         removed_total = int(mask.sum())
-        removed_bytes = int(
-            (mask * np.asarray(sizes, dtype=np.int64)).sum()
-        )
-    else:
-        removed_total = 0
-        removed_bytes = 0
-    correct_deliveries = n_recv * n_send - removed_total
-    correct_bytes = n_recv * base_bytes - removed_bytes
-
-    if timing.logs_losses and removed_total:
-        # Row-major nonzero = receiver-ascending, sender-ascending --
-        # the same order the scalar path logs.
-        rows, cols = np.nonzero(mask)
-        kernel.losses.extend(
-            (round_no, senders[c], receivers[r])
-            for r, c in zip(rows.tolist(), cols.tolist())
-        )
-
-    # Survivor-inbox assembly fragments, precomputed once per round.
-    # ``canonical`` is the sorted base; a mask row selects a subsequence
-    # of it, so per-row work is one compress pass, not a re-sort.
-    if numerate:
-        # canonical[j] is base[order[j]]: survivors of a row are the
-        # canonical positions whose originating column is kept.
-        order = sorted(range(n_send), key=lambda j: base[j].sort_key())
-        order_arr = np.asarray(order, dtype=np.intp) if n_send else None
-    else:
-        # Homonym collapse: a canonical message survives while any of
-        # its duplicate-sending columns does.
-        columns_of: dict[Message, list[int]] = {}
-        for j, m in enumerate(base):
-            columns_of.setdefault(m, []).append(j)
-        uniq_cols = [
-            np.asarray(columns_of[m], dtype=np.intp) for m in canonical
-        ]
+        if removed_total:
+            correct_deliveries -= removed_total
+            correct_bytes -= int(
+                (mask * np.asarray(sizes, dtype=np.int64)).sum()
+            )
+            if timing.logs_losses:
+                # Row-major nonzero: receiver-ascending, sender-ascending.
+                rows, cols = np.nonzero(mask)
+                kernel.losses.extend(
+                    (round_no, senders[c], receivers[r])
+                    for r, c in zip(rows.tolist(), cols.tolist())
+                )
+            row_removes = mask.any(axis=1).tolist()
+            survivors = _survivors_of(base, canonical, numerate)
 
     zero_inbox = Inbox.from_canonical(canonical, numerate)
     row_inboxes: dict[bytes, Inbox] = {}
-    any_removed = mask.any(axis=1) if n_send and n_recv else None
-
     byz_deliveries = 0
     byz_bytes = 0
     processes = kernel.processes
     for i, q in enumerate(receivers):
-        has_removed = bool(any_removed[i]) if any_removed is not None else False
+        row = mask[i] if row_removes is not None and row_removes[i] else None
         extra = additions.get(q)
         if extra is None:
-            if not has_removed:
-                processes[q].deliver(round_no, zero_inbox)
-                continue
-            row = mask[i]
-            key = row.tobytes()
-            inbox = row_inboxes.get(key)
-            if inbox is None:
-                keep = ~row
-                if numerate:
-                    keep_sorted = keep[order_arr].tolist()
-                    survivors = [
-                        m for m, k in zip(canonical, keep_sorted) if k
-                    ]
-                else:
-                    survivors = [
-                        m for m, cols in zip(canonical, uniq_cols)
-                        if keep[cols].any()
-                    ]
-                inbox = Inbox.from_canonical(tuple(survivors), numerate)
-                row_inboxes[key] = inbox
+            if row is None:
+                inbox = zero_inbox
+            else:
+                key = row.tobytes()
+                inbox = row_inboxes.get(key)
+                if inbox is None:
+                    inbox = Inbox.from_canonical(
+                        tuple(survivors(~row)), numerate
+                    )
+                    row_inboxes[key] = inbox
             processes[q].deliver(round_no, inbox)
             continue
-        # Adversary-delta receivers: assemble and sort per receiver,
-        # exactly as the scalar path does.
-        if has_removed:
-            keep = (~mask[i]).tolist()
-            messages = [m for m, k in zip(base, keep) if k]
-        else:
+        # Adversary-delta receivers: assemble and sort per receiver.
+        if row is None:
             messages = list(base)
-        if extra:
-            messages.extend(extra)
-            byz_deliveries += len(extra)
-            byz_bytes += sum(
-                memoized_payload_size(size_cache, m.payload) for m in extra
-            )
+        else:
+            messages = [m for m, lost in zip(base, row.tolist()) if not lost]
+        messages.extend(extra)
+        byz_deliveries += len(extra)
+        byz_bytes += sum(
+            memoized_payload_size(size_cache, m.payload) for m in extra
+        )
         processes[q].deliver(round_no, Inbox(messages, numerate=numerate))
 
     return RoundDeliveries(

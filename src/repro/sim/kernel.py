@@ -9,8 +9,8 @@ stabilisation tick on).  This module makes that equivalence an
 *implementation* fact: every formulation executes through the same
 :class:`ExecutionKernel` -- the batched message fabric -- and differs
 only in the attached :class:`TimingModel`, which answers one question
-per round and receiver: *which correct broadcasts does this receiver
-not get?*
+per round, for all receivers at once: *which correct broadcasts does
+each receiver not get?*
 
 * :class:`LockStep` -- the synchronous model: nothing is ever lost.
 * :class:`BasicPsync` -- the DLS basic model: a
@@ -33,7 +33,7 @@ emits for every Byzantine slot; delivery materialises the round's
 broadcast, canonically sorted a single time -- and derives each
 receiver's inbox as that base minus the timing model's removals plus
 the adversary's per-receiver delta.  Receivers with an empty delta
-share the base's canonical tuple directly
+share the base's canonical inbox directly
 (:meth:`Inbox.from_canonical <repro.core.messages.Inbox.from_canonical>`).
 The fabric counts every edge it delivers into
 :attr:`ExecutionKernel.deliveries` -- the exact-cost input of
@@ -41,10 +41,9 @@ The fabric counts every edge it delivers into
 timing model logs losses (:class:`DelayBased`), records every removed
 edge into :attr:`ExecutionKernel.losses` as a ``(round, sender,
 recipient)`` basic-model loss.  Delivery itself lives in
-:mod:`repro.sim.fabric`, in two byte-identical implementations: a
-numpy array path batching each round's removals into one
-``(receivers, senders)`` mask (:meth:`TimingModel.removed_mask`), and
-the pure-Python per-receiver fallback.
+:func:`repro.sim.fabric.deliver_round`, which batches each active
+round's removals into one ``(receivers, senders)`` numpy mask
+(:meth:`TimingModel.removed_mask`).
 
 Determinism: given identical processes, adversary and timing model,
 the kernel produces byte-identical traces.  All iteration is over
@@ -61,6 +60,8 @@ import copy
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable, Mapping, Sequence
+
+import numpy as np
 
 from repro.core.errors import ConfigurationError, SimulationError
 from repro.core.identity import IdentityAssignment
@@ -92,11 +93,11 @@ class TimingModel(ABC):
     A timing model is stateless with respect to the kernel: the same
     instance can drive any number of executions, and everything the
     kernel mutates (trace, losses, delivery log) lives on the kernel.
-    The contract mirrors the message fabric's delta queries:
-    :meth:`active` gates the per-receiver work (an inactive round takes
-    the shared-canonical-base fast path for every receiver without an
-    adversary delta) and :meth:`removed_senders` names the broadcasts a
-    receiver does not get.
+    The contract is two queries: :meth:`active` gates the removal work
+    (an inactive round builds no mask and takes the shared-canonical-base
+    fast path for every receiver without an adversary delta) and
+    :meth:`removed_mask` names, for every receiver at once, the
+    broadcasts it does not get.
     """
 
     #: When True the kernel records every removed edge into
@@ -115,46 +116,25 @@ class TimingModel(ABC):
             round_no: The current round.
 
         Returns:
-            Whether the kernel must run per-receiver removal queries.
-            ``False`` is a promise that :meth:`removed_senders` would
-            return ``()`` for every receiver.
+            Whether the kernel must query :meth:`removed_mask`.
+            ``False`` is a promise that the mask would be all-False.
         """
         return False
-
-    def removed_senders(
-        self, round_no: int, recipient: int, senders: Sequence[int]
-    ) -> tuple[int, ...]:
-        """The subset of ``senders`` whose broadcast misses ``recipient``.
-
-        Self-delivery is never removed (a process's message to itself
-        does not traverse the network), so the recipient is never
-        reported.  The result carries no duplicates.
-
-        Args:
-            round_no: The current round.
-            recipient: The receiving process index.
-            senders: This round's composing senders (ascending).
-
-        Returns:
-            The removed senders.
-        """
-        return ()
 
     def removed_mask(
         self, round_no: int, receivers: Sequence[int], senders: Sequence[int]
     ):
         """The round's removals as one ``(receivers, senders)`` bool mask.
 
-        The array fabric's batch query: ``mask[i, j]`` is True when
+        The fabric's one removal query: ``mask[i, j]`` is True when
         ``senders[j]``'s broadcast misses ``receivers[i]`` this round.
-        The default bridges to :meth:`removed_senders` row by row, so
-        scalar-only models participate in the array path unchanged;
-        models whose removal structure is expressible as array ops
-        (:class:`BasicPsync` over the vectorized topology/drop-schedule
-        masks, :class:`DelayBased` over the policy's delay matrix)
-        override it.  Only called on active rounds under the numpy
-        path -- self-delivery must never be reported, exactly as in
-        :meth:`removed_senders`.
+        The default is the empty mask, matching :meth:`active`'s
+        default of ``False``; models that remove edges
+        (:class:`BasicPsync` over the topology/drop-schedule masks,
+        :class:`DelayBased` over the policy's delay matrix) override
+        both.  The fabric calls it on active rounds only.
+        Self-delivery never traverses the network, so ``mask[i, j]``
+        must be False whenever ``receivers[i] == senders[j]``.
 
         Args:
             round_no: The current round.
@@ -165,11 +145,7 @@ class TimingModel(ABC):
             A fresh, writable numpy bool array of shape
             ``(len(receivers), len(senders))``.
         """
-        return fabric.mask_from_rows(
-            lambda q: self.removed_senders(round_no, q, senders),
-            receivers,
-            senders,
-        )
+        return fabric.new_mask(len(receivers), len(senders))
 
     def ticks_executed(self, rounds: int) -> int:
         """Network ticks consumed by ``rounds`` executed rounds.
@@ -222,20 +198,6 @@ class BasicPsync(TimingModel):
     def active(self, round_no: int) -> bool:
         return (not self._complete) or self.drop_schedule.active(round_no)
 
-    def removed_senders(
-        self, round_no: int, recipient: int, senders: Sequence[int]
-    ) -> tuple[int, ...]:
-        blocked = self.topology.blocked_senders(recipient, senders)
-        if not self.drop_schedule.active(round_no):
-            return blocked
-        dropped = self.drop_schedule.dropped_senders(round_no, recipient, senders)
-        if not dropped:
-            return blocked
-        if not blocked:
-            return dropped
-        merged = set(blocked)
-        return blocked + tuple(s for s in dropped if s not in merged)
-
     def removed_mask(
         self, round_no: int, receivers: Sequence[int], senders: Sequence[int]
     ):
@@ -269,7 +231,7 @@ class DelayBased(TimingModel):
     logs_losses = True
 
     def __init__(self, policy: "DelayPolicy") -> None:
-        for attr in ("delta", "delay", "max_late_tick"):
+        for attr in ("delta", "delay", "delay_matrix", "max_late_tick"):
             if not hasattr(policy, attr):
                 raise ConfigurationError(
                     f"delay policy {policy!r} lacks {attr!r}; expected a "
@@ -289,27 +251,9 @@ class DelayBased(TimingModel):
         # within the window and the round is punctual by contract.
         return round_no * self.policy.delta < self.policy.max_late_tick()
 
-    def removed_senders(
-        self, round_no: int, recipient: int, senders: Sequence[int]
-    ) -> tuple[int, ...]:
-        policy = self.policy
-        delta = policy.delta
-        send_tick = round_no * delta
-        removed = []
-        for s in senders:
-            if s == recipient:
-                continue  # self-delivery never traverses the network
-            delay = policy.delay(send_tick, s, recipient)
-            if delay < 0:
-                raise SimulationError("negative delay from policy")
-            if delay >= delta:
-                removed.append(s)
-        return tuple(removed)
-
     def removed_mask(
         self, round_no: int, receivers: Sequence[int], senders: Sequence[int]
     ):
-        np = fabric.require_numpy()
         policy = self.policy
         delta = policy.delta
         delays = policy.delay_matrix(round_no * delta, receivers, senders)
@@ -338,7 +282,7 @@ class ComposedTiming(TimingModel):
     scenario's directed view wiring -- composes them with a caller's
     timing model by stacking both here: a round is active when any
     layer is active, and a broadcast is removed for a receiver when any
-    layer removes it (first-seen order, no duplicates).  ``losses`` are
+    active layer's mask removes it.  ``losses`` are
     logged when any layer logs them, and the tick count is the maximum
     over the layers (a round occupies the widest layer's window).
 
@@ -364,20 +308,6 @@ class ComposedTiming(TimingModel):
 
     def active(self, round_no: int) -> bool:
         return any(m.active(round_no) for m in self.models)
-
-    def removed_senders(
-        self, round_no: int, recipient: int, senders: Sequence[int]
-    ) -> tuple[int, ...]:
-        removed: list[int] = []
-        seen: set[int] = set()
-        for model in self.models:
-            if not model.active(round_no):
-                continue
-            for s in model.removed_senders(round_no, recipient, senders):
-                if s not in seen:
-                    seen.add(s)
-                    removed.append(s)
-        return tuple(removed)
 
     def removed_mask(
         self, round_no: int, receivers: Sequence[int], senders: Sequence[int]
@@ -768,9 +698,9 @@ class ExecutionKernel:
     ) -> RoundDeliveries:
         """Deliver one round through the message fabric.
 
-        Delegates to :func:`repro.sim.fabric.deliver_round`, which picks
-        the numpy array path or the pure-Python scalar fallback (both
-        byte-identical; see the fabric module docs).
+        Delegates to :func:`repro.sim.fabric.deliver_round`, the one
+        delivery path: a removal mask per active round, the shared
+        canonical base otherwise (see the fabric module docs).
         """
         return fabric.deliver_round(self, round_no, payloads, emissions)
 

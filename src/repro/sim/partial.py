@@ -27,6 +27,8 @@ import random
 from abc import ABC, abstractmethod
 from typing import Callable, Collection, Sequence
 
+import numpy as np
+
 from repro.core.canonical import stable_seed
 from repro.core.errors import ConfigurationError
 from repro.sim import fabric
@@ -61,44 +63,19 @@ class DropSchedule(ABC):
         """
         return round_no < self._gst
 
-    def dropped_senders(
-        self, round_no: int, recipient: int, senders: Collection[int]
-    ) -> tuple[int, ...]:
-        """The subset of ``senders`` whose message to ``recipient`` is lost.
-
-        Per-receiver delta query of the message fabric, mirroring
-        :meth:`Topology.blocked_senders
-        <repro.sim.topology.Topology.blocked_senders>`.  Self-delivery
-        is never dropped, so the recipient is never reported.
-
-        Args:
-            round_no: The current round.
-            recipient: The receiving process index.
-            senders: Candidate sender indices (ascending).
-
-        Returns:
-            The dropped senders, in ``senders`` order.
-        """
-        if round_no >= self._gst:
-            return ()
-        return tuple(
-            s for s in senders
-            if s != recipient and self._drops_before_gst(round_no, s, recipient)
-        )
-
     def dropped_mask(
         self, round_no: int, receivers: Sequence[int], senders: Sequence[int]
     ):
         """The round's losses as one ``(receivers, senders)`` bool mask.
 
-        The array fabric's batch form of :meth:`dropped_senders`:
-        ``mask[i, j]`` is True when ``senders[j]``'s message to
-        ``receivers[i]`` is lost this round.  The default bridges to
-        the scalar query row by row, so predicate- or RNG-backed
-        schedules (whose per-link decisions cannot be vectorized
-        byte-identically) participate unchanged; structural schedules
-        override it with real array ops.  Self-links are never
-        reported, and rounds at or past ``gst`` yield the empty mask.
+        The message fabric's batch form of :meth:`drops`: ``mask[i, j]``
+        is True when ``senders[j]``'s message to ``receivers[i]`` is
+        lost this round.  The default asks :meth:`drops` link by link,
+        so predicate- or RNG-backed schedules (whose per-link decisions
+        cannot be vectorized byte-identically) participate unchanged;
+        structural schedules override it with real array ops.
+        Self-links are never reported, and rounds at or past ``gst``
+        yield the empty mask.
 
         Args:
             round_no: The current round.
@@ -110,10 +87,8 @@ class DropSchedule(ABC):
         """
         if round_no >= self._gst:
             return fabric.new_mask(len(receivers), len(senders))
-        return fabric.mask_from_rows(
-            lambda q: self.dropped_senders(round_no, q, senders),
-            receivers,
-            senders,
+        return fabric.mask_from_links(
+            lambda s, q: self.drops(round_no, s, q), receivers, senders
         )
 
     @abstractmethod
@@ -150,7 +125,6 @@ class SilenceUntil(DropSchedule):
     def dropped_mask(
         self, round_no: int, receivers: Sequence[int], senders: Sequence[int]
     ):
-        np = fabric.require_numpy()
         if round_no >= self._gst:
             return fabric.new_mask(len(receivers), len(senders))
         recv = np.asarray(receivers, dtype=np.int64)
@@ -185,7 +159,6 @@ class PartitionSchedule(DropSchedule):
     def dropped_mask(
         self, round_no: int, receivers: Sequence[int], senders: Sequence[int]
     ):
-        np = fabric.require_numpy()
         if round_no >= self._gst:
             return fabric.new_mask(len(receivers), len(senders))
         recv = np.asarray(receivers, dtype=np.int64)

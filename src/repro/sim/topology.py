@@ -17,6 +17,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from repro.core.errors import ConfigurationError
 from repro.sim import fabric
 
@@ -28,38 +30,16 @@ class Topology(ABC):
     def delivers(self, sender: int, recipient: int) -> bool:
         """True when messages from ``sender`` reach ``recipient``."""
 
-    def blocked_senders(
-        self, recipient: int, senders: Sequence[int]
-    ) -> tuple[int, ...]:
-        """The subset of ``senders`` whose link to ``recipient`` is cut.
-
-        This is the message fabric's per-receiver delta query: the
-        engine materialises the round's common delivery multiset once
-        and only subtracts what a topology actually removes.  The
-        recipient itself is never reported (self-delivery is not subject
-        to topology filtering).  Subclasses with structural knowledge
-        override this with something cheaper than the per-link loop.
-
-        Args:
-            recipient: The receiving process index.
-            senders: Candidate sender indices (ascending).
-
-        Returns:
-            The blocked senders, in ``senders`` order.
-        """
-        return tuple(
-            s for s in senders
-            if s != recipient and not self.delivers(s, recipient)
-        )
-
     def blocked_mask(self, receivers: Sequence[int], senders: Sequence[int]):
         """All cut links as one ``(receivers, senders)`` bool mask.
 
-        The array fabric's batch form of :meth:`blocked_senders`:
-        ``mask[i, j]`` is True when the link ``senders[j] ->
-        receivers[i]`` is cut.  The default bridges to the scalar query
-        row by row; subclasses with structural knowledge override it
-        with real array ops.  Self-links are never reported.
+        The message fabric subtracts these links from the round's
+        common delivery multiset: ``mask[i, j]`` is True when the link
+        ``senders[j] -> receivers[i]`` is cut.  The default asks
+        :meth:`delivers` link by link; subclasses with structural
+        knowledge override it with real array ops.  Self-links are
+        never reported (self-delivery is not subject to topology
+        filtering).
 
         Args:
             receivers: The receiving process indices (ascending).
@@ -68,8 +48,8 @@ class Topology(ABC):
         Returns:
             A fresh, writable numpy bool array.
         """
-        return fabric.mask_from_rows(
-            lambda q: self.blocked_senders(q, senders), receivers, senders
+        return fabric.mask_from_links(
+            lambda s, q: not self.delivers(s, q), receivers, senders
         )
 
 
@@ -78,11 +58,6 @@ class CompleteTopology(Topology):
 
     def delivers(self, sender: int, recipient: int) -> bool:
         return True
-
-    def blocked_senders(
-        self, recipient: int, senders: Sequence[int]
-    ) -> tuple[int, ...]:
-        return ()
 
     def blocked_mask(self, receivers: Sequence[int], senders: Sequence[int]):
         return fabric.new_mask(len(receivers), len(senders))
@@ -114,18 +89,7 @@ class DirectedTopology(Topology):
             return True
         return sender in senders
 
-    def blocked_senders(
-        self, recipient: int, senders: Sequence[int]
-    ) -> tuple[int, ...]:
-        allowed = self._in.get(recipient)
-        if allowed is None:
-            return ()
-        return tuple(
-            s for s in senders if s != recipient and s not in allowed
-        )
-
     def blocked_mask(self, receivers: Sequence[int], senders: Sequence[int]):
-        np = fabric.require_numpy()
         mask = fabric.new_mask(len(receivers), len(senders))
         send = np.asarray(senders, dtype=np.int64)
         for i, q in enumerate(receivers):

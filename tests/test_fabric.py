@@ -1,32 +1,33 @@
-"""The array fabric: path parity, mask builders, memoization, COW.
+"""The array fabric: oracle parity, mask builders, memoization, COW.
 
-Pins the three delivery implementations against each other:
+Pins :func:`repro.sim.fabric.deliver_round`, the one delivery path,
+against code outside the fabric:
 
-* the numpy **array** path (``repro.sim.fabric._deliver_round_array``),
-* the pure-Python **scalar** fallback (the pre-array dict/set loop),
-* the frozen pre-fabric oracle
-  (:class:`~repro.sim.network.ReferenceRoundEngine`),
+* basic-model draws against the frozen pre-fabric oracle
+  (:class:`~repro.sim.network.ReferenceRoundEngine`): byte-identical
+  per-receiver inboxes, :class:`~repro.sim.metrics.RoundDeliveries` and
+  traces across random (topology x drop schedule x adversary) draws,
+  including n in the hundreds;
+* delay draws against the per-message tick loop
+  (:class:`~repro.sim.delay.ReferenceDelaySimulator`): traces, inboxes
+  and loss sets;
+* composed timing against a per-link reconstruction from ``delivers``,
+  ``drops`` and ``delay >= delta``;
 
-asserting byte-identical per-receiver inboxes,
-:class:`~repro.sim.metrics.RoundDeliveries`, traces and loss triples
-across random (topology x drop schedule x adversary x timing) draws --
-including n in the hundreds -- plus the unit seams the tentpole added:
-vectorized ``blocked_mask`` / ``dropped_mask`` / ``delay_matrix``
-builders vs their scalar queries, the per-kernel payload-size memo, and
-the copy-on-write checkpoint scheme.
+plus the unit seams: the vectorized ``blocked_mask`` / ``dropped_mask``
+/ ``delay_matrix`` builders vs their per-link primitives, the
+per-kernel payload-size memo, and the copy-on-write checkpoint scheme.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adversaries.generic import RandomByzantineAdversary
 from repro.core.canonical import stable_seed
-from repro.core.errors import SimulationError
 from repro.core.identity import balanced_assignment
 from repro.core.params import SystemParams
 from repro.sim import fabric
-from repro.sim.delay import EventuallyBoundedDelays
+from repro.sim.delay import EventuallyBoundedDelays, ReferenceDelaySimulator
 from repro.sim.kernel import (
     BasicPsync,
     ComposedTiming,
@@ -39,21 +40,18 @@ from repro.sim.partial import (
     ExplicitDrops,
     NoDrops,
     PartitionSchedule,
+    PredicateDrops,
     RandomDrops,
     SilenceUntil,
 )
 from repro.sim.process import EchoProcess, Process
-from repro.sim.topology import CompleteTopology, DirectedTopology
-
-needs_numpy = pytest.mark.skipif(
-    not fabric.HAVE_NUMPY, reason="numpy unavailable (or REPRO_NO_NUMPY set)"
-)
+from repro.sim.topology import CompleteTopology, DirectedTopology, Topology
 
 
 # ----------------------------------------------------------------------
 # Harness
 # ----------------------------------------------------------------------
-def _build_kernel(n, ell, numerate, byzantine, adversary, timing):
+def _system(n, ell, numerate, byzantine):
     assignment = balanced_assignment(n, ell)
     params = SystemParams(
         n=n, ell=ell, t=max(len(byzantine), 1), numerate=numerate
@@ -64,6 +62,11 @@ def _build_kernel(n, ell, numerate, byzantine, adversary, timing):
         )
         for k in range(n)
     ]
+    return params, assignment, processes
+
+
+def _build_kernel(n, ell, numerate, byzantine, adversary, timing):
+    params, assignment, processes = _system(n, ell, numerate, byzantine)
     return ExecutionKernel(
         params=params,
         assignment=assignment,
@@ -75,16 +78,7 @@ def _build_kernel(n, ell, numerate, byzantine, adversary, timing):
 
 
 def _build_reference(n, ell, numerate, byzantine, adversary, drop, topo):
-    assignment = balanced_assignment(n, ell)
-    params = SystemParams(
-        n=n, ell=ell, t=max(len(byzantine), 1), numerate=numerate
-    )
-    processes = [
-        None if k in byzantine else EchoProcess(
-            assignment.identifier_of(k), tag=("v", k % 3)
-        )
-        for k in range(n)
-    ]
+    params, assignment, processes = _system(n, ell, numerate, byzantine)
     return ReferenceRoundEngine(
         params=params,
         assignment=assignment,
@@ -101,46 +95,45 @@ def _run(engine, rounds):
     return engine
 
 
-def _assert_engines_identical(got, want, rounds, label):
-    assert got.deliveries == want.deliveries, label
-    assert got.losses == want.losses, label
-    assert got.trace.snapshot() == want.trace.snapshot(), label
-    for q in got.correct:
+def _assert_inboxes_identical(got, want, correct, rounds, label):
+    for q in correct:
         for r in range(rounds):
             assert (
-                got.processes[q].received[r].messages()
-                == want.processes[q].received[r].messages()
+                got[q].received[r].messages() == want[q].received[r].messages()
             ), f"{label}: inbox of process {q} differs in round {r}"
 
 
-def _compare_paths(n, ell, numerate, byzantine, adversary, timing, rounds,
-                   label, reference=None):
-    """Run array and scalar paths (and optionally the frozen oracle)."""
-    with fabric.forced_path(False):
-        scalar = _run(
-            _build_kernel(n, ell, numerate, byzantine, adversary, timing),
-            rounds,
-        )
-    if fabric.HAVE_NUMPY:
-        with fabric.forced_path(True):
-            array = _run(
-                _build_kernel(n, ell, numerate, byzantine, adversary, timing),
-                rounds,
-            )
-        _assert_engines_identical(array, scalar, rounds, f"{label}: array")
-    if reference is not None:
-        drop, topo = reference
-        oracle = _run(
-            _build_reference(
-                n, ell, numerate, byzantine, adversary, drop, topo
-            ),
-            rounds,
-        )
-        _assert_engines_identical(scalar, oracle, rounds, f"{label}: oracle")
+def _assert_engines_identical(got, want, rounds, label):
+    assert got.deliveries == want.deliveries, label
+    assert got.trace.snapshot() == want.trace.snapshot(), label
+    _assert_inboxes_identical(
+        got.processes, want.processes, got.correct, rounds, label
+    )
+
+
+def _compare_with_reference(n, ell, numerate, byzantine, adversary, timing,
+                            rounds, label, reference):
+    """Run the kernel and the frozen basic-model oracle side by side."""
+    kernel = _run(
+        _build_kernel(n, ell, numerate, byzantine, adversary, timing), rounds
+    )
+    drop, topo = reference
+    oracle = _run(
+        _build_reference(n, ell, numerate, byzantine, adversary, drop, topo),
+        rounds,
+    )
+    _assert_engines_identical(kernel, oracle, rounds, label)
+    return kernel
+
+
+def _assert_losses_in_fabric_order(losses):
+    """Per round, losses are (receiver-ascending, sender-ascending)."""
+    assert losses == sorted(losses, key=lambda x: (x[0], x[2], x[1]))
+    assert len(losses) == len(set(losses))
 
 
 # ----------------------------------------------------------------------
-# Property tests: random draws, three-way parity
+# Property tests: random draws, parity with the oracles
 # ----------------------------------------------------------------------
 def _schedule_from(draw_kind, gst, seed, n):
     if draw_kind == "none":
@@ -188,8 +181,8 @@ def _topology_from(draw_kind, n, seed):
 def test_property_three_way_parity(
     n, ell, numerate, sched_kind, topo_kind, gst, with_byz, seed
 ):
-    """Array path == scalar fallback == ReferenceRoundEngine across
-    random basic-model draws: inboxes, deliveries, traces."""
+    """Kernel == ReferenceRoundEngine across random basic-model draws:
+    inboxes, deliveries, traces."""
     ell = min(ell, n)
     byzantine = (n - 1,) if with_byz else ()
     sched = lambda: _schedule_from(sched_kind, gst, seed, n)  # noqa: E731
@@ -199,7 +192,7 @@ def test_property_three_way_parity(
         else (lambda: None)
     )
     timing = lambda: BasicPsync(sched(), topo())  # noqa: E731
-    _compare_paths(
+    _compare_with_reference(
         n, ell, numerate, byzantine, adversary, timing,
         rounds=gst + 2,
         label=f"{sched_kind}/{topo_kind}/n={n}",
@@ -215,11 +208,11 @@ def test_property_three_way_parity(
 )
 @settings(max_examples=5, deadline=None)
 def test_property_three_way_parity_large_n(n, numerate, sched_kind, seed):
-    """The same three-way parity with n in the hundreds (structural
+    """The same oracle parity with n in the hundreds (structural
     schedules, where the mask builders do real array work)."""
     sched = lambda: _schedule_from(sched_kind, 2, seed, n)  # noqa: E731
     timing = lambda: BasicPsync(sched(), None)  # noqa: E731
-    _compare_paths(
+    _compare_with_reference(
         n, 3, numerate, (), lambda: None, timing,
         rounds=3,
         label=f"large-{sched_kind}/n={n}",
@@ -232,38 +225,90 @@ def test_property_three_way_parity_large_n(n, numerate, sched_kind, seed):
     numerate=st.booleans(),
     gst_tick=st.integers(0, 12),
     delta=st.integers(1, 4),
+    with_byz=st.booleans(),
     seed=st.integers(0, 50),
 )
 @settings(max_examples=20, deadline=None)
 def test_property_delay_parity_with_losses(
-    n, numerate, gst_tick, delta, seed
+    n, numerate, gst_tick, delta, with_byz, seed
 ):
-    """Array vs scalar under ``DelayBased``: identical inboxes *and*
-    identical loss-triple logs (both paths log (receiver-ascending,
-    sender-ascending) per round)."""
-    timing = lambda: DelayBased(  # noqa: E731
-        EventuallyBoundedDelays(delta, gst_tick, seed=seed)
+    """Kernel under ``DelayBased`` == the per-message tick loop:
+    traces, inboxes, and losses equal to the oracle's drops between
+    correct processes.  The kernel logs each round's losses in
+    (receiver-ascending, sender-ascending) order."""
+    byzantine = (n - 1,) if with_byz else ()
+    adversary = (
+        (lambda: RandomByzantineAdversary(seed=seed)) if with_byz
+        else (lambda: None)
     )
-    _compare_paths(
-        n, 3, numerate, (), lambda: None, timing,
-        rounds=gst_tick // delta + 2,
-        label=f"delay/n={n}/delta={delta}",
+    policy = lambda: EventuallyBoundedDelays(  # noqa: E731
+        delta, gst_tick, seed=seed
     )
+    rounds = gst_tick // delta + 2
+    label = f"delay/n={n}/delta={delta}"
+    kernel = _run(
+        _build_kernel(
+            n, 3, numerate, byzantine, adversary,
+            lambda: DelayBased(policy()),
+        ),
+        rounds,
+    )
+    params, assignment, processes = _system(n, 3, numerate, byzantine)
+    oracle = ReferenceDelaySimulator(
+        params, assignment, processes, policy(),
+        byzantine=byzantine, adversary=adversary(),
+    ).run(max_rounds=rounds, stop_when_all_decided=False)
+
+    assert kernel.trace.snapshot() == oracle.trace.snapshot(), label
+    _assert_inboxes_identical(
+        kernel.processes, processes, kernel.correct, rounds, label
+    )
+    assert sorted(kernel.losses) == sorted(
+        d for d in oracle.dropped if d[2] not in byzantine
+    ), label
+    _assert_losses_in_fabric_order(kernel.losses)
+
+
+def _composed_removals(timing, correct, rounds):
+    """ComposedTiming's removals, rebuilt link by link outside the fabric.
+
+    A link ``s -> q`` loses round ``r``'s message when the topology does
+    not deliver it, the drop schedule drops it, or its delay reaches
+    ``delta``.  Listed in (round, receiver, sender) order.
+    """
+    structural, delayed = timing.models
+    policy = delayed.policy
+    return [
+        (r, s, q)
+        for r in range(rounds) for q in correct for s in correct
+        if s != q and (
+            not structural.topology.delivers(s, q)
+            or structural.drop_schedule.drops(r, s, q)
+            or policy.delay(r * policy.delta, s, q) >= policy.delta
+        )
+    ]
 
 
 def test_composed_timing_parity_with_losses():
-    """ComposedTiming (structural + delay layers) stays path-identical,
-    including the union mask and the merged loss log."""
+    """ComposedTiming (structural + delay layers) == the basic-model
+    oracle replaying a per-link reconstruction of its removals, and the
+    merged loss log is exactly that reconstruction."""
     timing = lambda: ComposedTiming(  # noqa: E731
         BasicPsync(SilenceUntil(2), DirectedTopology({0: {1, 2}, 3: set()})),
         DelayBased(EventuallyBoundedDelays(2, 8, seed=3)),
     )
+    n, byzantine, rounds = 9, (8,), 6
+    correct = tuple(k for k in range(n) if k not in byzantine)
+    removals = _composed_removals(timing(), correct, rounds)
+    assert removals  # the draw does remove edges
     for numerate in (False, True):
-        _compare_paths(
-            9, 3, numerate, (8,),
+        kernel = _compare_with_reference(
+            n, 3, numerate, byzantine,
             lambda: RandomByzantineAdversary(seed=7), timing,
-            rounds=6, label=f"composed/numerate={numerate}",
+            rounds=rounds, label=f"composed/numerate={numerate}",
+            reference=(ExplicitDrops(removals), None),
         )
+        assert kernel.losses == removals
 
 
 def test_large_n_deterministic_partition():
@@ -275,22 +320,60 @@ def test_large_n_deterministic_partition():
         10**9, tuple(range(half)), tuple(range(half, n))
     )
     timing = lambda: BasicPsync(sched(), None)  # noqa: E731
-    _compare_paths(
+    _compare_with_reference(
         n, 4, True, (), lambda: None, timing,
         rounds=3, label="partition-256", reference=(sched(), None),
     )
 
 
+class _CountingPsync(BasicPsync):
+    """Records the rounds on which the fabric asks for a removal mask."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.mask_rounds = []
+
+    def removed_mask(self, round_no, receivers, senders):
+        self.mask_rounds.append(round_no)
+        return super().removed_mask(round_no, receivers, senders)
+
+
+def test_inactive_rounds_never_build_a_mask():
+    """Only active rounds query ``removed_mask``, once per round; the
+    inactive rounds after stabilisation stay oracle-identical."""
+    gst, rounds = 3, 7
+    timing = _CountingPsync(SilenceUntil(gst), None)
+    _compare_with_reference(
+        9, 3, False, (), lambda: None, lambda: timing,
+        rounds=rounds, label="silence-gst", reference=(SilenceUntil(gst), None),
+    )
+    assert timing.mask_rounds == list(range(gst))
+
+
+def test_path_names_report_the_one_array_path():
+    """The compatibility names benchmark records read keep answering."""
+    import numpy
+
+    assert fabric.array_path_enabled() is True
+    assert fabric.require_numpy() is numpy
+
+
 # ----------------------------------------------------------------------
-# Mask builders vs their scalar queries
+# Mask builders vs their per-link primitives
 # ----------------------------------------------------------------------
-@needs_numpy
+class _ParityTopology(Topology):
+    """Defines only ``delivers``: links between equal parities exist."""
+
+    def delivers(self, sender, recipient):
+        return sender % 2 == recipient % 2
+
+
 class TestMaskBuilders:
-    def _assert_mask_matches(self, mask, removed_of, receivers, senders):
+    def _assert_mask_matches(self, mask, removed, receivers, senders):
+        assert mask.shape == (len(receivers), len(senders))
         for i, q in enumerate(receivers):
-            expected = set(removed_of(q))
-            got = {senders[j] for j in range(len(senders)) if mask[i, j]}
-            assert got == expected, f"receiver {q}"
+            for j, s in enumerate(senders):
+                assert bool(mask[i, j]) == removed(s, q), f"link {s}->{q}"
 
     def test_topology_masks(self):
         n = 12
@@ -299,11 +382,11 @@ class TestMaskBuilders:
         for topo in (
             CompleteTopology(),
             DirectedTopology({0: {2, 4}, 5: set(), 6: {6}}),
+            _ParityTopology(),  # the default, per-link builder
         ):
-            mask = topo.blocked_mask(receivers, senders)
-            assert mask.shape == (len(receivers), len(senders))
             self._assert_mask_matches(
-                mask, lambda q: topo.blocked_senders(q, senders),
+                topo.blocked_mask(receivers, senders),
+                lambda s, q: s != q and not topo.delivers(s, q),
                 receivers, senders,
             )
 
@@ -317,13 +400,13 @@ class TestMaskBuilders:
             PartitionSchedule(3, (0, 1, 2), (5, 6)),
             RandomDrops(gst=3, p=0.5, seed=9),
             ExplicitDrops({(0, 1, 2), (1, 2, 2), (2, 0, 0), (1, 9, 0)}),
+            PredicateDrops(3, lambda r, s, q: (r + s + q) % 3 == 0),
         ]
         for sched in schedules:
             for round_no in range(5):
-                mask = sched.dropped_mask(round_no, receivers, senders)
                 self._assert_mask_matches(
-                    mask,
-                    lambda q: sched.dropped_senders(round_no, q, senders),
+                    sched.dropped_mask(round_no, receivers, senders),
+                    lambda s, q: sched.drops(round_no, s, q),
                     receivers, senders,
                 )
 
@@ -348,41 +431,25 @@ class TestMaskBuilders:
             assert not mask[k, k]
         assert mask.sum() == 30  # everything else dropped
 
-    def test_mask_from_rows_bridges_scalar_queries(self):
-        mask = fabric.mask_from_rows(
-            lambda q: (0, 2) if q == 1 else (),
-            receivers=(0, 1, 3),
-            senders=(0, 2, 3),
+    def test_mask_from_links_bridges_link_predicates(self):
+        queried = []
+
+        def removed(s, q):
+            queried.append((s, q))
+            return q == 1 or s == 3
+
+        mask = fabric.mask_from_links(
+            removed, receivers=(0, 1, 3), senders=(0, 1, 3)
         )
         assert mask.tolist() == [
-            [False, False, False],
-            [True, True, False],
+            [False, False, True],
+            [True, False, True],
             [False, False, False],
         ]
-
-
-# ----------------------------------------------------------------------
-# Path selection
-# ----------------------------------------------------------------------
-def test_forced_path_restores_previous_mode():
-    before = fabric.array_path_enabled()
-    with fabric.forced_path(False):
-        assert not fabric.array_path_enabled()
-        if fabric.HAVE_NUMPY:
-            with fabric.forced_path(True):
-                assert fabric.array_path_enabled()
-            assert not fabric.array_path_enabled()
-    assert fabric.array_path_enabled() == before
-
-
-def test_forced_array_path_without_numpy_raises(monkeypatch):
-    monkeypatch.setattr(fabric, "np", None)
-    monkeypatch.setattr(fabric, "HAVE_NUMPY", False)
-    with pytest.raises(SimulationError):
-        with fabric.forced_path(True):
-            pass  # pragma: no cover - unreachable
-    with pytest.raises(SimulationError):
-        fabric.require_numpy()
+        # Self-links are never queried; the rest in (receiver, sender)
+        # order.
+        assert queried == [(1, 0), (3, 0), (0, 1), (3, 1), (0, 3), (1, 3)]
+        assert fabric.mask_from_links(removed, (), (0, 1)).shape == (0, 2)
 
 
 # ----------------------------------------------------------------------

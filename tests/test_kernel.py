@@ -59,6 +59,12 @@ def canonical(trace):
     ]
 
 
+def removed_row(timing, round_no, recipient, senders):
+    """The senders one ``removed_mask`` row removes for ``recipient``."""
+    row = timing.removed_mask(round_no, (recipient,), senders)[0]
+    return tuple(s for s, lost in zip(senders, row.tolist()) if lost)
+
+
 # ----------------------------------------------------------------------
 # Timing model contracts
 # ----------------------------------------------------------------------
@@ -66,7 +72,7 @@ class TestTimingModels:
     def test_lockstep_never_active(self):
         timing = LockStep()
         assert not any(timing.active(r) for r in range(50))
-        assert timing.removed_senders(0, 1, (0, 1, 2)) == ()
+        assert removed_row(timing, 0, 1, (0, 1, 2)) == ()
         assert timing.ticks_executed(7) == 7
 
     def test_basic_psync_defaults_degenerate_to_lockstep(self):
@@ -79,26 +85,26 @@ class TestTimingModels:
         timing = BasicPsync(SilenceUntil(4))
         assert [timing.active(r) for r in range(6)] == [True] * 4 + [False] * 2
         # Before GST everything inter-process is removed, self never.
-        assert timing.removed_senders(0, 1, (0, 1, 2)) == (0, 2)
-        assert timing.removed_senders(5, 1, (0, 1, 2)) == ()
+        assert removed_row(timing, 0, 1, (0, 1, 2)) == (0, 2)
+        assert removed_row(timing, 5, 1, (0, 1, 2)) == ()
 
     def test_basic_psync_topology_keeps_every_round_active(self):
         timing = BasicPsync(topology=DirectedTopology({0: {1}}))
         assert all(timing.active(r) for r in range(50))
-        assert timing.removed_senders(9, 0, (0, 1, 2, 3)) == (2, 3)
+        assert removed_row(timing, 9, 0, (0, 1, 2, 3)) == (2, 3)
 
     def test_basic_psync_merges_drops_and_cuts_without_duplicates(self):
-        timing = BasicPsync(SilenceUntil(2), DirectedTopology({0: {1}}))
-        removed = timing.removed_senders(0, 0, (0, 1, 2, 3))
-        assert sorted(removed) == [1, 2, 3]
-        assert len(removed) == len(set(removed))
+        timing = BasicPsync(SilenceUntil(2), DirectedTopology({0: {2}}))
+        # Topology cuts 1 and 3, the schedule drops 1, 2 and 3.
+        assert removed_row(timing, 0, 0, (0, 1, 2, 3)) == (1, 2, 3)
+        assert removed_row(timing, 2, 0, (0, 1, 2, 3)) == (1, 3)
 
     def test_delay_based_removes_exactly_the_late_edges(self):
         policy = EventuallyBoundedDelays(delta=2, gst_tick=40,
                                          chaos_factor=6, seed=7)
         timing = DelayBased(policy)
         for r in range(10):
-            removed = timing.removed_senders(r, 0, (0, 1, 2, 3))
+            removed = removed_row(timing, r, 0, (0, 1, 2, 3))
             expected = tuple(
                 s for s in (1, 2, 3)
                 if policy.delay(r * 2, s, 0) >= 2
@@ -122,6 +128,23 @@ class TestTimingModels:
     def test_delay_based_rejects_non_policies(self):
         with pytest.raises(ConfigurationError):
             DelayBased(object())
+
+    def test_delay_based_requires_delay_matrix(self):
+        """Regression: a duck-typed policy without ``delay_matrix`` used
+        to construct fine and die with ``AttributeError`` on its first
+        active round; it is now rejected at construction."""
+
+        class Duck:
+            delta = 2
+
+            def delay(self, send_tick, sender, recipient):
+                return 3
+
+            def max_late_tick(self):
+                return 10
+
+        with pytest.raises(ConfigurationError, match="delay_matrix"):
+            DelayBased(Duck())
 
     def test_timing_model_for_dispatch(self):
         assert isinstance(timing_model_for(), LockStep)

@@ -242,16 +242,23 @@ class TestScenarioConformance:
         assert canonical(engine.trace) == canonical(outcome.trace)
 
     def test_composed_timing_unions_removals(self):
-        """ComposedTiming = union of layer removals, first-seen order."""
+        """ComposedTiming = union of the layers' removal-mask rows."""
         topo = ScenarioSystem(4, 1).topology()
         structural = BasicPsync(None, topo)
         drops = BasicPsync(ExplicitDrops({(0, 2, 5)}), None)
         composed = ComposedTiming(structural, drops)
-        senders = tuple(range(8))
-        want = set(structural.removed_senders(0, 5, senders)) | {2}
-        got = composed.removed_senders(0, 5, senders)
-        assert set(got) == want
-        assert len(got) == len(set(got))  # no duplicates
+        receivers = senders = tuple(range(8))
+
+        def removed(timing):
+            mask = timing.removed_mask(0, receivers, senders)
+            return [
+                {s for s, lost in zip(senders, row) if lost}
+                for row in mask.tolist()
+            ]
+
+        want = removed(structural)
+        want[5] |= {2}
+        assert removed(composed) == want
         assert composed.active(0) and composed.ticks_executed(3) == 3
 
 
