@@ -1,7 +1,7 @@
 """Benchmark: strategy-explorer pruning vs raw branching.
 
 The bounded explorer's performance story is the transposition +
-symmetry table keyed on canonical per-receiver state digests: without
+symmetry table keyed on per-receiver post-round state keys: without
 it, the per-round emission alphabet at ``n = 4`` (the minimal
 synchronous certificate scope) spans a strategy tree of ~10^13 nodes --
 naive branching is infeasible.  The table records the *exact* raw

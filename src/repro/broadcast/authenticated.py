@@ -36,9 +36,11 @@ received init/echo items back in, and consumes the resulting
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Hashable, Iterable
 
+from repro.core.canonical import exact_key
 from repro.core.errors import BoundViolation
 
 
@@ -80,6 +82,32 @@ class AuthenticatedBroadcast:
         self._echo_ids: dict[BroadcastKey, set[int]] = {}
         self._accepted: dict[tuple[Hashable, int], int] = {}  # (m, i) -> superround
         self._fresh_accepts: list[Accept] = []
+
+    # ------------------------------------------------------------------
+    # State identity and copying (for the host process's own)
+    # ------------------------------------------------------------------
+    def state_key(self) -> Hashable:
+        """Hashable state identity, equal exactly when the reflective
+        keys are (see :meth:`repro.sim.process.Process.state_key`)."""
+        return (
+            type(self), self.ell, self.t, self.ident,
+            exact_key(self._pending_inits),
+            exact_key(self._echoing),
+            exact_key(self._echo_ids),
+            exact_key(self._accepted),
+            exact_key(self._fresh_accepts),
+        )
+
+    def clone(self) -> "AuthenticatedBroadcast":
+        """An independent copy (the containers are copied, their
+        immutable contents shared)."""
+        twin = copy.copy(self)
+        twin._pending_inits = list(self._pending_inits)
+        twin._echoing = set(self._echoing)
+        twin._echo_ids = {key: set(ids) for key, ids in self._echo_ids.items()}
+        twin._accepted = dict(self._accepted)
+        twin._fresh_accepts = list(self._fresh_accepts)
+        return twin
 
     # ------------------------------------------------------------------
     # Sending side

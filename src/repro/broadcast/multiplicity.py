@@ -39,9 +39,11 @@ them).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Hashable, Iterable
 
+from repro.core.canonical import exact_key
 from repro.core.errors import BoundViolation
 
 INIT_TAG = "minit"
@@ -89,6 +91,32 @@ class MultiplicityBroadcast:
         self._round_echoes: dict[tuple[int, Hashable, int], list[int]] = {}
         #: per-round init tally: (h, m) -> number of valid messages.
         self._round_inits: dict[tuple[int, Hashable], int] = {}
+
+    # ------------------------------------------------------------------
+    # State identity and copying (for the host process's own)
+    # ------------------------------------------------------------------
+    def state_key(self) -> Hashable:
+        """Hashable state identity, equal exactly when the reflective
+        keys are (see :meth:`repro.sim.process.Process.state_key`)."""
+        return (
+            type(self), self.n, self.t, self.ident,
+            exact_key(self._a),
+            exact_key(self._pending),
+            exact_key(self._round_echoes),
+            exact_key(self._round_inits),
+        )
+
+    def clone(self) -> "MultiplicityBroadcast":
+        """An independent copy (the containers are copied, their
+        immutable contents shared)."""
+        twin = copy.copy(self)
+        twin._a = dict(self._a)
+        twin._pending = list(self._pending)
+        twin._round_echoes = {
+            key: list(alphas) for key, alphas in self._round_echoes.items()
+        }
+        twin._round_inits = dict(self._round_inits)
+        return twin
 
     # ------------------------------------------------------------------
     # Sending side

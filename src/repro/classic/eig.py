@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping
 
 from repro.classic.spec import ClassicSpec, majority_value
+from repro.core.canonical import exact_key, is_plain
 from repro.core.problem import AgreementProblem
 
 
@@ -48,6 +49,27 @@ class EIGState:
 
     def tree_dict(self) -> dict[Path, Hashable]:
         return dict(self.tree)
+
+
+def _plain_tree(tree: Hashable) -> bool:
+    """True when ``tree`` is a tuple of ``(int path, plain value)`` pairs.
+
+    Equivalent to :func:`~repro.core.canonical.is_plain` on the trees
+    EIG builds, and about 4x faster on them: it runs once per explored
+    post-round state.
+    """
+    if type(tree) is not tuple:
+        return False
+    for entry in tree:
+        if type(entry) is not tuple or len(entry) != 2:
+            return False
+        path, value = entry
+        if type(path) is not tuple or not is_plain(value):
+            return False
+        for j in path:
+            if type(j) is not int:
+                return False
+    return True
 
 
 def _canonical_tree(entries: Mapping[Path, Hashable]) -> tuple[tuple[Path, Hashable], ...]:
@@ -140,6 +162,24 @@ class EIGSpec(ClassicSpec):
     @property
     def max_rounds(self) -> int:
         return self.t + 1
+
+    def state_key(self, state: Hashable) -> Hashable:
+        """The state itself when it holds only ints, strings and tuples.
+
+        Those are the values whose ``==`` separates exactly what the
+        reflective key separates, so the frozen state is its own key.
+        States carrying anything else (a Byzantine relay of ``True`` or
+        ``1.0``) take the :func:`~repro.core.canonical.exact_key` route;
+        the two forms never compare equal.
+        """
+        if (
+            type(state) is EIGState
+            and type(state.ident) is int
+            and type(state.rounds_done) is int
+            and _plain_tree(state.tree)
+        ):
+            return state
+        return exact_key(state)
 
     # ------------------------------------------------------------------
     # Internals

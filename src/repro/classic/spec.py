@@ -38,6 +38,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Hashable, Mapping
 
+from repro.core.canonical import exact_key
 from repro.core.errors import BoundViolation
 from repro.core.messages import Inbox
 from repro.core.problem import AgreementProblem
@@ -101,6 +102,15 @@ class ClassicSpec(ABC):
     @abstractmethod
     def max_rounds(self) -> int:
         """Number of rounds after which every correct process has decided."""
+
+    def state_key(self, state: Hashable) -> Hashable:
+        """Hashable identity of ``state`` for the strategy explorer.
+
+        Equal exactly when the states' reflective keys are equal
+        (:func:`~repro.core.canonical.exact_key`); specs whose states
+        have a cheaper exact identity override this.
+        """
+        return exact_key(state)
 
     # ------------------------------------------------------------------
     # Shared validation

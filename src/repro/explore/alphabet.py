@@ -32,7 +32,6 @@ transposition table treat "same process states + same ghost states" as
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable, Mapping
 
@@ -111,10 +110,10 @@ class GhostBank:
         self._last: dict[tuple[int, int], Hashable] = {}
 
     def fork(self) -> "GhostBank":
-        """An independent deep copy for one divergent branch."""
+        """An independent copy for one divergent branch."""
         twin = object.__new__(GhostBank)
         twin._scenario = self._scenario
-        twin._ghosts = copy.deepcopy(self._ghosts)
+        twin._ghosts = {key: ghost.clone() for key, ghost in self._ghosts.items()}
         twin._last = dict(self._last)
         return twin
 
@@ -159,11 +158,9 @@ class GhostBank:
             self._last[key] = payload
         return faces
 
-    def digest(self) -> str:
-        """Canonical digest of every ghost's state (transposition input)."""
-        return canonical_state_key(
-            sorted(
-                (slot, i, canonical_state_key(ghost))
-                for (slot, i), ghost in self._ghosts.items()
-            )
+    def digest(self) -> tuple:
+        """Every ghost's state key, by ``(slot, plan)`` (transposition input)."""
+        return tuple(
+            (slot, i, canonical_state_key(self._ghosts[slot, i]))
+            for slot, i in sorted(self._ghosts)
         )

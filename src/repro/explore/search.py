@@ -38,7 +38,6 @@ search as an explicit bounded-exhaustiveness certificate.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import time
 from dataclasses import dataclass
@@ -499,7 +498,7 @@ def _post_states(
     mid,
     payloads: Mapping[int, Hashable],
     deltas: list[Delta],
-    intern: dict[str, int],
+    intern: dict[Hashable, int],
 ) -> dict[int, list[tuple[int, bool, Hashable]]]:
     """Per-receiver post-round outcomes for every delta option.
 
@@ -509,10 +508,10 @@ def _post_states(
     -- not on what other receivers got.  With ``k`` deltas and ``c``
     receivers there are ``k * c`` distinct per-receiver outcomes but
     ``k^c`` children, so each ``(receiver, delta)`` pair is delivered
-    once to a scratch copy of the receiver and digested with
-    :func:`~repro.core.canonical.canonical_state_key`; children then
-    assemble their transposition keys from the precomputed (interned)
-    digests without touching the engine.
+    once to a :meth:`~repro.sim.process.Process.clone` of the receiver
+    and keyed with :func:`~repro.core.canonical.canonical_state_key`;
+    children then assemble their transposition keys from the
+    precomputed (interned) keys without touching the engine.
 
     Args:
         scenario: The exploration scenario.
@@ -520,8 +519,9 @@ def _post_states(
         mid: The engine checkpoint taken after composing.
         payloads: This round's correct payloads.
         deltas: The per-receiver delta alphabet.
-        intern: Global digest-string -> small-int table (shared with
-            the transposition table so keys are tuples of ints).
+        intern: Global key -> small-int table (shared with the
+            transposition table so its keys are tuples of ints); ids
+            are assigned in first-encounter order.
 
     Returns:
         ``receiver -> [ (digest id, decided, decision) per delta ]``.
@@ -545,13 +545,13 @@ def _post_states(
         ]
         outcomes: list[tuple[int, bool, Hashable]] = []
         for delta in deltas:
-            proc = copy.deepcopy(mid.processes[q])
+            proc = mid.processes[q].clone()
             messages = base + [
                 Message(ident_of(slot), p) for slot, p in delta
             ]
             proc.deliver(r, Inbox(messages, numerate=numerate))
-            digest = canonical_state_key(proc)
-            digest_id = intern.setdefault(digest, len(intern))
+            key = canonical_state_key(proc)
+            digest_id = intern.setdefault(key, len(intern))
             outcomes.append((digest_id, proc.decided, proc.decision))
         result[q] = outcomes
     return result
@@ -580,7 +580,7 @@ def _dfs(
     cut_index: int,
     stats: SearchStats,
     table: dict,
-    intern: dict[str, int],
+    intern: dict[Hashable, int],
 ) -> int:
     """Explore the subtree under the engine's current state.
 
@@ -701,7 +701,7 @@ def _dfs(
 
 def _explore_tree(scenario: ExploreScenario, stats: SearchStats) -> int:
     table: dict = {}
-    intern: dict[str, int] = {}
+    intern: dict[Hashable, int] = {}
     total_raw = 0
     for cut_index, cut in enumerate(scenario.cuts):
         engine = _build_engine(scenario, cut)

@@ -41,6 +41,7 @@ from __future__ import annotations
 from typing import Hashable
 
 from repro.classic.spec import ClassicSpec, filter_equivocators
+from repro.core.canonical import shared_key
 from repro.core.errors import BoundViolation
 from repro.core.messages import Inbox
 from repro.sim.process import Process
@@ -72,6 +73,25 @@ class HomonymProcess(Process):
             )
         self.spec = spec
         self.state = spec.init(identifier, proposal)
+
+    # ------------------------------------------------------------------
+    # State identity and copying
+    # ------------------------------------------------------------------
+    def state_key(self) -> Hashable:
+        return (
+            type(self),
+            *self._decision_key(),
+            shared_key(self.spec),
+            self.spec.state_key(self.state),
+        )
+
+    def clone(self) -> "HomonymProcess":
+        # Every attribute is immutable (the spec is a shared function
+        # table, the state a frozen value), so a shallow copy is
+        # independent.
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
+        return twin
 
     # ------------------------------------------------------------------
     # Round dispatch

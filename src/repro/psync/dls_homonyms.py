@@ -38,12 +38,14 @@ decides in a phase it leads, and there are at least ``2t + 1`` of those
 
 from __future__ import annotations
 
+import copy
 from typing import Hashable
 
 from repro.broadcast.authenticated import (
     AuthenticatedBroadcast,
     parse_broadcast_items,
 )
+from repro.core.canonical import exact_key, shared_key
 from repro.core.errors import BoundViolation
 from repro.core.messages import Inbox
 from repro.core.params import SystemParams
@@ -116,6 +118,43 @@ class DLSHomonymProcess(Process):
         self._leader_locks: dict[int, set[Hashable]] = {}
         #: phase -> the value this process (as leader) asked to lock.
         self._own_lock: dict[int, Hashable] = {}
+
+    # ------------------------------------------------------------------
+    # State identity and copying
+    # ------------------------------------------------------------------
+    def state_key(self) -> Hashable:
+        return (
+            type(self),
+            *self._decision_key(),
+            shared_key(self.params),
+            shared_key(self.problem),
+            self.ell, self.t, self.quorum,
+            self.ab.state_key(),
+            self.proper.state_key(),
+            exact_key(self.locks),
+            exact_key(self._prop_support),
+            exact_key(self._vote_support),
+            exact_key(self._leader_locks),
+            exact_key(self._own_lock),
+        )
+
+    def clone(self) -> "DLSHomonymProcess":
+        twin = copy.copy(self)
+        twin.ab = self.ab.clone()
+        twin.proper = self.proper.clone()
+        twin.locks = dict(self.locks)
+        twin._prop_support = {
+            ph: {v: set(ids) for v, ids in support.items()}
+            for ph, support in self._prop_support.items()
+        }
+        twin._vote_support = {
+            key: set(ids) for key, ids in self._vote_support.items()
+        }
+        twin._leader_locks = {
+            ph: set(values) for ph, values in self._leader_locks.items()
+        }
+        twin._own_lock = dict(self._own_lock)
+        return twin
 
     # ------------------------------------------------------------------
     # Timing helpers

@@ -29,8 +29,10 @@ Proper sets only ever grow, so both trackers are monotone.
 
 from __future__ import annotations
 
+import copy
 from typing import Hashable, Iterable
 
+from repro.core.canonical import exact_key, shared_key
 from repro.core.problem import AgreementProblem
 
 
@@ -62,6 +64,26 @@ class IdentifierProperTracker:
         self.proper: set[Hashable] = {problem.validate_value(own_value)}
         self._ids_for_value: dict[Hashable, set[int]] = {}
         self._ids_any: set[int] = set()
+
+    def state_key(self) -> Hashable:
+        """Hashable state identity, equal exactly when the reflective
+        keys are (see :meth:`repro.sim.process.Process.state_key`)."""
+        return (
+            type(self), shared_key(self.problem), self.t,
+            exact_key(self.proper),
+            exact_key(self._ids_for_value),
+            exact_key(self._ids_any),
+        )
+
+    def clone(self) -> "IdentifierProperTracker":
+        """An independent copy sharing the problem."""
+        twin = copy.copy(self)
+        twin.proper = set(self.proper)
+        twin._ids_for_value = {
+            v: set(ids) for v, ids in self._ids_for_value.items()
+        }
+        twin._ids_any = set(self._ids_any)
+        return twin
 
     def note(self, sender_id: int, values: Iterable[Hashable]) -> None:
         """Record one received proper set from identifier ``sender_id``."""
@@ -100,6 +122,23 @@ class MessageProperTracker:
         self.proper: set[Hashable] = {problem.validate_value(own_value)}
         self._round_counts: dict[Hashable, int] = {}
         self._round_total: int = 0
+
+    def state_key(self) -> Hashable:
+        """Hashable state identity, equal exactly when the reflective
+        keys are (see :meth:`repro.sim.process.Process.state_key`)."""
+        return (
+            type(self), shared_key(self.problem), self.t,
+            exact_key(self.proper),
+            exact_key(self._round_counts),
+            self._round_total,
+        )
+
+    def clone(self) -> "MessageProperTracker":
+        """An independent copy sharing the problem."""
+        twin = copy.copy(self)
+        twin.proper = set(self.proper)
+        twin._round_counts = dict(self._round_counts)
+        return twin
 
     def note(self, values: Iterable[Hashable]) -> None:
         """Record one received message's proper set (this round)."""

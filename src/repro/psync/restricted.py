@@ -30,9 +30,11 @@ Byzantine processes contribute at most one message per round).
 
 from __future__ import annotations
 
+import copy
 from typing import Hashable
 
 from repro.broadcast.multiplicity import MultiplicityBroadcast
+from repro.core.canonical import exact_key, shared_key
 from repro.core.errors import BoundViolation
 from repro.core.messages import Inbox
 from repro.core.params import SystemParams
@@ -106,6 +108,34 @@ class RestrictedNumerateProcess(Process):
         self._witness_max: dict[tuple[Hashable, int], int] = {}
         #: phase -> lock values received from that phase's leader identifier.
         self._leader_locks: dict[int, set[Hashable]] = {}
+
+    # ------------------------------------------------------------------
+    # State identity and copying
+    # ------------------------------------------------------------------
+    def state_key(self) -> Hashable:
+        return (
+            type(self),
+            *self._decision_key(),
+            shared_key(self.params),
+            shared_key(self.problem),
+            self.ell, self.t, self.n, self.quorum,
+            self.mb.state_key(),
+            self.proper.state_key(),
+            exact_key(self.locks),
+            exact_key(self._witness_max),
+            exact_key(self._leader_locks),
+        )
+
+    def clone(self) -> "RestrictedNumerateProcess":
+        twin = copy.copy(self)
+        twin.mb = self.mb.clone()
+        twin.proper = self.proper.clone()
+        twin.locks = dict(self.locks)
+        twin._witness_max = dict(self._witness_max)
+        twin._leader_locks = {
+            ph: set(values) for ph, values in self._leader_locks.items()
+        }
+        return twin
 
     # ------------------------------------------------------------------
     # Timing helpers
@@ -204,13 +234,13 @@ class RestrictedNumerateProcess(Process):
                 m.sender_id, directs, phase, first, pos, ack_counts
             )
 
+        # Witness totals sum multiplicities across identifiers; a
+        # superround's Accepts arrive together (odd round), so the
+        # per-superround sum is the sum over fresh accepts by ident.
+        pending: dict[tuple[Hashable, int], dict[int, int]] = {}
         for accept in self.mb.end_round(round_no):
-            key = (accept.message, accept.superround)
-            # Witness totals sum multiplicities across identifiers; a
-            # superround's Accepts arrive together (odd round), so the
-            # per-superround sum is the sum over fresh accepts by ident.
-            self._fold_witnesses(round_no, accept)
-        self._flush_witness_round(round_no)
+            self._fold_witnesses(pending, accept)
+        self._flush_witnesses(pending)
 
         self.proper.end_round()
 
@@ -270,18 +300,15 @@ class RestrictedNumerateProcess(Process):
 
     # Witness bookkeeping: accepts for one (m, r) from different idents in
     # the same round are summed; the historical maximum is retained.
-    def _fold_witnesses(self, round_no: int, accept) -> None:
-        pending = self.__dict__.setdefault("_pending_witnesses", {})
+    @staticmethod
+    def _fold_witnesses(pending: dict, accept) -> None:
         key = (accept.message, accept.superround)
         per_ident = pending.setdefault(key, {})
         per_ident[accept.ident] = max(
             per_ident.get(accept.ident, 0), accept.multiplicity
         )
 
-    def _flush_witness_round(self, round_no: int) -> None:
-        pending = self.__dict__.pop("_pending_witnesses", None)
-        if not pending:
-            return
+    def _flush_witnesses(self, pending: dict) -> None:
         for key, per_ident in pending.items():
             total = sum(per_ident.values())
             if total > self._witness_max.get(key, 0):

@@ -56,7 +56,6 @@ its legacy ``drop_schedule``/``topology`` arguments.
 
 from __future__ import annotations
 
-import copy
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable, Mapping, Sequence
@@ -361,7 +360,7 @@ class EngineCheckpoint:
 
     Process snapshots are copy-on-write: :meth:`ExecutionKernel.checkpoint`
     freezes the kernel's process list by *reference* and the kernel
-    deep-copies it only when (and if) the next round mutates process
+    clones it only when (and if) the next round mutates process
     state, so a checkpoint/restore round-trip costs one copy instead of
     two -- the explorer-DFS hotspot.  The snapshot itself is frozen:
     later rounds never leak into it, and one snapshot can seed any
@@ -446,7 +445,7 @@ class ExecutionKernel:
         self.losses: list[tuple[int, int, int]] = []
         self.round_no = 0
         #: True while ``self.processes`` is aliased by a live
-        #: :class:`EngineCheckpoint`; the next mutation deep-copies
+        #: :class:`EngineCheckpoint`; the next mutation clones
         #: first (copy-on-write; see :meth:`checkpoint`).
         self._processes_shared = False
         #: Per-kernel payload-size memo (see
@@ -617,7 +616,7 @@ class ExecutionKernel:
         """Snapshot the mutable kernel state for later :meth:`restore`.
 
         Copy-on-write: the snapshot aliases the live process objects and
-        the kernel deep-copies them only when the next round actually
+        the kernel clones them only when the next round actually
         mutates process state, so checkpoints taken at leaves (or
         followed by :meth:`restore` before any step) never pay the copy.
         Trace records, delivery records and loss triples are immutable,
@@ -642,7 +641,7 @@ class ExecutionKernel:
         """Rewind the kernel to a :meth:`checkpoint` snapshot.
 
         The checkpoint itself is left untouched: the kernel adopts its
-        process tuple by reference and deep-copies only when the next
+        process tuple by reference and clones only when the next
         round mutates process state (copy-on-write), so the same
         snapshot can seed any number of divergent continuations -- the
         primitive the bounded strategy explorer's depth-first search is
@@ -661,15 +660,19 @@ class ExecutionKernel:
         self.losses = list(checkpoint.losses)
 
     def _own_processes(self) -> None:
-        """Deep-copy the process list if a checkpoint still aliases it.
+        """Clone the process list if a checkpoint still aliases it.
 
         The copy-on-write half of :meth:`checkpoint`/:meth:`restore`:
         called before any round phase that mutates process state, it
         ensures snapshots stay frozen while a checkpoint/restore
-        round-trip costs one deep copy instead of two.
+        round-trip costs one copy instead of two.  Each process copies
+        itself (:meth:`~repro.sim.process.Process.clone`).
         """
         if self._processes_shared:
-            self.processes = list(copy.deepcopy(self.processes))
+            self.processes = [
+                None if proc is None else proc.clone()
+                for proc in self.processes
+            ]
             self._processes_shared = False
 
     # ------------------------------------------------------------------

@@ -23,9 +23,11 @@ process slots (see :mod:`repro.sim.adversary`).
 
 from __future__ import annotations
 
+import copy
 from abc import ABC, abstractmethod
 from typing import Hashable
 
+from repro.core.canonical import exact_key, reflective_state_key
 from repro.core.messages import Inbox
 
 
@@ -90,6 +92,39 @@ class Process(ABC):
     @abstractmethod
     def deliver(self, round_no: int, inbox: Inbox) -> None:
         """Consume the messages received in ``round_no``."""
+
+    # ------------------------------------------------------------------
+    # State identity and copying (the strategy explorer's primitives)
+    # ------------------------------------------------------------------
+    def state_key(self) -> Hashable:
+        """A hashable key equal exactly when two processes are in the
+        same state (same future under the same inputs).
+
+        The default is the reflective key
+        (:func:`~repro.core.canonical.reflective_state_key`): exact for
+        any subclass, and slow.  The processes the strategy explorer
+        runs override it with a flat tuple of their state; an override
+        must key equal exactly when the reflective keys are equal.
+        """
+        return reflective_state_key(self)
+
+    def clone(self) -> "Process":
+        """An independent copy: mutating either never changes the other.
+
+        The default deep-copies.  Overrides copy only what deliveries
+        mutate and share the immutable rest (specs, parameters, frozen
+        states).
+        """
+        return copy.deepcopy(self)
+
+    def _decision_key(self) -> tuple:
+        """The base-class part of an explicit :meth:`state_key`."""
+        return (
+            self._identifier,
+            exact_key(self._proposal),
+            exact_key(self._decision),
+            self._decision_round,
+        )
 
 
 class SilentProcess(Process):
