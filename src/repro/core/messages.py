@@ -22,9 +22,13 @@ send time rather than corrupting a set-based inbox later.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable, Iterator
+from operator import itemgetter
+from typing import (
+    Any, Callable, Container, Hashable, Iterable, Iterator, Sequence,
+)
 
 from repro.core.errors import ProtocolViolation
 
@@ -129,6 +133,59 @@ class Inbox:
         inbox._messages = messages
         inbox._numerate = bool(numerate)
         return inbox
+
+    @classmethod
+    def merged(
+        cls,
+        base: "Inbox",
+        keys: Sequence[tuple[int, str]],
+        extra: Iterable[tuple[tuple[int, str], Message]],
+        members: Container[Message] | None = None,
+    ) -> "Inbox":
+        """``Inbox(base.messages() + extra)``, by insertion into ``base``.
+
+        The message fabric canonicalises a round's base once; receivers
+        that also get adversary messages merge those few into the sorted
+        base instead of re-sorting (and re-``repr``-ing) all of it.  Ties
+        keep the order the full sort would give: base messages before
+        extras with an equal key, extras in their given order.
+        Innumerate merges drop extras equal to a base message or to an
+        earlier extra, as the set collapse would.
+
+        Args:
+            base: The inbox to extend (its semantics flag is kept).
+            keys: ``keys[i] == base.messages()[i].sort_key()``.
+            extra: ``(message.sort_key(), message)`` pairs, in delivery
+                order.
+            members: The base's messages as a container (innumerate
+                only); callers merging into one base many times pass
+                it once.  Defaults to ``set(base.messages())``.
+
+        Returns:
+            The merged inbox (``base`` itself when nothing is added).
+        """
+        msgs = base._messages
+        if not base._numerate:
+            if members is None:
+                members = set(msgs)
+            seen: set[Message] = set()
+            fresh = []
+            for key, m in extra:
+                if m not in members and m not in seen:
+                    seen.add(m)
+                    fresh.append((key, m))
+            extra = fresh
+        out: list[Message] = []
+        start = 0
+        for key, m in sorted(extra, key=itemgetter(0)):
+            stop = bisect_right(keys, key, start)
+            out.extend(msgs[start:stop])
+            out.append(m)
+            start = stop
+        if not out:
+            return base
+        out.extend(msgs[start:])
+        return cls.from_canonical(tuple(out), base._numerate)
 
     # ------------------------------------------------------------------
     # Basic container behaviour

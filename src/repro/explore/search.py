@@ -535,21 +535,27 @@ def _post_states(
         lost = engine.timing.removed_mask(r, receivers, senders).tolist()
     else:
         lost = [[False] * len(senders)] * len(receivers)
+    extras = [
+        [(m.sort_key(), m) for m in (
+            Message(ident_of(slot), p) for slot, p in delta
+        )]
+        for delta in deltas
+    ]
     result: dict[int, list[tuple[int, bool, Hashable]]] = {}
     for q, lost_row in zip(receivers, lost):
         # Base (correct-sender) inbox, after the timing model's
-        # removals -- mirrors repro.sim.fabric.deliver_round.
-        base = [
+        # removals, sorted once; each delta merges into it as in
+        # repro.sim.fabric.deliver_round.
+        base = Inbox((
             Message(ident_of(s), payloads[s])
             for s, gone in zip(senders, lost_row) if not gone
-        ]
+        ), numerate=numerate)
+        keys = [m.sort_key() for m in base]
+        members = None if numerate else set(base.messages())
         outcomes: list[tuple[int, bool, Hashable]] = []
-        for delta in deltas:
+        for extra in extras:
             proc = mid.processes[q].clone()
-            messages = base + [
-                Message(ident_of(slot), p) for slot, p in delta
-            ]
-            proc.deliver(r, Inbox(messages, numerate=numerate))
+            proc.deliver(r, Inbox.merged(base, keys, extra, members))
             key = canonical_state_key(proc)
             digest_id = intern.setdefault(key, len(intern))
             outcomes.append((digest_id, proc.decided, proc.decision))

@@ -7,16 +7,22 @@ hot path of the system.  This module owns that path, as one function,
 :func:`deliver_round`:
 
 * every round materialises its *canonical base* once -- one message
-  per broadcast, sorted a single time -- and every receiver without an
-  adversary delta or a removal shares that one inbox;
+  per broadcast, keyed by ``(identifier, repr)`` once and sorted a
+  single time on those keys, the ``repr`` doubling as the byte size --
+  and every receiver without an adversary delta or a removal shares
+  that one inbox; adversary deltas are merged into the sorted base
+  (:meth:`Inbox.merged <repro.core.messages.Inbox.merged>`), never
+  re-sorted with it;
 * on rounds where the timing model may remove edges
   (:meth:`~repro.sim.kernel.TimingModel.active`), the removal decision
   is a single ``(n_receivers, n_senders)`` boolean mask obtained in one
-  batch call (:meth:`~repro.sim.kernel.TimingModel.removed_mask`);
-  delivery, byte and loss accounting become mask-sum arithmetic, and
-  receivers whose mask rows coincide *share* one survivor inbox.  This
-  is what pushes the kernel from n ~ 64 into the thousands.  Inactive
-  rounds build no mask and make no numpy call at all.
+  batch call (:meth:`~repro.sim.kernel.TimingModel.removed_mask`).
+  Past one ``any`` pass only the columns that remove something are
+  read: their per-column counts give delivered edges and bytes, their
+  ``nonzero`` the loss log, and receivers whose rows coincide *share*
+  one survivor inbox.  This is what pushes the kernel from n ~ 64 into
+  the thousands.  Inactive rounds build no mask and make no numpy call
+  at all.
 
 numpy is a hard dependency.  The fabric is pinned byte-identical to the
 frozen pure-Python oracles
@@ -32,20 +38,17 @@ are logged in (receiver-ascending, sender-ascending) order per round.
 
 from __future__ import annotations
 
+from itertools import compress, repeat
+from operator import ne
 from typing import TYPE_CHECKING, Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.messages import Inbox, Message
-from repro.sim.metrics import RoundDeliveries, payload_size
+from repro.sim.metrics import RoundDeliveries
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (kernel -> fabric)
     from repro.sim.kernel import ExecutionKernel
-
-#: The per-kernel payload-size memo is cleared past this many distinct
-#: payloads so multi-hour soak runs cannot grow it without bound.
-_SIZE_CACHE_LIMIT = 4096
-
 
 def array_path_enabled() -> bool:
     """True: every delivery runs through the array fabric.
@@ -100,79 +103,76 @@ def mask_from_links(
     return np.array(rows, dtype=bool).reshape(len(receivers), len(senders))
 
 
-def memoized_payload_size(cache: dict, payload: Hashable) -> int:
-    """:func:`~repro.sim.metrics.payload_size`, memoized across rounds.
-
-    Round-based protocols re-send structurally identical payloads for
-    many (sender, round) pairs; the ``repr`` walk behind the byte
-    accounting is pure, so one computation per distinct payload
-    suffices.  The cache key carries the payload's type because equal
-    values of different types (``1`` / ``1.0`` / ``True``) have
-    different reprs and therefore different sizes.
-
-    Args:
-        cache: The per-kernel memo dict (bounded: cleared past
-            ``_SIZE_CACHE_LIMIT`` entries).
-        payload: A hashable message payload.
-
-    Returns:
-        The approximate wire size of ``payload``.
-    """
-    key = (payload.__class__, payload)
-    size = cache.get(key)
-    if size is None:
-        if len(cache) >= _SIZE_CACHE_LIMIT:
-            cache.clear()
-        size = payload_size(payload)
-        cache[key] = size
-    return size
-
-
 # ----------------------------------------------------------------------
 # Round delivery
 # ----------------------------------------------------------------------
+#: A message with its ``(identifier, repr)`` sort key.
+_Keyed = tuple[tuple[int, str], Message]
+
+
 def _adversary_deltas(
-    kernel: "ExecutionKernel",
+    ids: Sequence[int],
     emissions: Mapping[int, Mapping[int, tuple[Hashable, ...]]],
-) -> dict[int, list[Message]]:
-    """Per-recipient adversary message lists (recipient -> messages)."""
-    ident_of = kernel.assignment.identifier_of
-    additions: dict[int, list[Message]] = {}
+) -> dict[int, list[_Keyed]]:
+    """Per-recipient adversary messages, keyed (recipient -> messages)."""
+    additions: dict[int, list[_Keyed]] = {}
     for b, per_recipient in emissions.items():
-        ident = ident_of(b)
+        ident = ids[b]
         for q, batch in per_recipient.items():
-            additions.setdefault(q, []).extend(Message(ident, p) for p in batch)
+            additions.setdefault(q, []).extend(
+                ((ident, repr(p)), Message(ident, p)) for p in batch
+            )
     return additions
 
 
-def _survivors_of(
-    base: list[Message], canonical: tuple[Message, ...], numerate: bool
-) -> Callable:
-    """``keep row -> surviving canonical messages``, for one round.
+def _removals(
+    kernel: "ExecutionKernel",
+    round_no: int,
+    senders: tuple[int, ...],
+    sizes: list[int],
+):
+    """One active round's removals, accounted column by column.
 
-    ``canonical`` is the sorted base; a mask row selects a subsequence
-    of it, so per-row work is one compress pass, not a re-sort.  The
-    fragments behind the pass are computed once, here.
+    Only the mask's *removing* columns (senders some receiver misses)
+    are looked at past the first ``any`` pass: their per-column counts
+    give the edge and byte totals, their row-major ``nonzero`` the loss
+    log, and their packed rows the grouping of receivers by distinct
+    mask row.
+
+    Returns:
+        ``None`` when the mask removes nothing; otherwise ``(edges,
+        bytes, group_of, lost)``: the removed edge and byte totals,
+        each receiver's distinct-row id, and per distinct row the
+        removed sender columns (ascending; empty for the no-removal
+        row).
     """
-    if numerate:
-        # canonical[j] is base[order[j]]: survivors of a row are the
-        # canonical positions whose originating column is kept.
-        order = np.asarray(
-            sorted(range(len(base)), key=lambda j: base[j].sort_key()),
-            dtype=np.intp,
-        )
-        return lambda keep: [
-            m for m, k in zip(canonical, keep[order].tolist()) if k
-        ]
-    # Homonym collapse: a canonical message survives while any of its
-    # duplicate-sending columns does.
-    columns_of: dict[Message, list[int]] = {}
-    for j, m in enumerate(base):
-        columns_of.setdefault(m, []).append(j)
-    uniq_cols = [np.asarray(columns_of[m], dtype=np.intp) for m in canonical]
-    return lambda keep: [
-        m for m, cols in zip(canonical, uniq_cols) if keep[cols].any()
-    ]
+    receivers = kernel._correct
+    mask = kernel.timing.removed_mask(round_no, receivers, senders)
+    cols = np.flatnonzero(mask.any(axis=0))
+    if not cols.size:
+        return None
+    # A column gather copies; when every column removes, read the mask.
+    sub = mask if cols.size == len(senders) else mask.take(cols, axis=1)
+    per_col = sub.sum(axis=0)
+    edges = int(per_col.sum())
+    nbytes = int(per_col @ np.asarray(sizes, dtype=np.int64)[cols])
+    if kernel.timing.logs_losses:
+        # Row-major nonzero over ascending columns: receiver-ascending,
+        # sender-ascending.  The triples reuse the index tuples' ints.
+        rows, at = np.nonzero(sub)
+        lost_senders = [senders[c] for c in cols.tolist()]
+        kernel.losses.extend(zip(
+            repeat(round_no),
+            map(lost_senders.__getitem__, at.tolist()),
+            map(receivers.__getitem__, rows.tolist()),
+        ))
+    packed = np.packbits(sub, axis=1)
+    row_ids = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, group_of = np.unique(
+        row_ids, return_index=True, return_inverse=True
+    )
+    lost = [cols[sub[r]] for r in first.tolist()]
+    return edges, nbytes, group_of.tolist(), lost
 
 
 def deliver_round(
@@ -181,19 +181,26 @@ def deliver_round(
     payloads: Mapping[int, Hashable],
     emissions: Mapping[int, Mapping[int, tuple[Hashable, ...]]],
 ) -> RoundDeliveries:
-    """Deliver one round: one mask decides the removals, rows share inboxes.
+    """Deliver one round: one sort, one mask, shared inboxes.
 
     The round's cost centres are batched:
 
+    * *canonical base* -- each broadcast's ``(identifier, repr)`` key
+      is computed once and the base sorted once on those keys; the same
+      ``repr`` gives the byte size
+      (:func:`~repro.sim.metrics.payload_size`);
     * *removal decisions* -- on active rounds, one ``(receivers,
       senders)`` boolean mask from the timing model; inactive rounds
       skip it entirely;
-    * *accounting* -- delivered-edge and byte totals are mask sums and
-      the loss log is ``np.nonzero`` of the mask;
+    * *accounting* -- delivered-edge and byte totals come from the
+      per-column counts of the columns that remove something, and the
+      loss log from ``np.nonzero`` over those columns only;
     * *inbox stamping* -- receivers without a removal or adversary
-      delta share the round's canonical base inbox; receivers with
-      identical mask rows share one survivor inbox, built once per
-      *distinct* row by compressing that base.
+      delta share the canonical base inbox; receivers with identical
+      mask rows share one survivor inbox, built once per *distinct*
+      row from each canonical message's position; adversary deltas are
+      merged into the receiver's (shared) base with
+      :meth:`Inbox.merged <repro.core.messages.Inbox.merged>`.
 
     Args:
         kernel: The executing kernel (mutated: processes receive
@@ -207,76 +214,107 @@ def deliver_round(
         The round's :class:`~repro.sim.metrics.RoundDeliveries` record.
     """
     numerate = kernel.params.numerate
-    ident_of = kernel.assignment.identifier_of
-    timing = kernel.timing
-    size_cache = kernel._size_cache
+    ids = kernel.assignment.ids
 
-    # The common base: one message per broadcast, canonicalised once.
+    # The base: one message per broadcast, keyed once, sorted once.
     senders = tuple(payloads)  # ascending (composed over sorted indices)
     n_send = len(senders)
-    base = [Message(ident_of(s), payloads[s]) for s in senders]
-    sizes = [memoized_payload_size(size_cache, payloads[s]) for s in senders]
-    base_bytes = sum(sizes)
-    canonical = Inbox(base, numerate=numerate).messages()
-
-    additions = _adversary_deltas(kernel, emissions)
+    idents = list(map(ids.__getitem__, senders))
+    values = list(payloads.values())
+    reprs = list(map(repr, values))
+    keys = list(zip(idents, reprs))
+    sizes = list(map(len, reprs))
+    if numerate:
+        cls = None
+        reps = range(n_send)
+    else:
+        # Homonym collapse: each column maps to the first column
+        # carrying an equal message, which represents it.
+        first: dict[tuple[int, Hashable], int] = {}
+        cls = list(map(first.setdefault, zip(idents, values), range(n_send)))
+        reps = first.values()
+    order = sorted(reps, key=keys.__getitem__)
+    canonical = tuple(Message(idents[j], values[j]) for j in order)
+    zero_inbox = Inbox.from_canonical(canonical, numerate)
 
     receivers = kernel._correct
     n_recv = len(receivers)
     correct_deliveries = n_recv * n_send
-    correct_bytes = n_recv * base_bytes
-    mask = None
-    row_removes = None  # per receiver: does its mask row remove anything
-    if timing.active(round_no):
-        mask = timing.removed_mask(round_no, receivers, senders)
-        removed_total = int(mask.sum())
-        if removed_total:
-            correct_deliveries -= removed_total
-            correct_bytes -= int(
-                (mask * np.asarray(sizes, dtype=np.int64)).sum()
-            )
-            if timing.logs_losses:
-                # Row-major nonzero: receiver-ascending, sender-ascending.
-                rows, cols = np.nonzero(mask)
-                kernel.losses.extend(
-                    (round_no, senders[c], receivers[r])
-                    for r, c in zip(rows.tolist(), cols.tolist())
+    correct_bytes = n_recv * sum(sizes)
+    # Receivers grouped by distinct mask row: the group's inbox and,
+    # for survivor rows, which canonical positions survive; the keys
+    # and members merges need are filled in per group on first use.
+    group_of = repeat(0)
+    group_inboxes: list[Inbox] = [zero_inbox]
+    group_present: list[list[bool] | None] = [None]
+    merge_bases: dict[int, tuple] = {}
+    removal = (
+        _removals(kernel, round_no, senders, sizes)
+        if kernel.timing.active(round_no) else None
+    )
+    if removal is not None:
+        edges, nbytes, group_of, lost = removal
+        correct_deliveries -= edges
+        correct_bytes -= nbytes
+        # pos[j]: canonical position of column j's message; a position
+        # survives a row while some column mapping to it is kept.
+        rank = np.empty(n_send, dtype=np.intp)
+        rank[order] = np.arange(len(order))
+        pos = rank if cls is None else rank[cls]
+        class_size = np.bincount(pos, minlength=len(canonical))
+        # A homonym class holding equal payloads with unequal reprs
+        # (1 / True / 1.0) shows its first *surviving* copy, which may
+        # sort elsewhere than the canonical one: such rounds sort their
+        # survivor rows in full.
+        mixed = cls is not None and any(
+            map(ne, reprs, map(reprs.__getitem__, cls))
+        )
+        group_inboxes, group_present = [], []
+        for g, cols in enumerate(lost):
+            present = None
+            if not cols.size:
+                inbox = zero_inbox
+            elif mixed:
+                kept = np.ones(n_send, dtype=bool)
+                kept[cols] = False
+                inbox = Inbox((
+                    Message(idents[j], values[j])
+                    for j in np.flatnonzero(kept).tolist()
+                ), numerate)
+                merge_bases[g] = (
+                    [m.sort_key() for m in inbox], set(inbox.messages())
                 )
-            row_removes = mask.any(axis=1).tolist()
-            survivors = _survivors_of(base, canonical, numerate)
+            else:
+                lost_of = np.bincount(pos[cols], minlength=len(canonical))
+                present = (class_size > lost_of).tolist()
+                inbox = Inbox.from_canonical(
+                    tuple(compress(canonical, present)), numerate
+                )
+            group_inboxes.append(inbox)
+            group_present.append(present)
 
-    zero_inbox = Inbox.from_canonical(canonical, numerate)
-    row_inboxes: dict[bytes, Inbox] = {}
+    additions = _adversary_deltas(ids, emissions)
+    if additions:
+        ckeys = [keys[j] for j in order]
     byz_deliveries = 0
     byz_bytes = 0
     processes = kernel.processes
-    for i, q in enumerate(receivers):
-        row = mask[i] if row_removes is not None and row_removes[i] else None
+    for q, g in zip(receivers, group_of):
+        inbox = group_inboxes[g]
         extra = additions.get(q)
-        if extra is None:
-            if row is None:
-                inbox = zero_inbox
-            else:
-                key = row.tobytes()
-                inbox = row_inboxes.get(key)
-                if inbox is None:
-                    inbox = Inbox.from_canonical(
-                        tuple(survivors(~row)), numerate
-                    )
-                    row_inboxes[key] = inbox
-            processes[q].deliver(round_no, inbox)
-            continue
-        # Adversary-delta receivers: assemble and sort per receiver.
-        if row is None:
-            messages = list(base)
-        else:
-            messages = [m for m, lost in zip(base, row.tolist()) if not lost]
-        messages.extend(extra)
-        byz_deliveries += len(extra)
-        byz_bytes += sum(
-            memoized_payload_size(size_cache, m.payload) for m in extra
-        )
-        processes[q].deliver(round_no, Inbox(messages, numerate=numerate))
+        if extra is not None:
+            byz_deliveries += len(extra)
+            byz_bytes += sum(len(text) for (_, text), _ in extra)
+            merge_base = merge_bases.get(g)
+            if merge_base is None:
+                present = group_present[g]
+                merge_base = merge_bases[g] = (
+                    ckeys if present is None
+                    else list(compress(ckeys, present)),
+                    None if numerate else set(inbox.messages()),
+                )
+            inbox = Inbox.merged(inbox, merge_base[0], extra, merge_base[1])
+        processes[q].deliver(round_no, inbox)
 
     return RoundDeliveries(
         round_no=round_no,

@@ -34,7 +34,9 @@ broadcast, canonically sorted a single time -- and derives each
 receiver's inbox as that base minus the timing model's removals plus
 the adversary's per-receiver delta.  Receivers with an empty delta
 share the base's canonical inbox directly
-(:meth:`Inbox.from_canonical <repro.core.messages.Inbox.from_canonical>`).
+(:meth:`Inbox.from_canonical <repro.core.messages.Inbox.from_canonical>`);
+the others merge their adversary messages into it
+(:meth:`Inbox.merged <repro.core.messages.Inbox.merged>`).
 The fabric counts every edge it delivers into
 :attr:`ExecutionKernel.deliveries` -- the exact-cost input of
 :func:`~repro.sim.metrics.metrics_from_deliveries` -- and, when the
@@ -256,15 +258,16 @@ class DelayBased(TimingModel):
         policy = self.policy
         delta = policy.delta
         delays = policy.delay_matrix(round_no * delta, receivers, senders)
-        if (delays < 0).any():
+        if delays.size and delays.min() < 0:
             raise SimulationError("negative delay from policy")
         mask = delays >= delta
-        if mask.any():
-            # Self-delivery never traverses the network; guard against
-            # policies whose delay matrix fills the diagonal anyway.
-            recv = np.asarray(receivers, dtype=np.int64)
-            send = np.asarray(senders, dtype=np.int64)
-            mask &= recv[:, None] != send[None, :]
+        # Self-delivery never traverses the network; guard against
+        # policies whose delay matrix fills the diagonal anyway.  The
+        # self-links are the indices both ascending tuples hold.
+        _, rows, cols = np.intersect1d(
+            receivers, senders, assume_unique=True, return_indices=True
+        )
+        mask[rows, cols] = False
         return mask
 
     def ticks_executed(self, rounds: int) -> int:
@@ -448,9 +451,6 @@ class ExecutionKernel:
         #: :class:`EngineCheckpoint`; the next mutation clones
         #: first (copy-on-write; see :meth:`checkpoint`).
         self._processes_shared = False
-        #: Per-kernel payload-size memo (see
-        #: :func:`repro.sim.fabric.memoized_payload_size`).
-        self._size_cache: dict = {}
 
         byz_set = set(self.byzantine)
         self._correct: tuple[int, ...] = tuple(

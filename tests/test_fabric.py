@@ -1,4 +1,4 @@
-"""The array fabric: oracle parity, mask builders, memoization, COW.
+"""The array fabric: oracle parity, mask builders, byte sizes, COW.
 
 Pins :func:`repro.sim.fabric.deliver_round`, the one delivery path,
 against code outside the fabric:
@@ -10,24 +10,36 @@ against code outside the fabric:
   including n in the hundreds;
 * delay draws against the per-message tick loop
   (:class:`~repro.sim.delay.ReferenceDelaySimulator`): traces, inboxes
-  and loss sets;
+  and loss sets, up to n = 256;
 * composed timing against a per-link reconstruction from ``delivers``,
   ``drops`` and ``delay >= delta``;
+* fixed systems against the basic-model oracle: per-payload byte
+  sizes, homonym copies merged into survivor inboxes, and one ``repr``
+  per payload and round;
 
 plus the unit seams: the vectorized ``blocked_mask`` / ``dropped_mask``
 / ``delay_matrix`` builders vs their per-link primitives, the
-per-kernel payload-size memo, and the copy-on-write checkpoint scheme.
+``DelayBased`` mask guards, and the copy-on-write checkpoint scheme.
 """
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adversaries.generic import RandomByzantineAdversary
 from repro.core.canonical import stable_seed
-from repro.core.identity import balanced_assignment
+from repro.core.errors import SimulationError
+from repro.core.identity import IdentityAssignment, balanced_assignment
+from repro.core.messages import Message
 from repro.core.params import SystemParams
 from repro.sim import fabric
-from repro.sim.delay import EventuallyBoundedDelays, ReferenceDelaySimulator
+from repro.sim.adversary import Adversary
+from repro.sim.delay import (
+    DelayPolicy,
+    EventuallyBoundedDelays,
+    ReferenceDelaySimulator,
+)
 from repro.sim.kernel import (
     BasicPsync,
     ComposedTiming,
@@ -35,7 +47,7 @@ from repro.sim.kernel import (
     ExecutionKernel,
     LockStep,
 )
-from repro.sim.network import ReferenceRoundEngine
+from repro.sim.network import ReferenceRoundEngine, RoundEngine
 from repro.sim.partial import (
     ExplicitDrops,
     NoDrops,
@@ -269,6 +281,70 @@ def test_property_delay_parity_with_losses(
     _assert_losses_in_fabric_order(kernel.losses)
 
 
+class _LateSenders(DelayPolicy):
+    """A few senders' messages always miss every other window."""
+
+    def __init__(self, late, delta=2):
+        super().__init__(delta)
+        self.late = frozenset(late)
+
+    def delay(self, send_tick, sender, recipient):
+        return self.delta if sender in self.late else 0
+
+    def max_late_tick(self):
+        return 10**9
+
+
+@pytest.mark.parametrize("n,numerate", [(128, False), (256, True)])
+@pytest.mark.parametrize("variant", ["late-senders", "dense"])
+def test_large_n_delay_parity_with_losses(n, numerate, variant):
+    """Kernel under ``DelayBased`` at large n == the per-message tick
+    loop (traces, inboxes, loss set) and == the basic-model oracle
+    replaying those losses (deliveries).  ``late-senders`` removes a
+    few columns only; ``dense`` removes from every column."""
+    byzantine, rounds = (n - 1,), 2
+    if variant == "late-senders":
+        policy = lambda: _LateSenders((3, n // 2, n - 2))  # noqa: E731
+    else:
+        policy = lambda: EventuallyBoundedDelays(2, 2, seed=n)  # noqa: E731
+    adversary = lambda: RandomByzantineAdversary(seed=n)  # noqa: E731
+    label = f"{variant}/n={n}"
+    kernel = _run(
+        _build_kernel(
+            n, 4, numerate, byzantine, adversary,
+            lambda: DelayBased(policy()),
+        ),
+        rounds,
+    )
+    params, assignment, processes = _system(n, 4, numerate, byzantine)
+    oracle = ReferenceDelaySimulator(
+        params, assignment, processes, policy(),
+        byzantine=byzantine, adversary=adversary(),
+    ).run(max_rounds=rounds, stop_when_all_decided=False)
+
+    assert kernel.trace.snapshot() == oracle.trace.snapshot(), label
+    _assert_inboxes_identical(
+        kernel.processes, processes, kernel.correct, rounds, label
+    )
+    assert sorted(kernel.losses) == sorted(
+        d for d in oracle.dropped if d[2] not in byzantine
+    ), label
+    _assert_losses_in_fabric_order(kernel.losses)
+    lossy = {s for r, s, _ in kernel.losses if r == 0}
+    if variant == "late-senders":
+        assert lossy == {3, n // 2, n - 2}
+    else:
+        assert lossy == set(kernel.correct)
+    replay = _run(
+        _build_reference(
+            n, 4, numerate, byzantine, adversary,
+            ExplicitDrops(kernel.losses), None,
+        ),
+        rounds,
+    )
+    assert kernel.deliveries == replay.deliveries, label
+
+
 def _composed_removals(timing, correct, rounds):
     """ComposedTiming's removals, rebuilt link by link outside the fabric.
 
@@ -368,6 +444,23 @@ class _ParityTopology(Topology):
         return sender % 2 == recipient % 2
 
 
+class _UniformDelay(DelayPolicy):
+    """Every edge, self-links included, gets the same delay."""
+
+    def __init__(self, value, delta=2):
+        super().__init__(delta)
+        self.value = value
+
+    def delay(self, send_tick, sender, recipient):
+        return self.value
+
+    def delay_matrix(self, send_tick, receivers, senders):
+        return np.full((len(receivers), len(senders)), self.value, np.int64)
+
+    def max_late_tick(self):
+        return 10**9
+
+
 class TestMaskBuilders:
     def _assert_mask_matches(self, mask, removed, receivers, senders):
         assert mask.shape == (len(receivers), len(senders))
@@ -431,6 +524,28 @@ class TestMaskBuilders:
             assert not mask[k, k]
         assert mask.sum() == 30  # everything else dropped
 
+    def test_delay_mask_rejects_a_negative_delay(self):
+        timing = DelayBased(_UniformDelay(-1))
+        with pytest.raises(SimulationError):
+            timing.removed_mask(0, (0, 1, 2), (0, 1, 2))
+
+    def test_delay_mask_clears_late_self_links(self):
+        """A delay matrix that fills the diagonal with late delays
+        removes every link but the self-links, with receivers and
+        senders overlapping in part."""
+        receivers, senders = (0, 2, 3, 5), (1, 2, 4, 5)
+        mask = DelayBased(_UniformDelay(2)).removed_mask(
+            0, receivers, senders
+        )
+        assert mask.tolist() == [
+            [q != s for s in senders] for q in receivers
+        ]
+
+    def test_delay_mask_of_no_senders_is_empty(self):
+        timing = DelayBased(_UniformDelay(2))
+        assert timing.removed_mask(0, (0, 1, 2), ()).shape == (3, 0)
+        assert timing.removed_mask(0, (), (0, 1)).shape == (0, 2)
+
     def test_mask_from_links_bridges_link_predicates(self):
         queried = []
 
@@ -453,72 +568,188 @@ class TestMaskBuilders:
 
 
 # ----------------------------------------------------------------------
-# Payload-size memoization
+# Fixed systems: byte sizes, repr economy, merge corners
 # ----------------------------------------------------------------------
-class _ConstantProcess(Process):
-    """Broadcasts the same payload every round (memo-friendliest case)."""
+class _FixedProcess(EchoProcess):
+    """Broadcasts its tag itself every round; records its inboxes."""
 
     def compose(self, round_no):
-        return ("const", self.identifier % 2)
+        return self.tag
+
+
+class _StaticAdversary(Adversary):
+    """Every round, the same ``slot -> recipient -> payloads`` batches."""
+
+    def __init__(self, emissions):
+        self._emissions = emissions
+
+    def emissions(self, view):
+        return self._emissions
+
+
+def _fixed_pair(ids, payloads, emissions, numerate, drops=None, rounds=2):
+    """The fabric and the basic-model oracle on one fixed system.
+
+    Slots in ``payloads`` are correct and broadcast ``payloads[k]``
+    every round; the rest are Byzantine and send ``emissions``.
+    Asserts deliveries, traces and inboxes (reprs included) equal and
+    returns the fabric engine.
+    """
+    ell = max(ids)
+    assignment = IdentityAssignment(ell=ell, ids=tuple(ids))
+    byzantine = tuple(k for k in range(len(ids)) if k not in payloads)
+    params = SystemParams(
+        n=len(ids), ell=ell, t=max(len(byzantine), 1), numerate=numerate
+    )
+    engines = []
+    for engine_cls in (RoundEngine, ReferenceRoundEngine):
+        engines.append(_run(engine_cls(
+            params=params,
+            assignment=assignment,
+            processes=[
+                _FixedProcess(assignment.identifier_of(k), tag=payloads[k])
+                if k in payloads else None
+                for k in range(len(ids))
+            ],
+            byzantine=byzantine,
+            adversary=_StaticAdversary(emissions),
+            drop_schedule=drops,
+        ), rounds))
+    kernel, oracle = engines
+    _assert_engines_identical(kernel, oracle, rounds, "fixed")
+    for q in kernel.correct:
+        for r in range(rounds):
+            assert repr(kernel.processes[q].received[r].messages()) == repr(
+                oracle.processes[q].received[r].messages()
+            ), f"inbox reprs of process {q} differ in round {r}"
+    return kernel
+
+
+@pytest.mark.parametrize("numerate", [False, True])
+def test_byte_sizes_follow_each_payloads_own_repr(numerate):
+    """Regression: equal payloads whose reprs differ have different
+    sizes -- ``('v', 1)``, ``('v', True)`` and ``('v', 1.0)`` are 8, 11
+    and 10 bytes -- for correct senders and the adversary alike.  A
+    size memo keyed on ``(type, payload)`` gave all three 8 bytes."""
+    payloads = {0: ("v", 1), 1: ("v", True), 2: ("v", 1.0)}
+    emissions = {3: {q: (("v", True),) for q in payloads}}
+    kernel = _fixed_pair((1, 2, 3, 1), payloads, emissions, numerate)
+    for record in kernel.deliveries:
+        assert record.correct_payload_bytes == 3 * (8 + 11 + 10)
+        assert record.byzantine_payload_bytes == 3 * 11
+
+
+@pytest.mark.parametrize("numerate", [False, True])
+@pytest.mark.parametrize("with_delta", [False, True])
+def test_a_removed_copy_gives_way_to_the_first_surviving_one(
+    numerate, with_delta
+):
+    """Homonym slots 0 and 1 send equal payloads whose reprs differ
+    (``('v', 1)`` / ``('v', True)``); receiver 2 loses slot 0.  As in
+    the oracle, its inbox shows slot 1's copy, at the position that
+    copy's own key sorts to."""
+    payloads = {0: ("v", 1), 1: ("v", True), 2: ("v", 2)}
+    emissions = {3: {2: (("x",),)}} if with_delta else {}
+    kernel = _fixed_pair(
+        (1, 1, 2, 2), payloads, emissions, numerate,
+        drops=ExplicitDrops({(r, 0, 2) for r in range(2)}),
+    )
+    shown = [repr(m.payload) for m in kernel.processes[2].received[0]]
+    assert "('v', True)" in shown and "('v', 1)" not in shown
+
+
+class _Counted:
+    """A payload that counts how often it is ``repr``'d."""
+
+    def __init__(self, tag):
+        self.tag = tag
+        self.reprs = 0
+
+    def __eq__(self, other):
+        return isinstance(other, _Counted) and self.tag == other.tag
+
+    def __hash__(self):
+        return hash(self.tag)
+
+    def __repr__(self):
+        self.reprs += 1
+        return f"_Counted({self.tag!r})"
+
+
+class _CountedProcess(Process):
+    """Broadcasts a fresh counted payload every round."""
+
+    def __init__(self, identifier):
+        super().__init__(identifier)
+        self.sent = []
+
+    def compose(self, round_no):
+        payload = _Counted((self.identifier, round_no))
+        self.sent.append(payload)
+        return payload
 
     def deliver(self, round_no, inbox):
         pass
 
 
-def _counting_payload_size(monkeypatch):
-    from repro.sim import metrics
-
-    calls = []
-
-    def counted(payload):
-        calls.append(payload)
-        return len(repr(payload))
-
-    monkeypatch.setattr(fabric, "payload_size", counted)
-    return calls, metrics.payload_size
-
-
-def test_payload_size_memoized_across_rounds(monkeypatch):
-    """Regression: ``_deliver_round`` used to recompute ``payload_size``
-    for every sender every round; the memo computes once per distinct
-    payload per kernel."""
-    calls, _ = _counting_payload_size(monkeypatch)
-    n, rounds = 8, 5
-    assignment = balanced_assignment(n, 4)
-    params = SystemParams(n=n, ell=4, t=1)
+@pytest.mark.parametrize("numerate", [False, True])
+def test_each_payload_is_repred_at_most_once_per_round(numerate):
+    """Sort keys and byte sizes share one ``repr`` per sender and
+    round, on the shared, survivor-row and merged-delta paths alike
+    (homonyms send equal payloads, so innumerate rounds collapse)."""
+    n, rounds = 9, 4
+    assignment = balanced_assignment(n, 3)
     processes = [
-        _ConstantProcess(assignment.identifier_of(k)) for k in range(n)
-    ]
-    kernel = ExecutionKernel(
-        params=params, assignment=assignment, processes=processes,
-        timing=LockStep(),
+        _CountedProcess(assignment.identifier_of(k)) for k in range(n - 1)
+    ] + [None]
+    kernel = _run(ExecutionKernel(
+        params=SystemParams(n=n, ell=3, t=1, numerate=numerate),
+        assignment=assignment,
+        processes=processes,
+        byzantine=(n - 1,),
+        adversary=_StaticAdversary(
+            {n - 1: {q: (("byz", q),) for q in range(0, n - 1, 2)}}
+        ),
+        timing=BasicPsync(PartitionSchedule(2, (0, 1, 2, 3), (4, 5, 6)), None),
+    ), rounds)
+    assert kernel.deliveries[0].correct_deliveries < (n - 1) ** 2
+    sent = [p for proc in processes if proc is not None for p in proc.sent]
+    assert len(sent) == rounds * (n - 1)
+    assert max(p.reprs for p in sent) <= 1
+
+
+@pytest.mark.parametrize("numerate", [False, True])
+def test_merge_byzantine_homonym_stands_in_for_a_removed_sender(numerate):
+    """Slot 3 (Byzantine, slot 0's homonym) re-sends slot 0's exact
+    payload to receiver 2, whose mask row removes slot 0: the merge
+    into the survivor inbox carries exactly one copy."""
+    payloads = {0: ("v", 0), 1: ("v", 1), 2: ("v", 2)}
+    kernel = _fixed_pair(
+        (1, 2, 3, 1), payloads, {3: {2: (("v", 0),)}}, numerate,
+        drops=ExplicitDrops({(r, 0, 2) for r in range(2)}),
     )
-    kernel.run(max_rounds=rounds, stop_when_all_decided=False)
-    # Two distinct payloads across all senders and rounds -> two calls,
-    # not n * rounds.
-    assert len(calls) == 2
-    assert sorted(set(calls), key=repr) == [("const", 0), ("const", 1)]
+    for r in range(2):
+        inbox = kernel.processes[2].received[r].messages()
+        assert inbox.count(Message(1, ("v", 0))) == 1
+        assert Message(2, ("v", 1)) in inbox
 
 
-def test_payload_size_memo_keys_by_type(monkeypatch):
-    """``1`` and ``True`` are equal but repr differently; the memo must
-    not conflate them."""
-    calls, real = _counting_payload_size(monkeypatch)
-    cache = {}
-    assert fabric.memoized_payload_size(cache, 1) == real(1)
-    assert fabric.memoized_payload_size(cache, True) == real(True)
-    assert fabric.memoized_payload_size(cache, 1) == real(1)
-    assert len(calls) == 2  # third call hit the memo
-    assert real(True) != real(1)
-
-
-def test_payload_size_memo_is_bounded(monkeypatch):
-    calls, _ = _counting_payload_size(monkeypatch)
-    cache = {}
-    limit = fabric._SIZE_CACHE_LIMIT
-    for i in range(limit + 10):
-        fabric.memoized_payload_size(cache, ("p", i))
-    assert len(cache) <= limit
+@pytest.mark.parametrize("numerate", [False, True])
+def test_merge_delta_duplicating_a_surviving_message(numerate):
+    """Slot 0's Byzantine homonym duplicates slot 0's message to
+    receiver 1 (shared base) and receiver 2 (a survivor row that keeps
+    slot 0 but loses slot 1): innumerate collapses the copy, numerate
+    delivers both."""
+    payloads = {0: ("v", 0), 1: ("v", 1), 2: ("v", 2)}
+    kernel = _fixed_pair(
+        (1, 2, 3, 1), payloads, {3: {1: (("v", 0),), 2: (("v", 0),)}},
+        numerate, drops=ExplicitDrops({(r, 1, 2) for r in range(2)}),
+    )
+    copies = 2 if numerate else 1
+    for q in (1, 2):
+        inbox = kernel.processes[q].received[0].messages()
+        assert inbox.count(Message(1, ("v", 0))) == copies
+    assert Message(2, ("v", 1)) not in kernel.processes[2].received[0]
 
 
 # ----------------------------------------------------------------------

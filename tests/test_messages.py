@@ -117,3 +117,30 @@ def test_innumerate_is_numerate_deduplicated(entries):
     assert set(innumerate.messages()) == set(numerate.messages())
     assert len(innumerate) == len(set(messages))
     assert innumerate.distinct_ids() == numerate.distinct_ids()
+
+
+#: Equal payloads with different reprs (1 / True / 1.0) exercise the
+#: representative a collapse keeps and the position its key sorts to.
+_PAYLOADS = st.sampled_from([0, 1, True, 1.0, False, "a", (1,), ("v", 1)])
+
+
+@given(
+    base=st.lists(st.tuples(st.integers(1, 3), _PAYLOADS), max_size=12),
+    extra=st.lists(st.tuples(st.integers(1, 3), _PAYLOADS), max_size=6),
+    numerate=st.booleans(),
+)
+@settings(max_examples=150)
+def test_merged_is_the_full_sort(base, extra, numerate):
+    """``Inbox.merged`` == ``Inbox(base + extra)``, message for message
+    (the very objects, so ties and collapses keep the same copy), with
+    and without a caller-supplied member set."""
+    inbox = Inbox([msg(i, v) for i, v in base], numerate=numerate)
+    keys = [m.sort_key() for m in inbox]
+    added = [msg(i, v) for i, v in extra]
+    keyed = [(m.sort_key(), m) for m in added]
+    want = Inbox(list(inbox.messages()) + added, numerate=numerate)
+    for members in (None, set(inbox.messages())):
+        got = Inbox.merged(inbox, keys, keyed, members)
+        assert got.numerate == numerate
+        assert len(got) == len(want)
+        assert all(a is b for a, b in zip(got, want))
