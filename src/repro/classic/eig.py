@@ -18,12 +18,25 @@ bottom-up by majority, and the root's resolved value is the decision.
 The state is a frozen dataclass whose tree is a *sorted tuple* of
 ``(path, value)`` pairs, giving the canonical ``repr`` that the
 Figure 3 transformation requires.
+
+Under ``T(A)`` and the strategy explorer the same state objects are
+validated, ``repr``-ordered, keyed and resolved over and over: once per
+receiver, per Byzantine delta, per explored node.  Each of those facts
+is a pure function of the frozen state (and the spec's ``ell``/``t``),
+so it is computed once per *state object* and memoised by identity --
+never by equality, since ``1 == True == 1.0`` and a path element
+``1.0`` is invalid where ``1`` is valid.  The memo lives outside the
+state (its ``__dict__``, ``==``, ``hash`` and pickled form are
+untouched) and holds it only weakly, so it never keeps a state alive.
+Likewise each run-round payload object is parsed once, not once per
+receiver and delta.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Mapping
 
 from repro.classic.spec import ClassicSpec, majority_value
 from repro.core.canonical import exact_key, is_plain
@@ -33,7 +46,7 @@ from repro.core.problem import AgreementProblem
 Path = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class EIGState:
     """EIG process state: identity, progress and the information tree."""
 
@@ -47,8 +60,62 @@ class EIGState:
         # (and the tree is the bulk of a checkpointed process).
         return self
 
+    def __repr__(self) -> str:
+        # Byte-identical to the dataclass-generated repr; T(A) orders
+        # candidate states by it in every selection round.
+        facts = _facts(self)
+        if facts.text is None:
+            facts.text = (
+                f"{type(self).__qualname__}(ident={self.ident!r}, "
+                f"rounds_done={self.rounds_done!r}, tree={self.tree!r})"
+            )
+        return facts.text
+
     def tree_dict(self) -> dict[Path, Hashable]:
         return dict(self.tree)
+
+
+class _Facts(weakref.ref):
+    """A weak reference to one state plus the facts derived from it.
+
+    ``text`` is the ``repr``, ``plain`` whether the state is its own
+    explorer key, ``valid`` the ``is_state`` verdict per ``(ell, t)``
+    and ``decisions`` the ``decide`` result per spec; each is ``None``
+    until first asked for.
+    """
+
+    __slots__ = ("key", "text", "plain", "valid", "decisions")
+
+
+#: ``id(state) -> facts`` for live states.  An entry is dropped by its
+#: weak reference's callback when the state dies, so the memo never
+#: outgrows the states the caller keeps.
+_FACTS: dict[int, _Facts] = {}
+
+
+def _forget(facts: _Facts) -> None:
+    if _FACTS.get(facts.key) is facts:
+        del _FACTS[facts.key]
+
+
+def _facts(state: EIGState) -> _Facts:
+    """The memo entry of ``state`` (by identity), created on first use."""
+    key = id(state)
+    facts = _FACTS.get(key)
+    if facts is None or facts() is not state:
+        facts = _FACTS[key] = _Facts(state, _forget)
+        facts.key = key
+        facts.text = facts.plain = facts.valid = facts.decisions = None
+    return facts
+
+
+#: ``(id(payload), round_no, ell) -> (payload, entries)``: recently
+#: parsed run-round payloads.  The payload is held so its id stays
+#: unique while the entry lives; the table is cleared when it fills,
+#: which bounds what it retains (one explored node hands every receiver
+#: the same handful of payload objects).
+_PARSED: dict[tuple[int, int, int], tuple[Hashable, tuple]] = {}
+_PARSED_MAX = 256
 
 
 def _plain_tree(tree: Hashable) -> bool:
@@ -118,8 +185,8 @@ class EIGSpec(ClassicSpec):
         for sender in sorted(received):
             payload = received[sender]
             for path, value in self._payload_entries(payload, round_no):
-                if len(path) != level or sender in path:
-                    continue  # malformed or misattributed relay: ignore
+                if sender in path:
+                    continue  # misattributed relay: ignore
                 extended = path + (sender,)
                 # First write wins; a correct sender never sends a path twice
                 # in a round (payloads are de-duplicated tuples).
@@ -133,7 +200,12 @@ class EIGSpec(ClassicSpec):
     def decide(self, state: EIGState) -> Hashable:
         if state.rounds_done < self.t + 1:
             return None
-        return self._resolve(state.tree_dict(), ())
+        facts = _facts(state)
+        if facts.decisions is None:
+            facts.decisions = {}
+        if self not in facts.decisions:
+            facts.decisions[self] = self._resolve(state.tree_dict(), ())
+        return facts.decisions[self]
 
     # ------------------------------------------------------------------
     # Robustness / metadata
@@ -141,6 +213,16 @@ class EIGSpec(ClassicSpec):
     def is_state(self, obj: Hashable) -> bool:
         if not isinstance(obj, EIGState):
             return False
+        facts = _facts(obj)
+        if facts.valid is None:
+            facts.valid = {}
+        bound = (self.ell, self.t)
+        valid = facts.valid.get(bound)
+        if valid is None:
+            valid = facts.valid[bound] = self._check_state(obj)
+        return valid
+
+    def _check_state(self, obj: EIGState) -> bool:
         if not 1 <= obj.ident <= self.ell:
             return False
         if not 0 <= obj.rounds_done <= self.t + 1:
@@ -172,13 +254,16 @@ class EIGSpec(ClassicSpec):
         ``1.0``) take the :func:`~repro.core.canonical.exact_key` route;
         the two forms never compare equal.
         """
-        if (
-            type(state) is EIGState
-            and type(state.ident) is int
-            and type(state.rounds_done) is int
-            and _plain_tree(state.tree)
-        ):
-            return state
+        if type(state) is EIGState:
+            facts = _facts(state)
+            if facts.plain is None:
+                facts.plain = (
+                    type(state.ident) is int
+                    and type(state.rounds_done) is int
+                    and _plain_tree(state.tree)
+                )
+            if facts.plain:
+                return state
         return exact_key(state)
 
     # ------------------------------------------------------------------
@@ -186,8 +271,29 @@ class EIGSpec(ClassicSpec):
     # ------------------------------------------------------------------
     def _payload_entries(
         self, payload: Hashable, round_no: int
-    ) -> Iterable[tuple[Path, Hashable]]:
-        """Parse a round payload defensively; malformed parts are skipped."""
+    ) -> tuple[tuple[Path, Hashable], ...]:
+        """The well-formed level ``round_no - 1`` entries of a payload.
+
+        Parsed defensively (malformed parts are skipped) once per
+        payload object: every receiver of a round, under every
+        Byzantine delta, is handed the same payload objects.
+        """
+        key = (id(payload), round_no, self.ell)
+        cached = _PARSED.get(key)
+        if cached is not None:
+            return cached[1]
+        if len(_PARSED) >= _PARSED_MAX:
+            _PARSED.clear()
+        level = round_no - 1
+        entries = tuple(
+            (path, value)
+            for path, value in self._parse_payload(payload, round_no)
+            if len(path) == level
+        )
+        _PARSED[key] = (payload, entries)
+        return entries
+
+    def _parse_payload(self, payload: Hashable, round_no: int):
         if not (isinstance(payload, tuple) and len(payload) == 3):
             return
         tag, r, entries = payload

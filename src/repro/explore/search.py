@@ -39,6 +39,7 @@ search as an explicit bounded-exhaustiveness certificate.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping
@@ -576,6 +577,52 @@ def _emissions_from_combo(
     return raw
 
 
+def _outcome_classes(
+    correct: tuple[int, ...],
+    post: Mapping[int, list[tuple[int, bool, Hashable]]],
+    payload_ids: Mapping[int, int],
+) -> list[list[list]]:
+    """Group each receiver's delta choices by the post-state they lead to.
+
+    Two choices that leave a receiver in the same state give children
+    whose transposition keys agree on that receiver, so the node's
+    children factor into a product of per-receiver *outcome classes*.
+
+    Returns:
+        Per receiver (in ``correct`` order), one record per class in
+        first-index order: ``[first delta index, class size, key
+        fragment, decided, decision]``.  The fragment is ``(own-payload
+        id, post-state digest id)``; the own payload enters the key
+        because ghosts consume it next round.
+    """
+    classes = []
+    for q in correct:
+        by_digest: dict[int, list] = {}
+        for index, (digest_id, decided, decision) in enumerate(post[q]):
+            record = by_digest.get(digest_id)
+            if record is None:
+                by_digest[digest_id] = [
+                    index, 1, (payload_ids[q], digest_id), decided, decision,
+                ]
+            else:
+                record[1] += 1
+        classes.append(list(by_digest.values()))
+    return classes
+
+
+def _duplicates_before(combo: tuple[int, ...], radix: int, walked: int) -> int:
+    """Children before ``combo`` in product order that no class led with.
+
+    ``combo``'s mixed-radix rank counts every child before it; the
+    ``walked`` class representatives among them were visited, and the
+    rest are duplicates of one of them.
+    """
+    rank = 0
+    for index in combo:
+        rank = rank * radix + index
+    return rank - walked
+
+
 def _dfs(
     scenario: ExploreScenario,
     engine: ExecutionKernel,
@@ -596,6 +643,17 @@ def _dfs(
     precomputed fragments *before* the child touches the engine, so an
     equivalent emission choice costs one dictionary probe.  Only
     children with a new key are materialised and recursed into.
+
+    The walk visits one child per product of per-receiver outcome
+    classes (:func:`_outcome_classes`), in the order the full product
+    of delta choices first reaches each: the other children of a class
+    product share its key, so they are exactly the transposition hits a
+    child-by-child walk would score, and they are credited in bulk --
+    ``weight * value`` to the raw size, and ``total - walked`` to the
+    hit counter when the node completes.  Before a child raises or
+    recurses, the duplicates preceding it in product order are credited
+    first, so the counters of a violation certificate are the ones the
+    child-by-child walk stops with.
 
     Returns the *raw* (unshared) size of the subtree, so transposition
     hits credit the full subtree they skipped -- the exact
@@ -627,80 +685,70 @@ def _dfs(
     bank_id = intern.setdefault(bank.digest(), len(intern))
     symmetric = _is_symmetric(scenario, cut)
     last_round = r + 1 >= scenario.depth
-    # Per-receiver key fragments: (own-payload id, post-state digest id)
-    # per delta choice.  The own payload enters the key because ghosts
-    # consume it next round, so it is part of the child's future.
     payload_ids = {
         q: intern.setdefault(repr(payloads.get(q)), len(intern))
         for q in correct
     }
-    fragments = {
-        q: [
-            (payload_ids[q], outcome[0])
-            for outcome in post[q]
-        ]
-        for q in correct
-    }
+    classes = _outcome_classes(correct, post, payload_ids)
+    terminating = scenario.require_termination and cut is None
 
     raw_size = 1
-    for combo in itertools.product(range(len(deltas)), repeat=len(correct)):
+    walked = 0  # class representatives visited so far
+    credited = 0  # duplicates already added to the hit counter
+    for picks in itertools.product(*classes):
         # Assemble the child's key without touching the engine.
-        items = tuple(
-            fragments[q][index] for q, index in zip(correct, combo)
-        )
+        items = tuple(pick[2] for pick in picks)
         if symmetric:
             items = tuple(sorted(items))
         key = (r + 1, cut_index, bank_id, items)
+        weight = math.prod(pick[1] for pick in picks)
         cached = table.get(key)
         if cached is not None:
             stats.transposition_hits += 1
-            raw_size += cached
+            raw_size += weight * cached
+            walked += 1
             continue
 
         # Safety is decidable from the precomputed post-states alone.
-        decided = {
-            q: post[q][index][2]
-            for q, index in zip(correct, combo)
-            if post[q][index][1]
-        }
-        raw_emissions = _emissions_from_combo(correct, deltas, combo)
-        path[r] = raw_emissions
-        violation = _decision_violation(decided, scenario, correct)
-        if violation is not None:
-            engine.restore(mid)
-            engine.finish_round(payloads, raw_emissions=raw_emissions)
-            raise _ViolationFound(
-                _script_from_path(scenario, path, cut, r + 1),
-                violation, r, decided,
+        decided = {q: pick[4] for q, pick in zip(correct, picks) if pick[3]}
+        detail = _decision_violation(decided, scenario, correct)
+        decisions = decided
+        everyone = len(decided) == len(correct)
+        if detail is None and last_round and terminating and not everyone:
+            undecided = [q for q in correct if q not in decided]
+            detail = (
+                f"termination: correct processes {undecided} "
+                f"undecided after {r + 1} rounds"
             )
-        if len(decided) == len(correct):
+            decisions = {}
+        if detail is None and (everyone or last_round):
             table[key] = 1
-            raw_size += 1
-            continue
-        if last_round:
-            if scenario.require_termination and cut is None:
-                undecided = [q for q in correct if q not in decided]
-                engine.restore(mid)
-                engine.finish_round(payloads, raw_emissions=raw_emissions)
-                raise _ViolationFound(
-                    _script_from_path(scenario, path, cut, r + 1),
-                    f"termination: correct processes {undecided} "
-                    f"undecided after {r + 1} rounds",
-                    r, {},
-                )
-            table[key] = 1
-            raw_size += 1
+            raw_size += weight
+            walked += 1
             continue
 
-        # New interior state: materialise and recurse.
+        # The child raises or recurses: materialise it.
+        combo = tuple(pick[0] for pick in picks)
+        duplicates = _duplicates_before(combo, len(deltas), walked)
+        stats.transposition_hits += duplicates - credited
+        credited = duplicates
+        raw_emissions = _emissions_from_combo(correct, deltas, combo)
+        path[r] = raw_emissions
         engine.restore(mid)
         engine.finish_round(payloads, raw_emissions=raw_emissions)
+        if detail is not None:
+            raise _ViolationFound(
+                _script_from_path(scenario, path, cut, r + 1),
+                detail, r, decisions,
+            )
         subtree = _dfs(
             scenario, engine, bank.fork(), payloads, path, cut, cut_index,
             stats, table, intern,
         )
         table[key] = subtree
-        raw_size += subtree
+        raw_size += weight * subtree
+        walked += 1
+    stats.transposition_hits += total_children - walked - credited
     path.pop(r, None)
     return raw_size
 

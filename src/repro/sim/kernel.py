@@ -202,6 +202,10 @@ class BasicPsync(TimingModel):
     def removed_mask(
         self, round_no: int, receivers: Sequence[int], senders: Sequence[int]
     ):
+        if self._complete:
+            # Nothing is blocked: the schedule's mask (fresh, writable)
+            # is the whole answer.
+            return self.drop_schedule.dropped_mask(round_no, receivers, senders)
         mask = self.topology.blocked_mask(receivers, senders)
         if self.drop_schedule.active(round_no):
             mask |= self.drop_schedule.dropped_mask(
@@ -559,16 +563,13 @@ class ExecutionKernel:
             )
 
         # Phase 3: deliver per-recipient inboxes to correct processes.
-        decided_before = {
-            k: self.processes[k].decided for k in self._correct
-        }
+        processes = self.processes
+        undecided = [k for k in self._correct if not processes[k].decided]
         deliveries = self._deliver_round(r, payloads, emissions)
 
         # Phase 4: record the round.
         decisions = {
-            k: self.processes[k].decision
-            for k in self._correct
-            if self.processes[k].decided and not decided_before[k]
+            k: processes[k].decision for k in undecided if processes[k].decided
         }
         record = RoundRecord(
             round_no=r,

@@ -150,6 +150,17 @@ class PartitionSchedule(DropSchedule):
             raise ConfigurationError(
                 f"partition blocks overlap: {sorted(self.block_a & self.block_b)}"
             )
+        # Per-index block labels for dropped_mask: 1 (block_a), 2
+        # (block_b) or 0 (neither); a sender's mirrored label is the
+        # block it cannot reach (-1 for neither).  The last slot stands
+        # for every index past the largest member.
+        size = max(self.block_a | self.block_b | {0}) + 2
+        self._label = np.zeros(size, dtype=np.int8)
+        self._mirrored = np.full(size, -1, dtype=np.int8)
+        for block, own, other in ((self.block_a, 1, 2), (self.block_b, 2, 1)):
+            members = [k for k in block if k >= 0]
+            self._label[members] = own
+            self._mirrored[members] = other
 
     def _drops_before_gst(self, round_no: int, sender: int, recipient: int) -> bool:
         return (sender in self.block_a and recipient in self.block_b) or (
@@ -161,19 +172,13 @@ class PartitionSchedule(DropSchedule):
     ):
         if round_no >= self._gst:
             return fabric.new_mask(len(receivers), len(senders))
-        recv = np.asarray(receivers, dtype=np.int64)
-        send = np.asarray(senders, dtype=np.int64)
-        block_a = np.asarray(sorted(self.block_a), dtype=np.int64)
-        block_b = np.asarray(sorted(self.block_b), dtype=np.int64)
-        recv_a = np.isin(recv, block_a)
-        recv_b = np.isin(recv, block_b)
-        send_a = np.isin(send, block_a)
-        send_b = np.isin(send, block_b)
-        # Cross-block links lose; the blocks are disjoint, so a
-        # self-link never crosses and the diagonal stays False.
-        return (recv_a[:, None] & send_b[None, :]) | (
-            recv_b[:, None] & send_a[None, :]
-        )
+        last = len(self._label) - 1
+        recv = np.minimum(np.asarray(receivers, dtype=np.int64), last)
+        send = np.minimum(np.asarray(senders, dtype=np.int64), last)
+        # A link is lost exactly when the receiver's label equals the
+        # sender's mirrored one; the blocks are disjoint, so a self-link
+        # never matches and the diagonal stays False.
+        return np.equal.outer(self._label[recv], self._mirrored[send])
 
 
 class RandomDrops(DropSchedule):

@@ -1,7 +1,12 @@
 """Tests for the EIG baseline (classic unique-identifier BA)."""
 
+import dataclasses
+import gc
+import pickle
+import weakref
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.adversaries.generic import (
@@ -11,8 +16,10 @@ from repro.adversaries.generic import (
     InputFlipAdversary,
     RandomByzantineAdversary,
 )
+from repro.classic import eig
 from repro.classic.eig import EIGSpec, EIGState
 from repro.classic.runner import ClassicProcess, classic_factory
+from repro.core.canonical import exact_key, reflective_state_key
 from repro.core.errors import BoundViolation
 from repro.core.identity import balanced_assignment
 from repro.core.params import SystemParams
@@ -128,6 +135,117 @@ class TestTransitionRobustness:
         assert not spec.is_state(
             EIGState(ident=1, rounds_done=0, tree=(((1, 1), 0),))
         )
+
+
+class TestFactMemo:
+    """Facts derived from a frozen state are memoised by identity, out
+    of sight of every equality and serialisation the state has."""
+
+    def _touch(self, spec, state):
+        """Compute (and so memoise) every derived fact of ``state``."""
+        return (
+            repr(state), spec.is_state(state), spec.state_key(state),
+            spec.decide(state),
+        )
+
+    def test_forged_float_path_stays_invalid_after_an_equal_valid_state(self):
+        spec = EIGSpec(4, 1, BINARY)
+        valid = EIGState(ident=1, rounds_done=1, tree=(((), 0), ((2,), 1)))
+        forged = EIGState(ident=1, rounds_done=1, tree=(((), 0), ((2.0,), 1)))
+        assert valid == forged and hash(valid) == hash(forged)
+        assert spec.is_state(valid)
+        assert spec.state_key(valid) is valid
+        assert not spec.is_state(forged)
+        assert spec.state_key(forged) == exact_key(forged)
+        assert spec.state_key(forged) != spec.state_key(valid)
+        assert repr(forged) != repr(valid)
+        # And the other way round: a cached rejection does not leak.
+        assert not spec.is_state(forged)
+        assert spec.is_state(valid)
+
+    def test_validity_is_memoised_per_bound(self):
+        state = EIGState(ident=4, rounds_done=0, tree=(((), 0),))
+        assert EIGSpec(4, 1, BINARY).is_state(state)
+        assert not EIGSpec(3, 1, BINARY, unchecked=True).is_state(state)
+        assert EIGSpec(4, 1, BINARY).is_state(state)
+
+    def test_facts_are_invisible_to_keys_equality_and_pickling(self):
+        spec = EIGSpec(4, 1, BINARY)
+        state = EIGState(
+            ident=2, rounds_done=2,
+            tree=(((), 1), ((1,), 1), ((3,), 0), ((1, 3), 1)),
+        )
+        twin = EIGState(state.ident, state.rounds_done, state.tree)
+        before = (
+            reflective_state_key(state), exact_key(state), hash(state),
+            pickle.dumps(state), dict(vars(state)),
+        )
+        facts = self._touch(spec, state)
+        assert facts == self._touch(spec, state)
+        after = (
+            reflective_state_key(state), exact_key(state), hash(state),
+            pickle.dumps(state), dict(vars(state)),
+        )
+        assert after == before
+        assert state == twin and pickle.dumps(twin) == before[3]
+        assert reflective_state_key(twin) == before[0]
+        clone = pickle.loads(pickle.dumps(state))
+        assert clone == state and self._touch(spec, clone) == facts
+
+    def test_memo_does_not_keep_states_alive(self):
+        spec = EIGSpec(4, 1, BINARY)
+        gc.collect()
+        baseline = len(eig._FACTS)
+        states = [
+            EIGState(ident=1 + k % 4, rounds_done=2, tree=(((), k % 2),))
+            for k in range(50)
+        ]
+        for state in states:
+            self._touch(spec, state)
+        assert len(eig._FACTS) == baseline + len(states)
+        probe = weakref.ref(states[0])
+        del states, state
+        gc.collect()
+        assert probe() is None
+        assert len(eig._FACTS) == baseline
+
+    def test_payloads_parse_per_identifier_range(self):
+        # One payload object, two specs: the parse memo keys on ell.
+        payload = ("eig", 2, (((5,), 1), ((2,), 0)))
+        state = EIGState(ident=1, rounds_done=1, tree=(((), 0),))
+        wide = EIGSpec(7, 2, BINARY).transition(state, 2, {3: payload})
+        narrow = EIGSpec(4, 1, BINARY).transition(state, 2, {3: payload})
+        assert wide.tree_dict() == {(): 0, (5, 3): 1, (2, 3): 0}
+        assert narrow.tree_dict() == {(): 0, (2, 3): 0}
+
+
+#: The dataclass-generated repr the hand-written one must reproduce.
+_DataclassState = dataclasses.make_dataclass(
+    "EIGState", ["ident", "rounds_done", "tree"], frozen=True
+)
+
+_LEAVES = st.sampled_from([1, True, 1.0, "1", 0, False, None, -2])
+_VALUES = st.recursive(
+    _LEAVES, lambda inner: st.lists(inner, max_size=3).map(tuple),
+    max_leaves=8,
+)
+
+
+@given(
+    ident=st.one_of(_LEAVES, _VALUES),
+    rounds_done=st.one_of(_LEAVES, _VALUES),
+    tree=st.lists(
+        st.tuples(st.lists(_LEAVES, max_size=3).map(tuple), _VALUES),
+        max_size=4,
+    ).map(tuple),
+)
+@example(ident="1", rounds_done=True, tree=(((1.0,), "1"), ((), (1, (True,)))))
+@settings(max_examples=200, deadline=None)
+def test_state_repr_matches_the_dataclass_repr(ident, rounds_done, tree):
+    state = EIGState(ident=ident, rounds_done=rounds_done, tree=tree)
+    expected = repr(_DataclassState(ident, rounds_done, tree))
+    assert repr(state) == expected
+    assert repr(state) == expected  # memoised
 
 
 class TestAgreementRuns:

@@ -9,6 +9,13 @@ small scopes, covering every process type the explorer runs: T(EIG)
 synchronous, in both search modes).  Any change to how states are
 identified that merges or splits states shows up here as a changed
 count.
+
+Two of the violation scopes are chosen for where their violating child
+sits: after duplicate per-receiver outcome classes (children the search
+credits in bulk instead of walking), so the counters they stop with pin
+how those duplicates are credited -- before a recursion (the n = 4,
+ell = 3 hunt) and before the violating child itself (the toy
+``DissentProcess`` scope).
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from repro.psync.ablations import (
 )
 from repro.psync.dls_homonyms import DLSHomonymProcess
 from repro.psync.restricted import RestrictedNumerateProcess
+from repro.sim.process import Process
 
 PSYNC = Synchrony.PARTIALLY_SYNCHRONOUS
 
@@ -56,7 +64,36 @@ SCENARIOS = {
     "psync-n3-tree-d2": (
         SystemParams(3, 3, 1, PSYNC), dict(depth=2, persistent=False),
     ),
+    "sync-n4-ell3-byz0-d8": (
+        SystemParams(4, 3, 1),
+        dict(byzantine=(0,), proposals={1: 0, 2: 1, 3: 1}),
+    ),
+    "dissent-n3-d2": (SystemParams(3, 3, 1), dict(depth=2)),
 }
+
+
+class DissentProcess(Process):
+    """Toy process: adopts a value identifier 3 alone contradicts it with.
+
+    Under the n = 3 scope (identifier 3 is the Byzantine slot's) a
+    receiver's outcome classes merge silence with whichever face it
+    ignores, so the first disagreement the search reaches follows
+    duplicates of the children before it.
+    """
+
+    def compose(self, round_no):
+        return self.proposal
+
+    def deliver(self, round_no, inbox):
+        heard = {m.payload for m in inbox.from_identifier(3)}
+        if len(heard) == 1:
+            (value,) = heard
+            if value is not None and value != self.proposal:
+                self.record_decision(value, round_no)
+
+
+#: name -> the process factory replacing the scope's default algorithm.
+FACTORIES = {"dissent-n3-d2": DissentProcess}
 
 _N4 = (
     "exhausted: 84 nodes expanded (9674 children, 142 duplicate faces, "
@@ -96,13 +133,26 @@ GOLDEN = {
         "depth 2",
         None,
     ),
+    "sync-n4-ell3-byz0-d8": (
+        "violation: 589 nodes expanded (35041 children, 1673 duplicate "
+        "faces, 33666 transposition hits); depth 8",
+        "232781df2d9960bbc9fca7416911e28fd00075d853956577e36003636bdb8fe1",
+    ),
+    "dissent-n3-d2": (
+        "violation: 2 nodes expanded (18 children, 4 duplicate faces, "
+        "2 transposition hits); depth 2",
+        "fa2f964a5f761b18856395f8b3c1eea489155999c969fbd50e5c9bfec72441d6",
+    ),
 }
 
 
 def certificate_fingerprint(name: str) -> tuple[str, str | None]:
     """``(outcome: deterministic summary, witness digest)`` of one scope."""
     params, kwargs = SCENARIOS[name]
-    certificate = explore(default_scenario(params, **kwargs))
+    scenario = default_scenario(params, **kwargs)
+    if name in FACTORIES:
+        scenario = dataclasses.replace(scenario, factory=FACTORIES[name])
+    certificate = explore(scenario)
     summary = f"{certificate.outcome}: {certificate.stats.deterministic_summary()}"
     witness = None
     if certificate.witness is not None:

@@ -524,6 +524,31 @@ class TestMaskBuilders:
             assert not mask[k, k]
         assert mask.sum() == 30  # everything else dropped
 
+    def test_partition_mask_matches_links_with_bystanders(self):
+        """Processes 3, 4 and everything past the blocks' largest member
+        are in neither block; receivers and senders overlap in part and
+        are not all ascending from 0."""
+        sched = PartitionSchedule(4, (0, 2, 7), (1, 5))
+        receivers = (0, 1, 3, 4, 5, 7, 9, 12)
+        senders = (1, 2, 3, 5, 7, 8, 11)
+        for round_no in (0, 3, 4):
+            self._assert_mask_matches(
+                sched.dropped_mask(round_no, receivers, senders),
+                lambda s, q: round_no < 4 and s != q
+                and sched._drops_before_gst(round_no, s, q),
+                receivers, senders,
+            )
+
+    def test_partition_masks_are_fresh_and_writable(self):
+        sched = PartitionSchedule(4, (0, 1), (2, 3))
+        for mask_of in (sched.dropped_mask, BasicPsync(sched, None).removed_mask):
+            first = mask_of(0, (0, 1, 2, 3), (0, 1, 2, 3))
+            assert first.flags.writeable
+            first[:] = True  # a caller may write into its own mask
+            second = mask_of(0, (0, 1, 2, 3), (0, 1, 2, 3))
+            assert second.sum() == 8
+            assert not np.shares_memory(first, second)
+
     def test_delay_mask_rejects_a_negative_delay(self):
         timing = DelayBased(_UniformDelay(-1))
         with pytest.raises(SimulationError):
