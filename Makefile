@@ -124,10 +124,10 @@ atlas:
 	$(PYTHON) -m repro atlas --workers 4 --resume \
 	    --markdown atlas.md --json atlas.json
 
-## the 10k-instance soak smoke (what CI runs and uploads)
+## the 2000-instance soak smoke (what CI runs and uploads)
 soak-smoke:
-	$(PYTHON) -m repro soak --quick --workers 4 --resume \
-	    --report soak-report.json
+	$(PYTHON) -m repro soak --profile quick --instances 2000 --workers 4 \
+	    --log soak.jsonl --report soak-report.json
 
 clean:
 	rm -rf .campaign-cache .atlas-cache .soak-cache .pytest_cache \

@@ -1,6 +1,6 @@
 """Benchmark: kernel ``DelayBased`` vs the per-message delay tick loop.
 
-The legacy :class:`~repro.sim.delay.ReferenceDelaySimulator` puts every
+The legacy :class:`~tests.oracles.delay.ReferenceDelaySimulator` puts every
 copy of every broadcast in flight individually and sweeps the in-flight
 list once per tick -- O(delta * n^2) work per round before it even
 builds an inbox.  The unified kernel's
@@ -25,9 +25,10 @@ from typing import Hashable
 from benchmarks.conftest import emit, run_once, snapshot
 from repro.core.identity import balanced_assignment
 from repro.core.params import SystemParams, Synchrony
-from repro.sim.delay import EventuallyBoundedDelays, ReferenceDelaySimulator
+from repro.sim.delay import EventuallyBoundedDelays
 from repro.sim.kernel import DelayBased, ExecutionKernel
 from repro.sim.process import Process
+from tests.oracles.delay import ReferenceDelaySimulator
 
 
 def _usable_cpus() -> int:

@@ -1,8 +1,8 @@
 """Benchmark: message-fabric delivery vs the pre-fabric receiver loop.
 
-:class:`~repro.sim.network.RoundEngine` materialises each round's
+:class:`~repro.sim.kernel.ExecutionKernel` materialises each round's
 common delivery multiset once and stamps per-receiver inboxes from it;
-:class:`~repro.sim.network.ReferenceRoundEngine` keeps the old
+:class:`~tests.oracles.network.ReferenceRoundEngine` keeps the old
 O(n^2 log n) rebuild-and-sort loop.  This bench steps both engines over
 identical workloads at n >= 64, reports steps/second, checks the traces
 and exact delivery logs stay byte-identical, and asserts the fabric is
@@ -26,9 +26,9 @@ from repro.adversaries.generic import RandomByzantineAdversary
 from repro.core.identity import balanced_assignment
 from repro.core.params import SystemParams, Synchrony
 from repro.sim.kernel import BasicPsync, ExecutionKernel, LockStep
-from repro.sim.network import ReferenceRoundEngine, RoundEngine
 from repro.sim.partial import PartitionSchedule
 from repro.sim.process import Process
+from tests.oracles.network import ReferenceRoundEngine
 
 
 def _usable_cpus() -> int:
@@ -82,7 +82,7 @@ def test_fabric_step_throughput(benchmark):
             ("clean", lambda: None),
             ("byz-delta", lambda: RandomByzantineAdversary(seed=11)),
         ):
-            fabric = _build(RoundEngine, n, ell, byz, adversary_fn())
+            fabric = _build(ExecutionKernel, n, ell, byz, adversary_fn())
             reference = _build(ReferenceRoundEngine, n, ell, byz,
                                adversary_fn())
             fabric_sps = _steps_per_second(fabric, rounds)
@@ -104,7 +104,7 @@ def test_fabric_step_throughput(benchmark):
             label, f"{fabric_sps:.1f}", f"{reference_sps:.1f}",
             f"{fabric_sps / reference_sps:.2f}x",
         ))
-    emit(f"RoundEngine.step() fabric vs reference (n={n})", rows)
+    emit(f"ExecutionKernel.step() fabric vs reference (n={n})", rows)
 
     clean_speedup = results["clean"][0] / results["clean"][1]
     benchmark.extra_info["clean_speedup"] = round(clean_speedup, 2)
@@ -216,7 +216,7 @@ def test_fabric_scaling_profile(benchmark):
     def body():
         series = []
         for n in (16, 32, 64, 96):
-            fabric = _build(RoundEngine, n, max(4, n // 4), (n - 1,), None)
+            fabric = _build(ExecutionKernel, n, max(4, n // 4), (n - 1,), None)
             reference = _build(
                 ReferenceRoundEngine, n, max(4, n // 4), (n - 1,), None
             )

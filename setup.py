@@ -9,14 +9,13 @@ Metadata is declared here rather than in a ``pyproject.toml`` because
 the baked-in toolchain predates reliable PEP 621 editable support.
 numpy is the one runtime dependency: the message fabric
 (``repro.sim.fabric``) decides each round's removals as a numpy mask.
-The frozen ``Reference*`` oracles stay pure Python.
 """
 
 from setuptools import find_packages, setup
 
 setup(
     name="repro-homonyms",
-    version="0.9.0",
+    version="1.0.0",
     description=(
         "Reproduction of Byzantine agreement with homonyms "
         "(Delporte-Gallet et al., PODC 2011)"

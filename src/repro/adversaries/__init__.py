@@ -30,7 +30,6 @@ from repro.adversaries.partition import (
     run_partition_attack,
 )
 from repro.adversaries.scenario import (
-    ReferenceScenarioSystem,
     ScenarioOutcome,
     ScenarioSystem,
     ViewReport,
@@ -51,7 +50,6 @@ __all__ = [
     "PartitionLayout",
     "PartitionOutcome",
     "RandomByzantineAdversary",
-    "ReferenceScenarioSystem",
     "ReplayAdversary",
     "ScenarioOutcome",
     "ScenarioSystem",

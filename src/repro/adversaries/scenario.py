@@ -57,7 +57,6 @@ from repro.sim.kernel import (
     TimingModel,
 )
 from repro.sim.metrics import Metrics, RoundDeliveries, metrics_from_deliveries
-from repro.sim.network import ReferenceRoundEngine
 from repro.sim.partial import DropSchedule
 from repro.sim.process import Process
 from repro.sim.topology import DirectedTopology
@@ -355,47 +354,6 @@ class ScenarioSystem:
             key = "undecided" if value is None else repr(value)
             buckets[key] = buckets.get(key, 0) + 1
         return ", ".join(f"{k}x{v}" for k, v in sorted(buckets.items()))
-
-
-class ReferenceScenarioSystem(ScenarioSystem):
-    """The pre-port scenario execution, kept as a differential oracle.
-
-    Drives the Figure 1 system exactly as it ran before the kernel
-    port: an engine built on the pre-fabric per-receiver delivery loop
-    (:class:`~repro.sim.network.ReferenceRoundEngine`) stepped through
-    its monolithic ``run`` entry point.  The conformance suite pins the
-    kernelised :meth:`ScenarioSystem.run` against this class -- traces,
-    view reports, delivery counts.  Not for production use; supports the
-    basic model only (``drop_schedule``), not arbitrary timing models.
-    """
-
-    def run(
-        self,
-        factory: AlgorithmFactory,
-        max_rounds: int,
-        drop_schedule: DropSchedule | None = None,
-        timing: TimingModel | None = None,
-        checkpoint_every: int | None = None,
-    ) -> ScenarioOutcome:
-        if timing is not None:
-            raise ConfigurationError(
-                "the reference scenario oracle predates timing models; "
-                "pass a drop_schedule or nothing"
-            )
-        if checkpoint_every is not None:
-            raise ConfigurationError(
-                "the reference scenario oracle predates checkpointing"
-            )
-        params, assignment, processes = self._build(factory)
-        engine = ReferenceRoundEngine(
-            params=params,
-            assignment=assignment,
-            processes=processes,
-            drop_schedule=drop_schedule,
-            topology=self.topology(),
-        )
-        engine.run(max_rounds=max_rounds, stop_when_all_decided=True)
-        return self._outcome(engine, processes)
 
 
 def run_scenario(

@@ -16,11 +16,6 @@ from repro.broadcast.multiplicity import (
     MultiplicityAccept,
     MultiplicityBroadcast,
 )
-from repro.broadcast.reference import (
-    run_authenticated_broadcast_reference,
-    run_multiplicity_broadcast_reference,
-    run_reliable_broadcast_reference,
-)
 from repro.broadcast.reliable import (
     ReliableBroadcastProcess,
     reliable_broadcast_factory,
@@ -46,9 +41,6 @@ __all__ = [
     "parse_broadcast_items",
     "reliable_broadcast_factory",
     "run_authenticated_broadcast",
-    "run_authenticated_broadcast_reference",
     "run_multiplicity_broadcast",
-    "run_multiplicity_broadcast_reference",
     "run_reliable_broadcast",
-    "run_reliable_broadcast_reference",
 ]

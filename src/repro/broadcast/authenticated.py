@@ -201,10 +201,6 @@ class AuthenticatedBroadcast:
     def accepted_superround(self, message: Hashable, ident: int) -> int | None:
         return self._accepted.get((message, ident))
 
-    def accept_count(self) -> int:
-        """Total distinct ``(m, i)`` pairs accepted so far."""
-        return len(self._accepted)
-
 
 def parse_broadcast_items(
     items: Iterable[Hashable],

@@ -147,9 +147,6 @@ class ReliableBroadcastProcess(Process):
         """The delivered value (``None`` until delivery)."""
         return self.decision
 
-    def accepted_values(self) -> dict[Hashable, int]:
-        return dict(self._accepted_values)
-
 
 def reliable_broadcast_factory(
     ell: int,

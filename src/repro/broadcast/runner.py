@@ -8,9 +8,6 @@ extension, and the Figure 6 multiplicity broadcast -- on
 delivery metrics for free, and a pluggable
 :class:`~repro.sim.kernel.TimingModel` (pass ``timing=`` for the
 delay-based formulations, or a legacy ``drop_schedule``).
-
-The frozen pre-port loops live in :mod:`repro.broadcast.reference`;
-``tests/test_kernel_conformance.py`` pins these runners against them.
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ from repro.core.params import SystemParams
 from repro.sim.adversary import Adversary
 from repro.sim.kernel import ExecutionKernel, TimingModel, timing_model_for
 from repro.sim.metrics import Metrics, RoundDeliveries, metrics_from_deliveries
-from repro.sim.network import ReferenceRoundEngine
 from repro.sim.partial import DropSchedule
 from repro.sim.process import Process
 from repro.sim.trace import Trace
@@ -69,39 +65,23 @@ def _drive(
     drop_schedule: DropSchedule | None,
     timing: TimingModel | None,
     rounds: int,
-    reference: bool,
 ) -> BroadcastRun:
-    """Run one broadcast execution on the kernel (or the oracle)."""
-    if reference:
-        if timing is not None:
-            raise ConfigurationError(
-                "the reference broadcast oracle predates timing models; "
-                "pass a drop_schedule or nothing"
-            )
-        engine: ExecutionKernel = ReferenceRoundEngine(
-            params=params,
-            assignment=assignment,
-            processes=processes,
-            byzantine=byzantine,
-            adversary=adversary,
-            drop_schedule=drop_schedule,
+    """Run one broadcast execution on the kernel."""
+    if timing is None:
+        timing = timing_model_for(drop_schedule, None)
+    elif drop_schedule is not None:
+        raise ConfigurationError(
+            "pass either an explicit timing model or the legacy "
+            "drop_schedule, not both"
         )
-    else:
-        if timing is None:
-            timing = timing_model_for(drop_schedule, None)
-        elif drop_schedule is not None:
-            raise ConfigurationError(
-                "pass either an explicit timing model or the legacy "
-                "drop_schedule, not both"
-            )
-        engine = ExecutionKernel(
-            params=params,
-            assignment=assignment,
-            processes=processes,
-            byzantine=byzantine,
-            adversary=adversary,
-            timing=timing,
-        )
+    engine = ExecutionKernel(
+        params=params,
+        assignment=assignment,
+        processes=processes,
+        byzantine=byzantine,
+        adversary=adversary,
+        timing=timing,
+    )
     executed = engine.run(max_rounds=rounds, stop_when_all_decided=True)
     return BroadcastRun(
         params=params,
@@ -129,7 +109,6 @@ def run_authenticated_broadcast(
     broadcast_superround: int = 0,
     values: Mapping[int, Hashable] | None = None,
     assignment: IdentityAssignment | None = None,
-    _reference: bool = False,
 ) -> BroadcastRun:
     """Drive the Proposition 6 primitive through the kernel.
 
@@ -176,7 +155,7 @@ def run_authenticated_broadcast(
     ]
     return _drive(
         params, assignment, processes, byzantine, adversary,
-        drop_schedule, timing, rounds, _reference,
+        drop_schedule, timing, rounds,
     )
 
 
@@ -193,7 +172,6 @@ def run_reliable_broadcast(
     rounds: int = 14,
     assignment: IdentityAssignment | None = None,
     start_superround: int = 0,
-    _reference: bool = False,
 ) -> BroadcastRun:
     """Drive the one-shot reliable broadcast through the kernel.
 
@@ -239,7 +217,7 @@ def run_reliable_broadcast(
         )
     return _drive(
         params, assignment, processes, byzantine, adversary,
-        drop_schedule, timing, rounds, _reference,
+        drop_schedule, timing, rounds,
     )
 
 
@@ -256,7 +234,6 @@ def run_multiplicity_broadcast(
     assignment: IdentityAssignment | None = None,
     message: Hashable = "m",
     broadcast_superround: int = 0,
-    _reference: bool = False,
 ) -> BroadcastRun:
     """Drive the Figure 6 multiplicity primitive through the kernel.
 
@@ -305,5 +282,5 @@ def run_multiplicity_broadcast(
     ]
     return _drive(
         params, assignment, processes, byzantine, adversary,
-        drop_schedule, timing, rounds, _reference,
+        drop_schedule, timing, rounds,
     )

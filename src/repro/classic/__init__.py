@@ -6,7 +6,6 @@ from repro.classic.runner import (
     ClassicProcess,
     classic_factory,
     run_classic,
-    run_classic_reference,
 )
 from repro.classic.spec import ClassicSpec, filter_equivocators, majority_value
 
@@ -21,5 +20,4 @@ __all__ = [
     "filter_equivocators",
     "majority_value",
     "run_classic",
-    "run_classic_reference",
 ]

@@ -14,8 +14,7 @@ unique-identifier system around a spec and drives it through
 :class:`~repro.sim.kernel.ExecutionKernel` (via
 :func:`~repro.sim.runner.run_agreement`), so EIG and phase-king
 executions get delivery metrics, checkpointing and pluggable timing
-models exactly like every other surface.  :func:`run_classic_reference`
-is its frozen differential oracle on the pre-fabric per-receiver loop.
+models exactly like every other surface.
 """
 
 from __future__ import annotations
@@ -26,14 +25,11 @@ from repro.classic.spec import ClassicSpec, filter_equivocators
 from repro.core.identity import balanced_assignment
 from repro.core.messages import Inbox
 from repro.core.params import SystemParams
-from repro.core.problem import check_agreement_properties
 from repro.sim.adversary import Adversary
 from repro.sim.kernel import TimingModel
-from repro.sim.metrics import metrics_from_deliveries
-from repro.sim.network import ReferenceRoundEngine
 from repro.sim.partial import DropSchedule
 from repro.sim.process import Process
-from repro.sim.runner import ExecutionResult, make_processes, run_agreement
+from repro.sim.runner import ExecutionResult, run_agreement
 
 
 class ClassicProcess(Process):
@@ -123,62 +119,4 @@ def run_classic(
         timing=timing,
         max_rounds=max_rounds,
         require_termination=require_termination,
-    )
-
-
-def run_classic_reference(
-    spec: ClassicSpec,
-    proposals: Mapping[int, Hashable],
-    byzantine: Sequence[int] = (),
-    adversary: Adversary | None = None,
-    drop_schedule: DropSchedule | None = None,
-    max_rounds: int | None = None,
-    require_termination: bool = True,
-) -> ExecutionResult:
-    """The pre-port classic execution, kept as a differential oracle.
-
-    Mirrors :func:`run_classic` on the pre-fabric per-receiver delivery
-    loop (:class:`~repro.sim.network.ReferenceRoundEngine`); the
-    conformance suite pins traces, inboxes, deliveries and verdicts of
-    the kernel facade against it.  Not for production use.
-    """
-    params, assignment, max_rounds = _classic_system(spec, max_rounds)
-    processes = make_processes(
-        classic_factory(spec), assignment, proposals, byzantine
-    )
-    engine = ReferenceRoundEngine(
-        params=params,
-        assignment=assignment,
-        processes=processes,
-        byzantine=byzantine,
-        adversary=adversary,
-        drop_schedule=drop_schedule,
-    )
-    executed = engine.run(max_rounds=max_rounds, stop_when_all_decided=True)
-    verdict = check_agreement_properties(
-        proposals={k: processes[k].proposal for k in engine.correct},
-        decisions={
-            k: processes[k].decision
-            for k in engine.correct
-            if processes[k].decided
-        },
-        decision_rounds={
-            k: processes[k].decision_round
-            for k in engine.correct
-            if processes[k].decided
-        },
-        correct=engine.correct,
-        rounds_executed=len(engine.trace),
-        require_termination=require_termination,
-    )
-    return ExecutionResult(
-        params=params,
-        assignment=assignment,
-        byzantine=engine.byzantine,
-        verdict=verdict,
-        trace=engine.trace,
-        metrics=metrics_from_deliveries(engine.deliveries),
-        processes=list(processes),
-        losses=tuple(engine.losses),
-        ticks=engine.timing.ticks_executed(executed),
     )

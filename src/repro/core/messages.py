@@ -218,10 +218,6 @@ class Inbox:
         """All messages whose authenticated sender identifier is ``ident``."""
         return tuple(m for m in self._messages if m.sender_id == ident)
 
-    def payloads_from(self, ident: int) -> tuple[Hashable, ...]:
-        """Payloads received from identifier ``ident`` (ordered, may repeat)."""
-        return tuple(m.payload for m in self._messages if m.sender_id == ident)
-
     def distinct_ids(
         self, predicate: Callable[[Message], bool] | None = None
     ) -> frozenset[int]:

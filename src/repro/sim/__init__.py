@@ -12,7 +12,6 @@ from repro.sim.delay import (
     DelayPolicy,
     DelaySimulationResult,
     EventuallyBoundedDelays,
-    ReferenceDelaySimulator,
     equivalent_basic_gst,
     run_delay_execution,
 )
@@ -32,7 +31,6 @@ from repro.sim.metrics import (
     metrics_from_deliveries,
     payload_size,
 )
-from repro.sim.network import ReferenceRoundEngine, RoundEngine
 from repro.sim.partial import (
     DropSchedule,
     ExplicitDrops,
@@ -66,7 +64,6 @@ __all__ = [
     "EventuallyBoundedDelays",
     "ExecutionKernel",
     "LockStep",
-    "ReferenceDelaySimulator",
     "TimingModel",
     "equivalent_basic_gst",
     "run_delay_execution",
@@ -87,9 +84,7 @@ __all__ = [
     "ProcessFactory",
     "RandomDrops",
     "EngineCheckpoint",
-    "ReferenceRoundEngine",
     "RoundDeliveries",
-    "RoundEngine",
     "RoundRecord",
     "RunSummary",
     "SilenceUntil",

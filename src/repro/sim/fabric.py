@@ -25,11 +25,9 @@ hot path of the system.  This module owns that path, as one function,
   at all.
 
 numpy is a hard dependency.  The fabric is pinned byte-identical to the
-frozen pure-Python oracles
-(:class:`~repro.sim.network.ReferenceRoundEngine`,
-:class:`~repro.sim.delay.ReferenceDelaySimulator`) by
-``tests/test_fabric.py`` and the ``tests/test_kernel_conformance.py``
-grid.
+frozen pure-Python oracles in ``tests/oracles/`` (the pre-fabric round
+engine and the per-message delay loop) by ``tests/test_fabric.py`` and
+the ``tests/test_kernel_conformance.py`` grid.
 
 Determinism: mask rows are materialised in ascending receiver order,
 survivor inboxes preserve the canonical message order, and loss triples

@@ -50,10 +50,6 @@ round's removals into one ``(receivers, senders)`` numpy mask
 Determinism: given identical processes, adversary and timing model,
 the kernel produces byte-identical traces.  All iteration is over
 sorted indices and inboxes are canonically ordered.
-
-Compatibility shim: :class:`repro.sim.network.RoundEngine` is the
-kernel with a :class:`BasicPsync`/:class:`LockStep` model built from
-its legacy ``drop_schedule``/``topology`` arguments.
 """
 
 from __future__ import annotations

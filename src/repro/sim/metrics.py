@@ -105,7 +105,7 @@ def metrics_from_deliveries(deliveries: Iterable[RoundDeliveries]) -> Metrics:
 
     Args:
         deliveries: Per-round records, e.g.
-            :attr:`repro.sim.network.RoundEngine.deliveries`.
+            :attr:`repro.sim.kernel.ExecutionKernel.deliveries`.
 
     Returns:
         The aggregated metrics.

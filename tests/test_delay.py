@@ -20,11 +20,11 @@ from repro.psync.restricted import RestrictedNumerateProcess, restricted_horizon
 from repro.sim.delay import (
     AlwaysBoundedUnknownDelays,
     EventuallyBoundedDelays,
-    ReferenceDelaySimulator,
     equivalent_basic_gst,
     run_delay_execution,
 )
 from repro.sim.process import EchoProcess
+from tests.oracles.delay import ReferenceDelaySimulator
 
 
 def verdict_of(result, processes, correct, proposals):

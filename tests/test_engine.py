@@ -3,11 +3,10 @@
 import pytest
 
 from repro.core.errors import AdversaryViolation, ConfigurationError
-from repro.core.identity import IdentityAssignment, balanced_assignment
-from repro.core.messages import Message
+from repro.core.identity import balanced_assignment
 from repro.core.params import SystemParams
 from repro.sim.adversary import Adversary
-from repro.sim.network import RoundEngine
+from repro.sim.kernel import ExecutionKernel, timing_model_for
 from repro.sim.partial import ExplicitDrops, PartitionSchedule
 from repro.sim.process import EchoProcess
 from repro.sim.topology import DirectedTopology
@@ -22,10 +21,10 @@ def build(n=3, ell=3, t=0, byz=(), adversary=None, numerate=False,
         None if k in byz else EchoProcess(assignment.identifier_of(k))
         for k in range(n)
     ]
-    engine = RoundEngine(
+    engine = ExecutionKernel(
         params=params, assignment=assignment, processes=processes,
-        byzantine=byz, adversary=adversary, drop_schedule=drop_schedule,
-        topology=topology,
+        byzantine=byz, adversary=adversary,
+        timing=timing_model_for(drop_schedule, topology),
     )
     return engine, processes
 
@@ -164,19 +163,19 @@ class TestEngineValidation:
         assignment = balanced_assignment(2, 2)
         processes = [EchoProcess(2), EchoProcess(2)]  # slot 0 should be id 1
         with pytest.raises(ConfigurationError):
-            RoundEngine(params, assignment, processes)
+            ExecutionKernel(params, assignment, processes)
 
     def test_missing_correct_process_is_rejected(self):
         params = SystemParams(n=2, ell=2, t=0)
         assignment = balanced_assignment(2, 2)
         with pytest.raises(ConfigurationError):
-            RoundEngine(params, assignment, [EchoProcess(1), None])
+            ExecutionKernel(params, assignment, [EchoProcess(1), None])
 
     def test_assignment_params_size_mismatch(self):
         params = SystemParams(n=3, ell=2, t=0)
         with pytest.raises(ConfigurationError):
-            RoundEngine(params, balanced_assignment(2, 2),
-                        [EchoProcess(1), EchoProcess(2)])
+            ExecutionKernel(params, balanced_assignment(2, 2),
+                            [EchoProcess(1), EchoProcess(2)])
 
 
 class TestDeterminism:

@@ -2,10 +2,9 @@
 
 Every execution loop in the package is (or pins against) the unified
 kernel: :class:`~repro.sim.kernel.ExecutionKernel` under a
-:class:`~repro.sim.kernel.TimingModel`, its legacy facade
-:class:`~repro.sim.network.RoundEngine`, the pre-fabric differential
-oracle :class:`~repro.sim.network.ReferenceRoundEngine`, and the two
-delay loops (:class:`~repro.sim.delay.ReferenceDelaySimulator`, the
+:class:`~repro.sim.kernel.TimingModel`, the pre-fabric differential
+oracle :class:`~tests.oracles.network.ReferenceRoundEngine`, and the two
+delay loops (:class:`~tests.oracles.delay.ReferenceDelaySimulator`, the
 per-message tick loop, vs the kernel's
 :class:`~repro.sim.kernel.DelayBased` model).  On a punctual network
 they must all produce byte-identical traces -- the executable form of
@@ -25,14 +24,9 @@ from repro.core.params import SystemParams, Synchrony
 from repro.core.problem import BINARY
 from repro.psync.dls_homonyms import dls_factory, dls_horizon
 from repro.sim.adversary import NullAdversary
-from repro.sim.delay import (
-    AlwaysBoundedUnknownDelays,
-    ReferenceDelaySimulator,
-    run_delay_execution,
-)
-from repro.sim.kernel import BasicPsync, ExecutionKernel
+from repro.sim.delay import AlwaysBoundedUnknownDelays, run_delay_execution
+from repro.sim.kernel import BasicPsync, ExecutionKernel, timing_model_for
 from repro.sim.metrics import metrics_from_deliveries
-from repro.sim.network import ReferenceRoundEngine, RoundEngine
 from repro.sim.partial import (
     ExplicitDrops,
     PartitionSchedule,
@@ -43,6 +37,9 @@ from repro.sim.process import EchoProcess
 from repro.sim.runner import make_processes
 from repro.sim.topology import DirectedTopology
 from repro.experiments.workloads import delay_policy_battery
+from tests.oracles import canonical
+from tests.oracles.delay import ReferenceDelaySimulator
+from tests.oracles.network import ReferenceRoundEngine
 
 
 def build_processes(params, assignment, byz):
@@ -50,21 +47,6 @@ def build_processes(params, assignment, byz):
     return make_processes(
         dls_factory(params, BINARY), assignment, proposals, byz
     ), proposals
-
-
-def canonical(trace):
-    return [
-        (
-            r.round_no,
-            sorted(r.payloads.items(), key=repr),
-            sorted(
-                (b, sorted(pr.items(), key=repr))
-                for b, pr in r.emissions.items()
-            ),
-            sorted(r.decisions.items(), key=repr),
-        )
-        for r in trace
-    ]
 
 
 class TestEngineEquivalence:
@@ -78,7 +60,7 @@ class TestEngineEquivalence:
         rounds = dls_horizon(params, 0)
 
         procs_a, _ = build_processes(params, assignment, byz)
-        engine = RoundEngine(
+        engine = ExecutionKernel(
             params=params, assignment=assignment, processes=procs_a,
             byzantine=byz, adversary=RandomByzantineAdversary(seed=seed),
         )
@@ -201,13 +183,14 @@ def _fabric_scenarios():
 
 
 class TestFabricMatchesReference:
-    """Kernel and legacy facade vs the pre-fabric per-receiver loop.
+    """Kernel vs the pre-fabric per-receiver loop.
 
     Three engines run every scenario of the grid: the kernel built
-    directly with a :class:`BasicPsync` timing model, the legacy
-    :class:`RoundEngine` constructor (which must build the identical
-    kernel), and the pre-refactor :class:`ReferenceRoundEngine` oracle.
-    All three must agree byte for byte.
+    directly with a :class:`BasicPsync` timing model, the kernel with
+    the model :func:`timing_model_for` builds from the legacy
+    arguments (which must be the identical kernel), and the
+    pre-refactor :class:`ReferenceRoundEngine` oracle.  All three must
+    agree byte for byte.
     """
 
     N, ELL, BYZ = 7, 6, (6,)
@@ -219,19 +202,18 @@ class TestFabricMatchesReference:
         )
         assignment = balanced_assignment(self.N, self.ELL)
 
-        def kernel_direct(**kwargs):
+        def kernel_direct(drop_schedule, topology, **kwargs):
             return ExecutionKernel(
-                params=kwargs["params"],
-                assignment=kwargs["assignment"],
-                processes=kwargs["processes"],
-                byzantine=kwargs["byzantine"],
-                adversary=kwargs["adversary"],
-                timing=BasicPsync(kwargs["drop_schedule"],
-                                  kwargs["topology"]),
+                **kwargs, timing=BasicPsync(drop_schedule, topology)
+            )
+
+        def kernel_legacy(drop_schedule, topology, **kwargs):
+            return ExecutionKernel(
+                **kwargs, timing=timing_model_for(drop_schedule, topology)
             )
 
         engines = []
-        for build in (kernel_direct, RoundEngine, ReferenceRoundEngine):
+        for build in (kernel_direct, kernel_legacy, ReferenceRoundEngine):
             procs = procs_fn(params, assignment)
             engines.append((build(
                 params=params, assignment=assignment, processes=procs,
@@ -314,9 +296,9 @@ class TestFabricMatchesReference:
         # Receiver 0 hears only sender 1; everyone else hears everyone.
         topology = DirectedTopology({0: {1}})
         procs = [EchoProcess(assignment.identifier_of(k)) for k in range(4)]
-        engine = RoundEngine(
+        engine = ExecutionKernel(
             params=params, assignment=assignment, processes=procs,
-            topology=topology,
+            timing=timing_model_for(None, topology),
         )
         engine.run(max_rounds=3, stop_when_all_decided=False)
         for d in engine.deliveries:
@@ -337,7 +319,7 @@ class TestContinueRunning:
         assignment = balanced_assignment(7, 6)
         byz = (6,)
         processes, _ = build_processes(params, assignment, byz)
-        engine = RoundEngine(
+        engine = ExecutionKernel(
             params=params, assignment=assignment, processes=processes,
             byzantine=byz,
         )
@@ -357,7 +339,7 @@ class TestContinueRunning:
         )
         assignment = balanced_assignment(7, 6)
         processes, _ = build_processes(params, assignment, (6,))
-        engine = RoundEngine(
+        engine = ExecutionKernel(
             params=params, assignment=assignment, processes=processes,
             byzantine=(6,),
         )

@@ -47,7 +47,7 @@ from repro.explore import (
 )
 from repro.homonyms.transform import transform_factory
 from repro.psync.dls_homonyms import DLSHomonymProcess
-from repro.sim.network import RoundEngine
+from repro.sim.kernel import ExecutionKernel
 from repro.sim.process import EchoProcess
 from repro.sim.runner import run_agreement
 
@@ -62,7 +62,7 @@ class TestEngineCheckpoint:
         params = SystemParams(n=3, ell=3, t=0)
         assignment = balanced_assignment(3, 3)
         processes = [EchoProcess(i + 1) for i in range(3)]
-        return RoundEngine(params, assignment, processes)
+        return ExecutionKernel(params, assignment, processes)
 
     def test_restore_rewinds_and_rebranches(self):
         engine = self._engine()

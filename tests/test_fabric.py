@@ -4,12 +4,12 @@ Pins :func:`repro.sim.fabric.deliver_round`, the one delivery path,
 against code outside the fabric:
 
 * basic-model draws against the frozen pre-fabric oracle
-  (:class:`~repro.sim.network.ReferenceRoundEngine`): byte-identical
+  (:class:`~tests.oracles.network.ReferenceRoundEngine`): byte-identical
   per-receiver inboxes, :class:`~repro.sim.metrics.RoundDeliveries` and
   traces across random (topology x drop schedule x adversary) draws,
   including n in the hundreds;
 * delay draws against the per-message tick loop
-  (:class:`~repro.sim.delay.ReferenceDelaySimulator`): traces, inboxes
+  (:class:`~tests.oracles.delay.ReferenceDelaySimulator`): traces, inboxes
   and loss sets, up to n = 256;
 * composed timing against a per-link reconstruction from ``delivers``,
   ``drops`` and ``delay >= delta``;
@@ -35,19 +35,15 @@ from repro.core.messages import Message
 from repro.core.params import SystemParams
 from repro.sim import fabric
 from repro.sim.adversary import Adversary
-from repro.sim.delay import (
-    DelayPolicy,
-    EventuallyBoundedDelays,
-    ReferenceDelaySimulator,
-)
+from repro.sim.delay import DelayPolicy, EventuallyBoundedDelays
 from repro.sim.kernel import (
     BasicPsync,
     ComposedTiming,
     DelayBased,
     ExecutionKernel,
     LockStep,
+    timing_model_for,
 )
-from repro.sim.network import ReferenceRoundEngine, RoundEngine
 from repro.sim.partial import (
     ExplicitDrops,
     NoDrops,
@@ -58,6 +54,8 @@ from repro.sim.partial import (
 )
 from repro.sim.process import EchoProcess, Process
 from repro.sim.topology import CompleteTopology, DirectedTopology, Topology
+from tests.oracles.delay import ReferenceDelaySimulator
+from tests.oracles.network import ReferenceRoundEngine
 
 
 # ----------------------------------------------------------------------
@@ -627,7 +625,10 @@ def _fixed_pair(ids, payloads, emissions, numerate, drops=None, rounds=2):
         n=len(ids), ell=ell, t=max(len(byzantine), 1), numerate=numerate
     )
     engines = []
-    for engine_cls in (RoundEngine, ReferenceRoundEngine):
+    for engine_cls, engine_kwargs in (
+        (ExecutionKernel, {"timing": timing_model_for(drops)}),
+        (ReferenceRoundEngine, {"drop_schedule": drops}),
+    ):
         engines.append(_run(engine_cls(
             params=params,
             assignment=assignment,
@@ -638,7 +639,7 @@ def _fixed_pair(ids, payloads, emissions, numerate, drops=None, rounds=2):
             ],
             byzantine=byzantine,
             adversary=_StaticAdversary(emissions),
-            drop_schedule=drops,
+            **engine_kwargs,
         ), rounds))
     kernel, oracle = engines
     _assert_engines_identical(kernel, oracle, rounds, "fixed")

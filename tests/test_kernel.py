@@ -40,23 +40,9 @@ from repro.sim.process import EchoProcess
 from repro.sim.runner import make_processes, run_execution
 from repro.sim.topology import CompleteTopology, DirectedTopology
 from repro.experiments.workloads import delay_policy_battery
+from tests.oracles import canonical
 
 PSYNC = Synchrony.PARTIALLY_SYNCHRONOUS
-
-
-def canonical(trace):
-    return [
-        (
-            r.round_no,
-            sorted(r.payloads.items(), key=repr),
-            sorted(
-                (b, sorted(pr.items(), key=repr))
-                for b, pr in r.emissions.items()
-            ),
-            sorted(r.decisions.items(), key=repr),
-        )
-        for r in trace
-    ]
 
 
 def removed_row(timing, round_no, recipient, senders):

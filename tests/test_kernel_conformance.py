@@ -1,21 +1,22 @@
 """Cross-surface kernel conformance grid.
 
 Every execution surface now drives :class:`~repro.sim.kernel.ExecutionKernel`;
-each kept its pre-port loop as a frozen ``Reference*`` oracle.  This
-suite runs (surface x timing model x topology x drop schedule x
-adversary mixture) pairs and asserts byte-identical inboxes, traces,
+each kept its pre-port loop as a frozen ``Reference*`` oracle in
+:mod:`tests.oracles`.  This suite runs (surface x timing model x
+topology x drop schedule x adversary mixture) pairs and asserts
+byte-identical inboxes, traces,
 :class:`~repro.sim.metrics.RoundDeliveries` and verdicts between the
 kernelised surface and its oracle:
 
 * Figure 1 scenario -- :class:`~repro.adversaries.scenario.ScenarioSystem`
-  vs :class:`~repro.adversaries.scenario.ReferenceScenarioSystem`;
+  vs :class:`~tests.oracles.scenario.ReferenceScenarioSystem`;
 * classic EIG / phase-king -- :func:`~repro.classic.runner.run_classic`
-  vs :func:`~repro.classic.runner.run_classic_reference`;
+  vs :func:`~tests.oracles.classic.run_classic_reference`;
 * the three broadcast primitives -- :mod:`repro.broadcast.runner` vs
-  :mod:`repro.broadcast.reference`;
+  :mod:`tests.oracles.broadcast`;
 * delay-based timing -- the kernel's
   :class:`~repro.sim.kernel.DelayBased` model vs the per-message tick
-  loop (:class:`~repro.sim.delay.ReferenceDelaySimulator`), and, where
+  loop (:class:`~tests.oracles.delay.ReferenceDelaySimulator`), and, where
   the oracle predates timing models (scenario), by replaying the
   kernel's logged losses through the oracle as
   :class:`~repro.sim.partial.ExplicitDrops`.
@@ -31,13 +32,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adversaries.generic import RandomByzantineAdversary
-from repro.adversaries.scenario import ReferenceScenarioSystem, ScenarioSystem
+from repro.adversaries.scenario import ScenarioSystem
 from repro.broadcast.hosts import AuthenticatedBroadcastHost
-from repro.broadcast.reference import (
-    run_authenticated_broadcast_reference,
-    run_multiplicity_broadcast_reference,
-    run_reliable_broadcast_reference,
-)
 from repro.broadcast.runner import (
     run_authenticated_broadcast,
     run_multiplicity_broadcast,
@@ -45,15 +41,13 @@ from repro.broadcast.runner import (
 )
 from repro.classic.eig import EIGSpec
 from repro.classic.phase_king import PhaseKingSpec
-from repro.classic.runner import run_classic, run_classic_reference
+from repro.classic.runner import run_classic
 from repro.core.canonical import stable_seed
 from repro.core.identity import IdentityAssignment, balanced_assignment
 from repro.core.params import SystemParams
 from repro.core.problem import BINARY
 from repro.homonyms.transform import transform_factory, transform_horizon
-from repro.sim.delay import ReferenceDelaySimulator
 from repro.sim.kernel import BasicPsync, ComposedTiming, DelayBased, ExecutionKernel
-from repro.sim.network import ReferenceRoundEngine
 from repro.sim.partial import (
     ExplicitDrops,
     PartitionSchedule,
@@ -63,26 +57,21 @@ from repro.sim.partial import (
 from repro.sim.process import EchoProcess
 from repro.sim.runner import make_processes
 from repro.experiments.workloads import delay_policy_battery
+from tests.oracles import canonical
+from tests.oracles.broadcast import (
+    run_authenticated_broadcast_reference,
+    run_multiplicity_broadcast_reference,
+    run_reliable_broadcast_reference,
+)
+from tests.oracles.classic import run_classic_reference
+from tests.oracles.delay import ReferenceDelaySimulator
+from tests.oracles.network import ReferenceRoundEngine
+from tests.oracles.scenario import ReferenceScenarioSystem
 
 
 # ----------------------------------------------------------------------
 # Shared grid axes and helpers
 # ----------------------------------------------------------------------
-def canonical(trace):
-    return [
-        (
-            r.round_no,
-            sorted(r.payloads.items(), key=repr),
-            sorted(
-                (b, sorted(pr.items(), key=repr))
-                for b, pr in r.emissions.items()
-            ),
-            sorted(r.decisions.items(), key=repr),
-        )
-        for r in trace
-    ]
-
-
 #: Basic-model drop schedules: (timing-family id, schedule factory).
 SCHEDULES = [
     ("lockstep", lambda: None),

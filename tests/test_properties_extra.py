@@ -16,7 +16,7 @@ from repro.core.problem import check_agreement_properties
 from repro.core.problem import BINARY
 from repro.psync.dls_homonyms import dls_factory, dls_horizon
 from repro.sim.delay import AlwaysBoundedUnknownDelays, run_delay_execution
-from repro.sim.network import RoundEngine
+from repro.sim.kernel import ExecutionKernel, timing_model_for
 from repro.sim.partial import RandomDrops
 from repro.sim.runner import make_processes
 
@@ -38,8 +38,8 @@ def test_punctual_delay_networks_always_match_round_engine(delta, seed):
 
     procs_a = make_processes(dls_factory(params, BINARY), assignment,
                              proposals, byz)
-    engine = RoundEngine(params=params, assignment=assignment,
-                         processes=procs_a, byzantine=byz)
+    engine = ExecutionKernel(params=params, assignment=assignment,
+                             processes=procs_a, byzantine=byz)
     engine.run(max_rounds=rounds)
 
     procs_b = make_processes(dls_factory(params, BINARY), assignment,
@@ -76,9 +76,9 @@ def test_reliable_broadcast_totality_under_random_weather(gst, seed):
                 start_superround=start_superround,
             )
         )
-    engine = RoundEngine(
+    engine = ExecutionKernel(
         params=params, assignment=assignment, processes=processes,
-        drop_schedule=RandomDrops(gst=gst, p=0.5, seed=seed),
+        timing=timing_model_for(RandomDrops(gst=gst, p=0.5, seed=seed)),
     )
     for _ in range(2 * start_superround + 10):
         engine.step()

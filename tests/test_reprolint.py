@@ -24,6 +24,7 @@ from tools.reprolint import rules_repo  # noqa: E402
 from tools.reprolint.cli import main as reprolint_main  # noqa: E402
 
 SRC = "src/repro/module.py"
+ORACLE = "tests/oracles/module.py"
 
 
 def codes(findings):
@@ -67,6 +68,7 @@ class TestRL002:
 
     def test_wallclock_under_src_repro_is_flagged(self):
         assert "RL002" in codes(lint(self.BAD))
+        assert "RL002" in codes(lint(self.BAD, rel_path=ORACLE))
 
     def test_from_import_alias_is_flagged(self):
         bad = "from time import perf_counter as clock\nt = clock()\n"
@@ -92,6 +94,7 @@ class TestRL003:
     def test_unseeded_random_is_flagged(self):
         bad = "import random\nrng = random.Random()\n"
         assert "RL003" in codes(lint(bad))
+        assert "RL003" in codes(lint(bad, rel_path=ORACLE))
 
     def test_module_level_rng_is_flagged(self):
         bad = "import random\nvalue = random.random()\n"
@@ -122,6 +125,7 @@ class TestRL006:
     def test_set_intersection_loop_is_flagged(self):
         bad = "for ident in set(a) & set(b):\n    emit(ident)\n"
         assert "RL006" in codes(lint(bad))
+        assert "RL006" in codes(lint(bad, rel_path=ORACLE))
 
     def test_tuple_of_set_is_flagged(self):
         bad = "order = tuple(set(names))\n"
@@ -187,10 +191,10 @@ class TestSuppressions:
 # RL004: frozen-oracle drift (pinned regression scenarios)
 # ----------------------------------------------------------------------
 ORACLE_FILES = [
-    "src/repro/sim/delay.py",
-    "src/repro/sim/network.py",
-    "src/repro/adversaries/scenario.py",
-    "src/repro/broadcast/reference.py",
+    "tests/oracles/delay.py",
+    "tests/oracles/network.py",
+    "tests/oracles/scenario.py",
+    "tests/oracles/broadcast.py",
 ]
 
 
@@ -209,7 +213,7 @@ class TestRL004:
         assert rules_repo.check_oracles(oracle_copy) == []
 
     def test_editing_a_reference_class_fails_lint(self, oracle_copy):
-        path = oracle_copy / "src/repro/sim/network.py"
+        path = oracle_copy / "tests/oracles/network.py"
         source = path.read_text()
         marker = "The pre-fabric delivery loop"
         assert marker in source
@@ -221,19 +225,19 @@ class TestRL004:
     def test_unrelated_edit_in_the_same_file_is_clean(self, oracle_copy):
         # The class digests pin the oracle *segment*, not the module:
         # appending code after the class must not trip the rule.
-        path = oracle_copy / "src/repro/sim/network.py"
+        path = oracle_copy / "tests/oracles/network.py"
         path.write_text(path.read_text() + "\n\nUNRELATED = 1\n")
         assert rules_repo.check_oracles(oracle_copy) == []
 
     def test_editing_the_reference_module_fails_lint(self, oracle_copy):
-        path = oracle_copy / "src/repro/broadcast/reference.py"
+        path = oracle_copy / "tests/oracles/broadcast.py"
         path.write_text(path.read_text() + "\n# drift\n")
         findings = rules_repo.check_oracles(oracle_copy)
         assert codes(findings) == ["RL004"]
         assert "broadcast-reference-module" in findings[0].message
 
     def test_update_oracles_re_pins_deliberately(self, oracle_copy, tmp_path):
-        path = oracle_copy / "src/repro/broadcast/reference.py"
+        path = oracle_copy / "tests/oracles/broadcast.py"
         path.write_text(path.read_text() + "\n# drift\n")
         manifest = tmp_path / "oracle_digests.json"
         shutil.copyfile(rules_repo.ORACLE_DIGESTS, manifest)
@@ -242,13 +246,13 @@ class TestRL004:
         assert rules_repo.check_oracles(oracle_copy, manifest) == []
 
     def test_missing_oracle_fails_lint(self, oracle_copy):
-        (oracle_copy / "src/repro/broadcast/reference.py").unlink()
+        (oracle_copy / "tests/oracles/broadcast.py").unlink()
         findings = rules_repo.check_oracles(oracle_copy)
         assert codes(findings) == ["RL004"]
         assert "not found" in findings[0].message
 
     def test_unparseable_oracle_file_is_drift_not_a_crash(self, oracle_copy):
-        path = oracle_copy / "src/repro/sim/network.py"
+        path = oracle_copy / "tests/oracles/network.py"
         path.write_text(path.read_text() + "\ndef broken(:\n")
         findings = rules_repo.check_oracles(oracle_copy)
         assert codes(findings) == ["RL004"]

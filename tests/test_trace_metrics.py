@@ -118,12 +118,12 @@ class TestMetricsFromDeliveries:
         reaches all ``n`` processes, so the exact count is closed form."""
         from repro.core.identity import balanced_assignment
         from repro.core.params import SystemParams
-        from repro.sim.network import RoundEngine
+        from repro.sim.kernel import ExecutionKernel
         from repro.sim.process import EchoProcess
 
         n, rounds = 5, 4
         assignment = balanced_assignment(n, n)
-        engine = RoundEngine(
+        engine = ExecutionKernel(
             params=SystemParams(n=n, ell=n, t=0),
             assignment=assignment,
             processes=[EchoProcess(assignment.identifier_of(k))

@@ -2,8 +2,8 @@
 
 Every load-bearing guarantee this reproduction makes -- byte-identical
 atlas resume, replayable explorer witnesses, the kernel-conformance
-grid against frozen ``Reference*`` oracles -- rests on conventions
-that used to be hand-enforced: seed only via
+grid against the frozen ``Reference*`` oracles in ``tests/oracles/``
+-- rests on conventions that used to be hand-enforced: seed only via
 :func:`repro.core.canonical.stable_seed`, never touch a reference
 oracle without acknowledging it, bump ``CACHE_SCHEMA`` whenever a
 campaign result shape changes.  reprolint turns those conventions into
@@ -22,9 +22,9 @@ Rules
 code name                        enforces
 ==== =========================== ========================================
 RL001 no-raw-hash-seeding        ``hash()`` never feeds a seed/RNG path
-RL002 no-wallclock-in-sim        no wall-clock reads under ``src/repro/``
+RL002 no-wallclock-in-sim        no wall-clock reads in the package/oracles
 RL003 no-unseeded-rng            RNGs are seeded, traceably deterministic
-RL004 frozen-oracle-drift        ``Reference*`` oracle sources are pinned
+RL004 frozen-oracle-drift        ``tests/oracles/`` sources are pinned
 RL005 cache-schema-fingerprint   result-dict shape changes bump the schema
 RL006 canonical-iteration-order  no iteration over unordered expressions
 ==== =========================== ========================================

@@ -172,21 +172,21 @@ class NoRawHashSeeding(FileRule):
 
 @register_file_rule
 class NoWallclockInSim(FileRule):
-    """RL002: no wall-clock reads under ``src/repro/``.
+    """RL002: no wall-clock reads under ``src/repro/`` or ``tests/oracles/``.
 
     Simulated executions advance by rounds and ticks, never by host
-    time; a wall-clock read in the package is either a determinism bug
-    or a diagnostic that must be visibly declared (suppression with
-    justification).  Benchmarks live outside ``src/repro/`` and are
-    exempt by scope.
+    time; a wall-clock read in the package (or in the frozen oracles
+    the kernel is pinned against) is either a determinism bug or a
+    diagnostic that must be visibly declared (suppression with
+    justification).  Benchmarks are exempt by scope.
     """
 
     code = "RL002"
     name = "no-wallclock-in-sim"
-    summary = "wall-clock reads are banned under src/repro/"
+    summary = "wall-clock reads are banned under src/repro/, tests/oracles/"
 
     def applies_to(self, rel_path: str) -> bool:
-        return rel_path.startswith("src/repro/")
+        return rel_path.startswith(("src/repro/", "tests/oracles/"))
 
     def check(self, ctx: FileContext) -> list[Diagnostic]:
         findings = []
@@ -257,7 +257,7 @@ class NoWallclockInSim(FileRule):
 class NoUnseededRng(FileRule):
     """RL003: RNG construction must be explicitly, traceably seeded.
 
-    Flags, under ``src/repro/`` and ``benchmarks/``:
+    Flags, under ``src/repro/``, ``tests/oracles/`` and ``benchmarks/``:
 
     * ``random.Random()`` with no argument (falls back to OS entropy);
     * module-level ``random.random()``/``random.choice()``/... calls
@@ -276,7 +276,9 @@ class NoUnseededRng(FileRule):
     summary = "RNGs must be seeded via stable_seed (or an int literal)"
 
     def applies_to(self, rel_path: str) -> bool:
-        return rel_path.startswith(("src/repro/", "benchmarks/"))
+        return rel_path.startswith(
+            ("src/repro/", "tests/oracles/", "benchmarks/")
+        )
 
     def check(self, ctx: FileContext) -> list[Diagnostic]:
         findings = []
@@ -392,7 +394,7 @@ class CanonicalIterationOrder(FileRule):
     summary = "iteration over unordered expressions must be sorted"
 
     def applies_to(self, rel_path: str) -> bool:
-        return rel_path.startswith(("src/repro/", "tools/"))
+        return rel_path.startswith(("src/repro/", "tests/oracles/", "tools/"))
 
     _SET_METHODS = frozenset(
         {"union", "intersection", "difference", "symmetric_difference"}
