@@ -17,12 +17,16 @@ disable):
   child-by-child walk), and its measured reduction is at least 10x (in
   practice it is over 10^9);
 * the n = 3 violation hunt finds its witness and the witness replays to
-  the same failing verdict through the plain engine.
+  the same failing verdict through the plain engine;
+* (exhaustive tier only, ``--exhaustive``) the full n = 5 certificate
+  completes with exactly its pinned counters -- a few minutes of work.
 """
 
 from __future__ import annotations
 
 import os
+
+import pytest
 
 from benchmarks.conftest import emit, run_once, snapshot
 from repro.core.params import SystemParams
@@ -35,6 +39,13 @@ N4_SUMMARY = (
     "6834 nodes expanded (765674 children, 13642 duplicate faces, "
     "755466 transposition hits); raw tree 19601209467865 nodes -> "
     "2868189854.8x reduction; depth 8"
+)
+
+#: The full-depth n = 5 certificate's deterministic summary.
+N5_SUMMARY = (
+    "210198 nodes expanded (254030243 children, 525375 duplicate faces, "
+    "253715070 transposition hits); raw tree 6323623954048580754 nodes -> "
+    "30084129982438.4x reduction; depth 8"
 )
 
 
@@ -76,6 +87,28 @@ def test_bench_explore_certificate_n4(benchmark):
             f"pruning reduced the raw tree only {stats.pruning_factor:.1f}x "
             f"(< {MIN_REDUCTION}x)"
         )
+
+
+@pytest.mark.exhaustive
+def test_bench_explore_certificate_n5(benchmark):
+    """The synchronous n = 5 certificate, pinned at full depth."""
+    scenario = default_scenario(SystemParams(n=5, ell=5, t=1))
+
+    certificate = run_once(benchmark, lambda: explore(scenario))
+    stats = certificate.stats
+
+    rows = [
+        ("outcome", certificate.outcome),
+        ("nodes expanded", stats.nodes_expanded),
+        ("children generated", stats.children_generated),
+        ("reduction", f"{stats.pruning_factor:.1f}x"),
+        ("elapsed", f"{stats.elapsed_s:.2f}s"),
+    ]
+    benchmark.extra_info["explore_n5"] = {k: str(v) for k, v in rows}
+    emit("explorer certificate, n=5 ell=5 t=1 (sync)", rows)
+
+    assert certificate.outcome == "exhausted"
+    assert stats.deterministic_summary() == N5_SUMMARY
 
 
 def test_bench_explore_violation_n3(benchmark):

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping
 
-from repro.core.identity import IdentityAssignment, stacked_assignment
+from repro.core.identity import stacked_assignment
 from repro.core.params import SystemParams
 from repro.sim.adversary import Adversary, AdversaryView, Emission
 from repro.sim.partial import DropSchedule

@@ -123,11 +123,3 @@ class CostEstimate:
             rounds=rounds,
             correct_messages=rounds * broadcasts_per_round(params) * params.n,
         )
-
-    @staticmethod
-    def for_restricted(params: SystemParams, gst_round: int) -> "CostEstimate":
-        rounds = restricted_all_decided_bound(params, gst_round)
-        return CostEstimate(
-            rounds=rounds,
-            correct_messages=rounds * broadcasts_per_round(params) * params.n,
-        )

@@ -19,7 +19,7 @@ The state is a frozen dataclass whose tree is a *sorted tuple* of
 ``(path, value)`` pairs, giving the canonical ``repr`` that the
 Figure 3 transformation requires.
 
-Under ``T(A)`` and the strategy explorer the same state objects are
+Under ``T(A)`` and the strategy explorer the same states are
 validated, ``repr``-ordered, keyed and resolved over and over: once per
 receiver, per Byzantine delta, per explored node.  Each of those facts
 is a pure function of the frozen state (and the spec's ``ell``/``t``),
@@ -28,14 +28,24 @@ never by equality, since ``1 == True == 1.0`` and a path element
 ``1.0`` is invalid where ``1`` is valid.  The memo lives outside the
 state (its ``__dict__``, ``==``, ``hash`` and pickled form are
 untouched) and holds it only weakly, so it never keeps a state alive.
-Likewise each run-round payload object is parsed once, not once per
-receiver and delta.
+
+``init`` and ``transition`` go one step further for *plain* states
+(ints, strings, ``None`` and tuples only, where ``==`` is exact): they
+return the live instance of an equal state when one exists, so the
+identity memo serves every equal state the spec builds -- facts are
+derived once per *value*.  States carrying ``True``, ``1.0`` or other
+values ``==`` would merge are never shared.  A transition of a tree
+the spec built itself appends the new level to the sorted tree instead
+of rebuilding it: every path it adds is longer than all the existing
+ones.  Likewise each run-round payload object is parsed once,
+not once per receiver and delta.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Hashable, Mapping
 
 from repro.classic.spec import ClassicSpec, majority_value
@@ -81,10 +91,12 @@ class _Facts(weakref.ref):
     ``text`` is the ``repr``, ``plain`` whether the state is its own
     explorer key, ``valid`` the ``is_state`` verdict per ``(ell, t)``
     and ``decisions`` the ``decide`` result per spec; each is ``None``
-    until first asked for.
+    until first asked for.  ``built`` is true when the spec built the
+    state (its tree is sorted, with pairwise distinct paths) and
+    ``value`` is the state's :data:`_VALUES` key while it has one.
     """
 
-    __slots__ = ("key", "text", "plain", "valid", "decisions")
+    __slots__ = ("key", "text", "plain", "valid", "decisions", "built", "value")
 
 
 #: ``id(state) -> facts`` for live states.  An entry is dropped by its
@@ -92,10 +104,18 @@ class _Facts(weakref.ref):
 #: outgrows the states the caller keeps.
 _FACTS: dict[int, _Facts] = {}
 
+#: ``(ident, rounds_done, tree) -> facts`` of the live plain states the
+#: spec built: the instance ``init``/``transition`` hand out for that
+#: value.  Plain keys compare exactly, and the facts only reference the
+#: state weakly; the same callback drops both entries.
+_VALUES: dict[tuple, _Facts] = {}
+
 
 def _forget(facts: _Facts) -> None:
     if _FACTS.get(facts.key) is facts:
         del _FACTS[facts.key]
+    if facts.value is not None and _VALUES.get(facts.value) is facts:
+        del _VALUES[facts.value]
 
 
 def _facts(state: EIGState) -> _Facts:
@@ -106,14 +126,41 @@ def _facts(state: EIGState) -> _Facts:
         facts = _FACTS[key] = _Facts(state, _forget)
         facts.key = key
         facts.text = facts.plain = facts.valid = facts.decisions = None
+        facts.built = False
+        facts.value = None
     return facts
 
 
-#: ``(id(payload), round_no, ell) -> (payload, entries)``: recently
-#: parsed run-round payloads.  The payload is held so its id stays
-#: unique while the entry lives; the table is cleared when it fills,
-#: which bounds what it retains (one explored node hands every receiver
-#: the same handful of payload objects).
+def _built(ident: int, rounds_done: int, tree: tuple, plain: bool) -> EIGState:
+    """The spec's state for these fields: the live equal instance when
+    the state is plain and one exists, else a new one, marked as built.
+
+    The caller guarantees ``tree`` is canonical -- sorted by ``(len(path),
+    path)``, paths pairwise distinct tuples of ints -- and that ``plain``
+    is the state's plainness.
+    """
+    if plain:
+        value = (ident, rounds_done, tree)
+        facts = _VALUES.get(value)
+        if facts is not None:
+            state = facts()
+            if state is not None:
+                return state
+    state = EIGState(ident=ident, rounds_done=rounds_done, tree=tree)
+    facts = _facts(state)
+    facts.built = True
+    facts.plain = plain
+    if plain:
+        facts.value = value
+        _VALUES[value] = facts
+    return state
+
+
+#: ``(id(payload), round_no, ell) -> (payload, (entries, plain))``:
+#: recently parsed run-round payloads.  The payload is held so its id
+#: stays unique while the entry lives; the table is cleared when it
+#: fills, which bounds what it retains (one explored node hands every
+#: receiver the same handful of payload objects).
 _PARSED: dict[tuple[int, int, int], tuple[Hashable, tuple]] = {}
 _PARSED_MAX = 256
 
@@ -130,8 +177,16 @@ def _plain_tree(tree: Hashable) -> bool:
     for entry in tree:
         if type(entry) is not tuple or len(entry) != 2:
             return False
-        path, value = entry
-        if type(path) is not tuple or not is_plain(value):
+        if type(entry[0]) is not tuple:
+            return False
+    return _plain_entries(tree)
+
+
+def _plain_entries(entries) -> bool:
+    """:func:`_plain_tree` for entries known to be ``(tuple path,
+    value)`` pairs."""
+    for path, value in entries:
+        if not is_plain(value):
             return False
         for j in path:
             if type(j) is not int:
@@ -157,11 +212,9 @@ class EIGSpec(ClassicSpec):
     # ------------------------------------------------------------------
     def init(self, ident: int, value: Hashable) -> EIGState:
         value = self.problem.validate_value(value)
-        return EIGState(
-            ident=int(ident),
-            rounds_done=0,
-            tree=_canonical_tree({(): value}),
-        )
+        ident = int(ident)
+        plain = type(ident) is int and is_plain(value)
+        return _built(ident, 0, (((), value),), plain)
 
     def message(self, state: EIGState, round_no: int) -> Hashable:
         """Relay all level ``round_no - 1`` nodes not involving ``ident``."""
@@ -180,22 +233,66 @@ class EIGSpec(ClassicSpec):
     ) -> EIGState:
         if round_no > self.t + 1:
             return state
+        facts = _facts(state)
+        tree = state.tree
+        senders = sorted(received)
+        if not (
+            facts.built
+            and type(round_no) is int
+            and len(tree[-1][0]) < round_no
+        ):
+            return self._rebuilt(state, round_no, received, senders)
+        # Every new path has length round_no, so none equals an existing
+        # (shorter) one; paths from different senders end differently,
+        # and one sender's parsed paths are distinct.  Sorting the new
+        # level and appending it is therefore the full rebuild's order.
+        level = []
+        mixed = False  # some payload holds a non-plain entry
+        for sender in senders:
+            if type(sender) is not int:
+                return self._rebuilt(state, round_no, received, senders)
+            entries, plain = self._payload_entries(received[sender], round_no)
+            mixed = mixed or not plain
+            for path, value in entries:
+                if sender not in path:
+                    level.append((path + (sender,), value))
+        level.sort(key=itemgetter(0))
+        # A built state's ident and rounds_done are ints, so the child
+        # is plain exactly when the parent tree and the new level are.
+        plain = facts.plain and (not mixed or _plain_entries(level))
+        return _built(state.ident, round_no, tree + tuple(level), plain)
+
+    def _rebuilt(
+        self,
+        state: EIGState,
+        round_no: int,
+        received: Mapping[int, Hashable],
+        senders: list,
+    ) -> EIGState:
+        """:meth:`transition` by a full rebuild of the tree, for states
+        the spec did not build (adopted forgeries, unpickled copies).
+
+        A plain result has a canonical tree of int paths, so it joins
+        the spec-built states; any other result stays a private object.
+        """
         tree = state.tree_dict()
-        level = round_no - 1
-        for sender in sorted(received):
-            payload = received[sender]
-            for path, value in self._payload_entries(payload, round_no):
+        for sender in senders:
+            entries, _ = self._payload_entries(received[sender], round_no)
+            for path, value in entries:
                 if sender in path:
                     continue  # misattributed relay: ignore
                 extended = path + (sender,)
                 # First write wins; a correct sender never sends a path twice
                 # in a round (payloads are de-duplicated tuples).
                 tree.setdefault(extended, value)
-        return EIGState(
-            ident=state.ident,
-            rounds_done=round_no,
-            tree=_canonical_tree(tree),
-        )
+        tree = _canonical_tree(tree)
+        if (
+            type(state.ident) is int
+            and type(round_no) is int
+            and _plain_tree(tree)
+        ):
+            return _built(state.ident, round_no, tree, True)
+        return EIGState(ident=state.ident, rounds_done=round_no, tree=tree)
 
     def decide(self, state: EIGState) -> Hashable:
         if state.rounds_done < self.t + 1:
@@ -271,8 +368,9 @@ class EIGSpec(ClassicSpec):
     # ------------------------------------------------------------------
     def _payload_entries(
         self, payload: Hashable, round_no: int
-    ) -> tuple[tuple[Path, Hashable], ...]:
-        """The well-formed level ``round_no - 1`` entries of a payload.
+    ) -> tuple[tuple[tuple[Path, Hashable], ...], bool]:
+        """The well-formed level ``round_no - 1`` entries of a payload,
+        and whether they are all plain (int paths, plain values).
 
         Parsed defensively (malformed parts are skipped) once per
         payload object: every receiver of a round, under every
@@ -290,8 +388,9 @@ class EIGSpec(ClassicSpec):
             for path, value in self._parse_payload(payload, round_no)
             if len(path) == level
         )
-        _PARSED[key] = (payload, entries)
-        return entries
+        parsed = entries, _plain_entries(entries)
+        _PARSED[key] = (payload, parsed)
+        return parsed
 
     def _parse_payload(self, payload: Hashable, round_no: int):
         if not (isinstance(payload, tuple) and len(payload) == 3):

@@ -42,6 +42,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Hashable, Mapping
 
 from repro.analysis.bounds import solvable
@@ -542,21 +543,29 @@ def _post_states(
         )]
         for delta in deltas
     ]
+    # One inbox per delta and distinct loss row (in lock-step every
+    # receiver shares one row): the base (correct-sender) inbox after
+    # the timing model's removals, sorted once, with each delta merged
+    # in as in repro.sim.fabric.deliver_round.
+    inboxes_by_row: dict[tuple[bool, ...], list[Inbox]] = {}
     result: dict[int, list[tuple[int, bool, Hashable]]] = {}
     for q, lost_row in zip(receivers, lost):
-        # Base (correct-sender) inbox, after the timing model's
-        # removals, sorted once; each delta merges into it as in
-        # repro.sim.fabric.deliver_round.
-        base = Inbox((
-            Message(ident_of(s), payloads[s])
-            for s, gone in zip(senders, lost_row) if not gone
-        ), numerate=numerate)
-        keys = [m.sort_key() for m in base]
-        members = None if numerate else set(base.messages())
+        row = tuple(lost_row)
+        inboxes = inboxes_by_row.get(row)
+        if inboxes is None:
+            base = Inbox((
+                Message(ident_of(s), payloads[s])
+                for s, gone in zip(senders, row) if not gone
+            ), numerate=numerate)
+            keys = [m.sort_key() for m in base]
+            members = None if numerate else set(base.messages())
+            inboxes = inboxes_by_row[row] = [
+                Inbox.merged(base, keys, extra, members) for extra in extras
+            ]
         outcomes: list[tuple[int, bool, Hashable]] = []
-        for extra in extras:
+        for inbox in inboxes:
             proc = mid.processes[q].clone()
-            proc.deliver(r, Inbox.merged(base, keys, extra, members))
+            proc.deliver(r, inbox)
             key = canonical_state_key(proc)
             digest_id = intern.setdefault(key, len(intern))
             outcomes.append((digest_id, proc.decided, proc.decision))
@@ -581,6 +590,7 @@ def _outcome_classes(
     correct: tuple[int, ...],
     post: Mapping[int, list[tuple[int, bool, Hashable]]],
     payload_ids: Mapping[int, int],
+    intern: dict[Hashable, int],
 ) -> list[list[list]]:
     """Group each receiver's delta choices by the post-state they lead to.
 
@@ -590,10 +600,10 @@ def _outcome_classes(
 
     Returns:
         Per receiver (in ``correct`` order), one record per class in
-        first-index order: ``[first delta index, class size, key
-        fragment, decided, decision]``.  The fragment is ``(own-payload
-        id, post-state digest id)``; the own payload enters the key
-        because ghosts consume it next round.
+        first-index order: ``[key fragment, class size, first delta
+        index, decided, decision]``.  The fragment is the interned id of
+        ``(own-payload id, post-state digest id)``; the own payload
+        enters the key because ghosts consume it next round.
     """
     classes = []
     for q in correct:
@@ -601,13 +611,21 @@ def _outcome_classes(
         for index, (digest_id, decided, decision) in enumerate(post[q]):
             record = by_digest.get(digest_id)
             if record is None:
+                fragment = (payload_ids[q], digest_id)
                 by_digest[digest_id] = [
-                    index, 1, (payload_ids[q], digest_id), decided, decision,
+                    intern.setdefault(fragment, len(intern)),
+                    1, index, decided, decision,
                 ]
             else:
                 record[1] += 1
         classes.append(list(by_digest.values()))
     return classes
+
+
+#: Field readers of an outcome-class record.
+_FRAGMENT = itemgetter(0)
+_SIZE = itemgetter(1)
+_FIRST = itemgetter(2)
 
 
 def _duplicates_before(combo: tuple[int, ...], radix: int, walked: int) -> int:
@@ -689,19 +707,25 @@ def _dfs(
         q: intern.setdefault(repr(payloads.get(q)), len(intern))
         for q in correct
     }
-    classes = _outcome_classes(correct, post, payload_ids)
+    classes = _outcome_classes(correct, post, payload_ids, intern)
     terminating = scenario.require_termination and cut is None
+    # With no decided class at this node every child is safe, and only
+    # a due termination check can still flag one.
+    judged = (last_round and terminating) or any(
+        record[3] for records in classes for record in records
+    )
 
     raw_size = 1
     walked = 0  # class representatives visited so far
     credited = 0  # duplicates already added to the hit counter
+    prefix = (r + 1, cut_index, bank_id)
     for picks in itertools.product(*classes):
         # Assemble the child's key without touching the engine.
-        items = tuple(pick[2] for pick in picks)
         if symmetric:
-            items = tuple(sorted(items))
-        key = (r + 1, cut_index, bank_id, items)
-        weight = math.prod(pick[1] for pick in picks)
+            key = prefix + tuple(sorted(map(_FRAGMENT, picks)))
+        else:
+            key = prefix + tuple(map(_FRAGMENT, picks))
+        weight = math.prod(map(_SIZE, picks))
         cached = table.get(key)
         if cached is not None:
             stats.transposition_hits += 1
@@ -710,17 +734,20 @@ def _dfs(
             continue
 
         # Safety is decidable from the precomputed post-states alone.
-        decided = {q: pick[4] for q, pick in zip(correct, picks) if pick[3]}
-        detail = _decision_violation(decided, scenario, correct)
-        decisions = decided
-        everyone = len(decided) == len(correct)
-        if detail is None and last_round and terminating and not everyone:
-            undecided = [q for q in correct if q not in decided]
-            detail = (
-                f"termination: correct processes {undecided} "
-                f"undecided after {r + 1} rounds"
-            )
-            decisions = {}
+        detail = None
+        everyone = False
+        if judged:
+            decided = {q: pick[4] for q, pick in zip(correct, picks) if pick[3]}
+            detail = _decision_violation(decided, scenario, correct)
+            decisions = decided
+            everyone = len(decided) == len(correct)
+            if detail is None and last_round and terminating and not everyone:
+                undecided = [q for q in correct if q not in decided]
+                detail = (
+                    f"termination: correct processes {undecided} "
+                    f"undecided after {r + 1} rounds"
+                )
+                decisions = {}
         if detail is None and (everyone or last_round):
             table[key] = 1
             raw_size += weight
@@ -728,7 +755,7 @@ def _dfs(
             continue
 
         # The child raises or recurses: materialise it.
-        combo = tuple(pick[0] for pick in picks)
+        combo = tuple(map(_FIRST, picks))
         duplicates = _duplicates_before(combo, len(deltas), walked)
         stats.transposition_hits += duplicates - credited
         credited = duplicates

@@ -26,7 +26,7 @@ def run_classic_reference(
     """The pre-port classic execution, kept as a differential oracle.
 
     Mirrors :func:`run_classic` on the pre-fabric per-receiver delivery
-    loop (:class:`~repro.sim.network.ReferenceRoundEngine`); the
+    loop (:class:`~tests.oracles.network.ReferenceRoundEngine`); the
     conformance suite pins traces, inboxes, deliveries and verdicts of
     the kernel facade against it.  Not for production use.
     """

@@ -18,7 +18,7 @@ class ReferenceScenarioSystem(ScenarioSystem):
 
     Drives the Figure 1 system exactly as it ran before the kernel
     port: an engine built on the pre-fabric per-receiver delivery loop
-    (:class:`~repro.sim.network.ReferenceRoundEngine`) stepped through
+    (:class:`~tests.oracles.network.ReferenceRoundEngine`) stepped through
     its monolithic ``run`` entry point.  The conformance suite pins the
     kernelised :meth:`ScenarioSystem.run` against this class -- traces,
     view reports, delivery counts.  Not for production use; supports the

@@ -314,3 +314,154 @@ def test_eig_agreement_under_random_byzantine(seed, inputs):
         adversary=RandomByzantineAdversary(seed=seed),
     )
     assert result.verdict.ok
+
+
+# ----------------------------------------------------------------------
+# One state per value: the append-only transition and the value table
+# ----------------------------------------------------------------------
+def _full_rebuild(spec, state, round_no, received):
+    """The transition as a full rebuild: the tree as a dict, extended
+    and re-sorted whole -- the oracle for the append-only path."""
+    if round_no > spec.t + 1:
+        return state
+    tree = state.tree_dict()
+    for sender in sorted(received):
+        for path, value in spec._parse_payload(received[sender], round_no):
+            if len(path) == round_no - 1 and sender not in path:
+                tree.setdefault(path + (sender,), value)
+    return EIGState(state.ident, round_no, eig._canonical_tree(tree))
+
+
+#: Path elements and values ``==`` merges but ``repr`` and the
+#: reflective key keep apart, plus out-of-range identifiers.
+_PATH_IDS = st.sampled_from([1, 2, 3, 4, 5, True, 1.0, 0, 9])
+_TREE_VALUES = st.sampled_from([0, 1, True, False, 1.0, "1", None, (1,), (True,)])
+
+
+def _entries(path_lengths):
+    return st.lists(
+        st.tuples(
+            path_lengths.flatmap(
+                lambda k: st.lists(_PATH_IDS, min_size=k, max_size=k).map(tuple)
+            ),
+            _TREE_VALUES,
+        ),
+        max_size=5,
+    ).map(tuple)
+
+
+@st.composite
+def _forged_state(draw):
+    """An unsorted tree with entries at and past any round's level."""
+    return EIGState(
+        ident=draw(st.integers(1, 5)),
+        rounds_done=draw(st.integers(0, 3)),
+        tree=(((), draw(_TREE_VALUES)),) + draw(_entries(st.integers(0, 3))),
+    )
+
+
+@st.composite
+def _steps(draw):
+    """Rounds and received maps for a short chain of transitions."""
+    steps = []
+    for _ in range(draw(st.integers(1, 4))):
+        round_no = draw(st.integers(1, 4))
+        senders = draw(st.lists(
+            st.sampled_from([1, 2, 3, 4, 5, True]), max_size=5, unique=True,
+        ))
+        received = {}
+        for sender in senders:
+            if draw(st.integers(0, 9)) == 0:
+                received[sender] = draw(st.sampled_from([None, ("eig",), 7]))
+                continue
+            tag_round = draw(st.sampled_from([round_no, round_no, round_no + 1]))
+            level = st.sampled_from([round_no - 1] * 4 + [max(round_no - 2, 0)])
+            received[sender] = ("eig", tag_round, draw(_entries(level)))
+        steps.append((round_no, received))
+    return steps
+
+
+@given(
+    start=st.one_of(st.integers(0, 1), _forged_state()),
+    ident=st.integers(1, 5),
+    steps=_steps(),
+)
+@example(start=0, ident=1, steps=[
+    (1, {2: ("eig", 1, (((), 1),)), 3: ("eig", 1, (((), True),))}),
+    (2, {2: ("eig", 2, (((True,), 1), ((3,), 1.0))),
+         4: ("eig", 2, (((1,), 0), ((1.0,), 1)))}),
+])
+@settings(max_examples=300, deadline=None)
+def test_append_transition_matches_the_full_rebuild(start, ident, steps):
+    spec = EIGSpec(5, 2, BINARY, unchecked=True)
+    if isinstance(start, EIGState):
+        state = expected = start
+    else:
+        state = spec.init(ident, start)
+        expected = EIGState(ident, 0, (((), start),))
+    for round_no, received in steps:
+        state = spec.transition(state, round_no, received)
+        expected = _full_rebuild(spec, expected, round_no, received)
+        assert repr(state) == repr(expected)
+        # Plainness derived along the chain equals a fresh check of it.
+        plain = eig._plain_tree(state.tree) and type(state.ident) is int
+        assert (spec.state_key(state) is state) == plain
+        assert spec.state_key(state) == spec.state_key(expected)
+
+
+class TestValueSharing:
+    """``init``/``transition`` hand out one instance per plain value."""
+
+    def test_equal_plain_states_are_one_object(self):
+        spec = EIGSpec(4, 1, BINARY)
+        s1 = spec.init(1, 0)
+        assert spec.init(1, 0) is s1
+        s2 = spec.transition(s1, 1, {2: ("eig", 1, (((), 1),)),
+                                     3: ("eig", 1, (((), 0),))})
+        s3 = spec.transition(s1, 1, {3: ("eig", 1, (((), 0),)),
+                                     2: ("eig", 1, (((), 1),))})
+        assert s2 is s3
+        # A forged equal state is not handed out, but its transition
+        # (a full rebuild) joins the shared value.
+        forged = EIGState(1, 0, (((), 0),))
+        assert forged is not s1
+        assert spec.transition(forged, 1, {2: ("eig", 1, (((), 1),)),
+                                           3: ("eig", 1, (((), 0),))}) is s2
+
+    def test_one_tree_and_true_tree_are_never_shared(self):
+        spec = EIGSpec(4, 1, BINARY)
+        root = spec.init(1, 0)
+        ones = spec.transition(root, 1, {2: ("eig", 1, (((), 1),))})
+        trues = spec.transition(root, 1, {2: ("eig", 1, (((), True),))})
+        floats = spec.transition(root, 1, {2: ("eig", 1, (((), 1.0),))})
+        assert ones == trues == floats
+        assert ones is not trues and ones is not floats
+        assert len({repr(ones), repr(trues), repr(floats)}) == 3
+        assert spec.state_key(ones) is ones
+        assert spec.state_key(trues) != spec.state_key(ones)
+        assert spec.state_key(floats) != spec.state_key(ones)
+        # Nor is a non-plain state shared with its own equal twin.
+        again = spec.transition(root, 1, {2: ("eig", 1, (((), True),))})
+        assert again is not trues and repr(again) == repr(trues)
+        # A relayed True path is not the int path it equals either.
+        ints = spec.transition(ones, 2, {3: ("eig", 2, (((1,), 1),))})
+        bools = spec.transition(ones, 2, {3: ("eig", 2, (((True,), 1),))})
+        assert ints == bools and ints is not bools
+        assert spec.state_key(ints) is ints
+        assert spec.state_key(bools) != spec.state_key(ints)
+
+    def test_value_table_does_not_keep_states_alive(self):
+        spec = EIGSpec(4, 1, BINARY)
+        gc.collect()
+        baseline = (len(eig._VALUES), len(eig._FACTS))
+        states = []
+        for k in range(20):
+            state = spec.init(1 + k % 4, k % 2)
+            payload = ("eig", 1, (((), k % 3),))
+            states.append(spec.transition(state, 1, {2 + k % 3: payload}))
+        assert len(eig._VALUES) > baseline[0]
+        probes = [weakref.ref(state) for state in states]
+        del states, state
+        gc.collect()
+        assert all(probe() is None for probe in probes)
+        assert (len(eig._VALUES), len(eig._FACTS)) == baseline

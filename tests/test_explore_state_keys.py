@@ -56,6 +56,7 @@ SCENARIOS = {
         for b in range(4)
     },
     "sync-n3-d6": (SystemParams(3, 3, 1), dict(depth=6)),
+    "sync-n5-d6": (SystemParams(5, 5, 1), dict(depth=6)),
     "sync-n3-default": (SystemParams(3, 3, 1), {}),
     "restricted-n3-d4": (
         SystemParams(3, 3, 1, numerate=True, restricted=True), dict(depth=4),
@@ -108,6 +109,12 @@ GOLDEN = {
         "exhausted: 30 nodes expanded (443 children, 41 duplicate faces, "
         "270 transposition hits); raw tree 1553526 nodes -> 51784.2x "
         "reduction; depth 6",
+        None,
+    ),
+    "sync-n5-d6": (
+        "exhausted: 246 nodes expanded (303251 children, 495 duplicate "
+        "faces, 198030 transposition hits); raw tree 155049445190802 "
+        "nodes -> 630282297523.6x reduction; depth 6",
         None,
     ),
     "sync-n3-default": (
