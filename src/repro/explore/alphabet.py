@@ -86,8 +86,9 @@ class GhostBank:
     One ghost process exists per ``(Byzantine slot, plan)`` pair -- the
     same plan yields different ghosts for different slots because each
     slot authenticates under its own identifier.  The bank is advanced
-    exactly once per explored node via :meth:`step` and duplicated for
-    divergent branches via :meth:`fork`.
+    one round at a time via :meth:`step` and duplicated for divergent
+    branches via :meth:`fork`; the per-round search steps one fork per
+    node and shares it, unmutated, among all the node's children.
     """
 
     def __init__(

@@ -4,9 +4,16 @@ Instead of running one fixed :class:`~repro.sim.adversary.Adversary`,
 the explorer drives the unified execution kernel
 (:class:`~repro.sim.kernel.ExecutionKernel`) through a depth-first
 search over *every* strategy expressible in a finite per-round emission
-alphabet (see :mod:`repro.explore.alphabet`), using the kernel's
-split-phase API (``compose_round`` / ``finish_round``) and
-checkpoint/restore to branch executions without re-running prefixes.
+alphabet (see :mod:`repro.explore.alphabet`), branching executions with
+the kernel's checkpoint/restore instead of re-running prefixes.  The
+persistent-face mode runs whole rounds through the split-phase API
+(``compose_round`` / ``finish_round``).  The per-round mode runs only
+``compose_round`` in the engine: it delivers each receiver's round to
+scratch clones, once per delta option, and installs a child by
+restoring a checkpoint built from those post-states.  Its engine
+therefore records no trace or delivery log; a witness is rebuilt from
+the chosen emissions and meets the full pipeline in
+:func:`replay_witness`.
 
 Two search modes cover the two shapes of the paper's lower bounds:
 
@@ -61,7 +68,14 @@ from repro.explore.alphabet import (
 )
 from repro.explore.certificate import Certificate, SearchStats
 from repro.explore.strategy import StrategyScript, StrategyTreeAdversary
-from repro.sim.kernel import BasicPsync, ExecutionKernel, LockStep
+from repro.sim.adversary import normalize_emissions
+from repro.sim.kernel import (
+    BasicPsync,
+    EngineCheckpoint,
+    ExecutionKernel,
+    LockStep,
+)
+from repro.sim.process import Process
 from repro.sim.runner import ExecutionResult, make_processes, run_execution
 
 #: A network cut: two blocks of correct indices that cannot hear each
@@ -363,11 +377,7 @@ def _safety_violation(
     engine: ExecutionKernel, scenario: ExploreScenario
 ) -> tuple[str, dict[int, Hashable]] | None:
     """Engine-level wrapper of :func:`_decision_violation`."""
-    decided = {
-        k: engine.processes[k].decision
-        for k in engine.correct
-        if engine.processes[k].decided
-    }
+    decided = engine.decisions()
     detail = _decision_violation(decided, scenario, engine.correct)
     if detail is None:
         return None
@@ -501,7 +511,7 @@ def _post_states(
     payloads: Mapping[int, Hashable],
     deltas: list[Delta],
     intern: dict[Hashable, int],
-) -> dict[int, list[tuple[int, bool, Hashable]]]:
+) -> dict[int, list[tuple[int, Process]]]:
     """Per-receiver post-round outcomes for every delta option.
 
     The key observation behind the explorer's throughput: a child's
@@ -526,7 +536,9 @@ def _post_states(
             are assigned in first-encounter order.
 
     Returns:
-        ``receiver -> [ (digest id, decided, decision) per delta ]``.
+        ``receiver -> [ (digest id, post-round clone) per delta ]``.
+        The clones are the children's states: :func:`_dfs` installs
+        class leaders in the engine instead of re-delivering them.
     """
     numerate = scenario.params.numerate
     ident_of = scenario.assignment.identifier_of
@@ -548,7 +560,7 @@ def _post_states(
     # the timing model's removals, sorted once, with each delta merged
     # in as in repro.sim.fabric.deliver_round.
     inboxes_by_row: dict[tuple[bool, ...], list[Inbox]] = {}
-    result: dict[int, list[tuple[int, bool, Hashable]]] = {}
+    result: dict[int, list[tuple[int, Process]]] = {}
     for q, lost_row in zip(receivers, lost):
         row = tuple(lost_row)
         inboxes = inboxes_by_row.get(row)
@@ -562,13 +574,12 @@ def _post_states(
             inboxes = inboxes_by_row[row] = [
                 Inbox.merged(base, keys, extra, members) for extra in extras
             ]
-        outcomes: list[tuple[int, bool, Hashable]] = []
+        outcomes: list[tuple[int, Process]] = []
         for inbox in inboxes:
             proc = mid.processes[q].clone()
             proc.deliver(r, inbox)
             key = canonical_state_key(proc)
-            digest_id = intern.setdefault(key, len(intern))
-            outcomes.append((digest_id, proc.decided, proc.decision))
+            outcomes.append((intern.setdefault(key, len(intern)), proc))
         result[q] = outcomes
     return result
 
@@ -588,7 +599,7 @@ def _emissions_from_combo(
 
 def _outcome_classes(
     correct: tuple[int, ...],
-    post: Mapping[int, list[tuple[int, bool, Hashable]]],
+    post: Mapping[int, list[tuple[int, Process]]],
     payload_ids: Mapping[int, int],
     intern: dict[Hashable, int],
 ) -> list[list[list]]:
@@ -601,20 +612,23 @@ def _outcome_classes(
     Returns:
         Per receiver (in ``correct`` order), one record per class in
         first-index order: ``[key fragment, class size, first delta
-        index, decided, decision]``.  The fragment is the interned id of
-        ``(own-payload id, post-state digest id)``; the own payload
-        enters the key because ghosts consume it next round.
+        index, decided, decision, leader]``.  The fragment is the
+        interned id of ``(own-payload id, post-state digest id)``; the
+        own payload enters the key because ghosts consume it next
+        round.  The leader is the first index's post-round clone, the
+        state a child picking this class installs; the other members'
+        clones are dropped.
     """
     classes = []
     for q in correct:
         by_digest: dict[int, list] = {}
-        for index, (digest_id, decided, decision) in enumerate(post[q]):
+        for index, (digest_id, proc) in enumerate(post[q]):
             record = by_digest.get(digest_id)
             if record is None:
                 fragment = (payload_ids[q], digest_id)
                 by_digest[digest_id] = [
                     intern.setdefault(fragment, len(intern)),
-                    1, index, decided, decision,
+                    1, index, proc.decided, proc.decision, proc,
                 ]
             else:
                 record[1] += 1
@@ -626,6 +640,7 @@ def _outcome_classes(
 _FRAGMENT = itemgetter(0)
 _SIZE = itemgetter(1)
 _FIRST = itemgetter(2)
+_LEADER = itemgetter(5)
 
 
 def _duplicates_before(combo: tuple[int, ...], radix: int, walked: int) -> int:
@@ -645,7 +660,7 @@ def _dfs(
     scenario: ExploreScenario,
     engine: ExecutionKernel,
     bank: GhostBank,
-    prev_payloads: Mapping[int, Hashable] | None,
+    faces: Mapping[tuple[int, int], Hashable],
     path: dict[int, dict],
     cut: Cut | None,
     cut_index: int,
@@ -659,8 +674,16 @@ def _dfs(
     digests (sorted when the scenario is receiver-symmetric), the ghost
     bank digest and the cut -- is assembled from :func:`_post_states`'s
     precomputed fragments *before* the child touches the engine, so an
-    equivalent emission choice costs one dictionary probe.  Only
-    children with a new key are materialised and recursed into.
+    equivalent emission choice costs one dictionary probe.  Safety and
+    termination are judged from the same fragments, so only a child
+    with a new key that neither violates nor ends is installed in the
+    engine, and none is re-delivered: the engine restores the node's
+    composed processes with each receiver's class leader (the scratch
+    post-state :func:`_post_states` delivered) in its slot.  Siblings
+    share leaders but never mutate them: ``restore`` marks the list
+    shared, so the child's ``compose_round`` copies on write.  The
+    engine records no rounds (its trace and delivery log stay empty);
+    a witness is rebuilt from ``path`` alone.
 
     The walk visits one child per product of per-receiver outcome
     classes (:func:`_outcome_classes`), in the order the full product
@@ -673,9 +696,15 @@ def _dfs(
     first, so the counters of a violation certificate are the ones the
     child-by-child walk stops with.
 
-    Returns the *raw* (unshared) size of the subtree, so transposition
-    hits credit the full subtree they skipped -- the exact
-    without-pruning comparison the certificate reports.
+    Args:
+        bank: The ghost bank, already stepped into this round; shared
+            with the node's siblings, so it is only ever forked.
+        faces: ``bank``'s faces for this round.
+
+    Returns:
+        The *raw* (unshared) size of the subtree, so transposition hits
+        credit the full subtree they skipped -- the exact
+        without-pruning comparison the certificate reports.
 
     Raises:
         _ViolationFound: As soon as any branch violates safety (or,
@@ -686,7 +715,6 @@ def _dfs(
     stats.max_depth = max(stats.max_depth, r + 1)
 
     payloads = engine.compose_round()
-    faces = bank.step(r, prev_payloads)
     deltas = _delta_options(scenario, payloads, faces, stats)
     correct = engine.correct
     total_children = len(deltas) ** len(correct)
@@ -708,12 +736,16 @@ def _dfs(
         for q in correct
     }
     classes = _outcome_classes(correct, post, payload_ids, intern)
+    del post  # only the class leaders' clones live on
     terminating = scenario.require_termination and cut is None
     # With no decided class at this node every child is safe, and only
     # a due termination check can still flag one.
     judged = (last_round and terminating) or any(
         record[3] for records in classes for record in records
     )
+    # Every recursing child shows its ghosts this round's payloads, so
+    # they share one bank stepped into the next round (made on demand).
+    child_bank = child_faces = None
 
     raw_size = 1
     walked = 0  # class representatives visited so far
@@ -760,16 +792,29 @@ def _dfs(
         stats.transposition_hits += duplicates - credited
         credited = duplicates
         raw_emissions = _emissions_from_combo(correct, deltas, combo)
+        # The model-rule check finish_round would apply; the alphabet
+        # is legal by construction, so it never fires.
+        normalize_emissions(
+            scenario.params, scenario.byzantine, raw_emissions, r
+        )
         path[r] = raw_emissions
-        engine.restore(mid)
-        engine.finish_round(payloads, raw_emissions=raw_emissions)
         if detail is not None:
             raise _ViolationFound(
                 _script_from_path(scenario, path, cut, r + 1),
                 detail, r, decisions,
             )
+        processes = list(mid.processes)
+        for q, pick in zip(correct, picks):
+            processes[q] = _LEADER(pick)
+        engine.restore(EngineCheckpoint(
+            round_no=r + 1, processes=tuple(processes),
+            trace_records=(), deliveries=(),
+        ))
+        if child_bank is None:
+            child_bank = bank.fork()
+            child_faces = child_bank.step(r + 1, payloads)
         subtree = _dfs(
-            scenario, engine, bank.fork(), payloads, path, cut, cut_index,
+            scenario, engine, child_bank, child_faces, path, cut, cut_index,
             stats, table, intern,
         )
         table[key] = subtree
@@ -787,8 +832,9 @@ def _explore_tree(scenario: ExploreScenario, stats: SearchStats) -> int:
     for cut_index, cut in enumerate(scenario.cuts):
         engine = _build_engine(scenario, cut)
         bank = GhostBank(scenario)
+        faces = bank.step(0, None)
         total_raw += _dfs(
-            scenario, engine, bank, None, {}, cut, cut_index, stats, table,
+            scenario, engine, bank, faces, {}, cut, cut_index, stats, table,
             intern,
         )
         stats.raw_tree_size = total_raw

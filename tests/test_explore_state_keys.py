@@ -16,6 +16,12 @@ credits in bulk instead of walking), so the counters they stop with pin
 how those duplicates are credited -- before a recursion (the n = 4,
 ell = 3 hunt) and before the violating child itself (the toy
 ``DissentProcess`` scope).
+
+The search never runs a child's round through ``finish_round``: it
+installs the post-states it delivered to scratch clones.  So two more
+checks pin that shortcut to the kernel: the class leaders against the
+fabric's own delivery near the root of each kind of scope, and every
+golden violation witness replayed through the plain pipeline.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from repro.core.messages import Inbox, Message
 from repro.core.params import SystemParams, Synchrony
 from repro.core.problem import BINARY
 from repro.explore import alphabet, default_scenario, explore, search
+from repro.explore.certificate import SearchStats
 from repro.homonyms.transform import HomonymProcess
 from repro.psync.ablations import (
     NoDecideRelayDLSProcess,
@@ -153,13 +160,17 @@ GOLDEN = {
 }
 
 
-def certificate_fingerprint(name: str) -> tuple[str, str | None]:
-    """``(outcome: deterministic summary, witness digest)`` of one scope."""
+def _scenario(name: str):
     params, kwargs = SCENARIOS[name]
     scenario = default_scenario(params, **kwargs)
     if name in FACTORIES:
         scenario = dataclasses.replace(scenario, factory=FACTORIES[name])
-    certificate = explore(scenario)
+    return scenario
+
+
+def certificate_fingerprint(name: str) -> tuple[str, str | None]:
+    """``(outcome: deterministic summary, witness digest)`` of one scope."""
+    certificate = explore(_scenario(name))
     summary = f"{certificate.outcome}: {certificate.stats.deterministic_summary()}"
     witness = None
     if certificate.witness is not None:
@@ -473,3 +484,110 @@ def test_clone_copies_every_mutable_table():
         before = reflective_state_key(proc)
         assert _mutate_every_container(proc.clone()) >= 8
         assert reflective_state_key(proc) == before
+
+
+# ----------------------------------------------------------------------
+# The scratch post-states are the kernel's delivery
+# ----------------------------------------------------------------------
+def _check_leaders_against_kernel(scenario, engine, faces):
+    """Every delta's class leader against ``finish_round`` with it.
+
+    The search installs class leaders as its children and never
+    re-delivers them, so for each delta index ``i`` the leader of the
+    class holding ``i`` must be the state the kernel's fabric reaches
+    when every receiver is sent delta ``i``.
+
+    Returns:
+        The node's composed payloads, checkpoint and deltas, and
+        whether any receiver had more than one outcome class.
+    """
+    payloads = engine.compose_round()
+    deltas = search._delta_options(scenario, payloads, faces, SearchStats())
+    mid = engine.checkpoint()
+    intern: dict = {}
+    post = search._post_states(scenario, engine, mid, payloads, deltas, intern)
+    correct = engine.correct
+    payload_ids = {
+        q: intern.setdefault(repr(payloads.get(q)), len(intern))
+        for q in correct
+    }
+    classes = search._outcome_classes(correct, post, payload_ids, intern)
+    for i in range(len(deltas)):
+        engine.restore(mid)
+        engine.finish_round(payloads, raw_emissions=search._emissions_from_combo(
+            correct, deltas, (i,) * len(correct),
+        ))
+        for q, records in zip(correct, classes):
+            digest = post[q][i][0]
+            (leader,) = [
+                search._LEADER(record) for record in records
+                if post[q][search._FIRST(record)][0] == digest
+            ]
+            delivered = engine.processes[q]
+            assert reflective_state_key(leader) == reflective_state_key(
+                delivered
+            ), (i, q)
+            assert (leader.decided, leader.decision) == (
+                delivered.decided, delivered.decision,
+            ), (i, q)
+    branching = any(len(records) > 1 for records in classes)
+    return payloads, mid, deltas, branching
+
+
+@pytest.mark.parametrize("name", [
+    *(f"sync-n4-byz{b}-d6" for b in range(4)),
+    "sync-n4-ell3-byz0-d8",
+    "restricted-n3-d4",
+    "psync-n3-tree-d2",
+])
+def test_class_leaders_are_the_kernels_delivery(name):
+    scenario = _scenario(name)
+    branching = False
+    for cut in scenario.cuts:
+        engine = search._build_engine(scenario, cut)
+        bank = alphabet.GhostBank(scenario)
+        faces = bank.step(0, None)
+        # The root and the nodes below it along one path, reached
+        # through the kernel, down to round 2: T(EIG) ignores every
+        # Byzantine delta before its first run round.  Each receiver is
+        # sent a different delta, so their states diverge.
+        for r in range(min(3, scenario.depth)):
+            payloads, mid, deltas, split = _check_leaders_against_kernel(
+                scenario, engine, faces,
+            )
+            branching = branching or split
+            correct = engine.correct
+            combo = tuple(k % len(deltas) for k in range(len(correct)))
+            engine.restore(mid)
+            engine.finish_round(
+                payloads,
+                raw_emissions=search._emissions_from_combo(
+                    correct, deltas, combo,
+                ),
+            )
+            bank = bank.fork()
+            faces = bank.step(r + 1, payloads)
+    # Some delta changed some receiver's state, so the check had teeth.
+    assert branching
+
+
+# ----------------------------------------------------------------------
+# Every golden violation witness replays through the kernel pipeline
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "name", sorted(n for n, (s, w) in GOLDEN.items() if w is not None)
+)
+def test_golden_witness_replays_its_violation(name):
+    # The search judges a violating child from its scratch post-states
+    # and never runs it through finish_round; the replay does, through
+    # the plain scripted-adversary pipeline.  One round short of the
+    # certificate's round the property still holds.
+    scenario = _scenario(name)
+    certificate = explore(scenario)
+    prop = certificate.violation.split(":")[0]
+    rounds = certificate.violation_round + 1
+    result = search.replay_witness(scenario, certificate.witness, rounds)
+    assert result.verdict.violated(prop)
+    assert dict(result.verdict.decisions) == certificate.decisions
+    early = search.replay_witness(scenario, certificate.witness, rounds - 1)
+    assert not early.verdict.violated(prop)
