@@ -124,14 +124,22 @@ atlas:
 	$(PYTHON) -m repro atlas --workers 4 --resume \
 	    --markdown atlas.md --json atlas.json
 
-## the 2000-instance soak smoke (what CI runs and uploads)
+## the 2000-instance soak smoke (what CI runs and uploads): a cold run
+## that fills the window unit cache, then a resumed pass over the same
+## cache into a fresh log, byte-compared against the cold one (the
+## window specs' cache keys on a 4-worker pool)
 soak-smoke:
 	$(PYTHON) -m repro soak --profile quick --instances 2000 --workers 4 \
-	    --log soak.jsonl --report soak-report.json
+	    --log soak.jsonl --report soak-report.json --cache-dir .soak-cache
+	rm -f soak-resumed.jsonl
+	$(PYTHON) -m repro soak --profile quick --instances 2000 --workers 4 \
+	    --resume --log soak-resumed.jsonl --cache-dir .soak-cache
+	cmp soak.jsonl soak-resumed.jsonl
 
 clean:
 	rm -rf .campaign-cache .atlas-cache .soak-cache .pytest_cache \
 	    bench-snapshots
-	rm -f atlas.jsonl atlas.md atlas.json soak.jsonl soak-report.json
+	rm -f atlas.jsonl atlas.md atlas.json soak.jsonl soak-report.json \
+	    soak-resumed.jsonl
 	rm -f atlas-*-of-*.jsonl atlas-unsharded.jsonl atlas.jsonl.cursor.json
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -44,6 +44,7 @@ from repro.atlas.evidence import (
     CONSISTENT,
     PROVED_SOLVABLE,
     WITNESSED_UNSOLVABLE,
+    AtlasUnit,
     budget_skipped_evidence,
     closed_form_evidence,
     fuse_evidence,
@@ -74,6 +75,7 @@ __all__ = [
     "AtlasLog",
     "AtlasOutcome",
     "AtlasServer",
+    "AtlasUnit",
     "CONFLICT",
     "CONSISTENT",
     "LatticeSpec",

@@ -3,9 +3,10 @@
 One :func:`run_atlas` call walks a :class:`~repro.atlas.lattice.
 LatticeSpec` end to end:
 
-1. every cell becomes one ``kind="atlas"`` campaign unit
-   (:func:`repro.experiments.campaign.enumerate_atlas_units`); a shard
-   keeps its :func:`~repro.experiments.campaign.shard_units` stripe;
+1. every cell becomes one :class:`~repro.atlas.evidence.AtlasUnit`
+   carrying the cell's evidence plan
+   (:func:`repro.atlas.evidence.enumerate_atlas_units`); a shard keeps
+   its :func:`~repro.experiments.campaign.shard_units` stripe;
 2. the units run in lattice order through the shared unit pipeline
    (:func:`repro.experiments.campaign.run_units`): one process pool
    (``workers <= 1`` runs inline), a read-ahead window bounded by the
@@ -37,19 +38,15 @@ from typing import Callable, Mapping, Sequence
 
 from repro.atlas.evidence import (
     CONFLICT,
+    AtlasUnit,
     closed_form_evidence,
+    enumerate_atlas_units,
     fuse_evidence,
 )
 from repro.atlas.lattice import AtlasCell, LatticeSpec
 from repro.atlas.stream import AtlasLog
 from repro.core.errors import ConfigurationError
-from repro.experiments.campaign import (
-    CampaignCache,
-    CampaignUnit,
-    enumerate_atlas_units,
-    run_units,
-    shard_units,
-)
+from repro.experiments.campaign import CampaignCache, run_units, shard_units
 
 
 @dataclass
@@ -92,7 +89,7 @@ class AtlasOutcome:
 def _fuse_row(
     index: int,
     cell: AtlasCell,
-    unit: CampaignUnit,
+    unit: AtlasUnit,
     result: Mapping,
     injected: Sequence[Mapping],
     strict: bool,
@@ -102,7 +99,7 @@ def _fuse_row(
     Args:
         index: The cell's position in lattice enumeration order.
         cell: The lattice cell.
-        unit: Its campaign unit (supplies the content-hash id).
+        unit: Its atlas unit (supplies the content-hash id).
         result: The unit's result dict (``evidence`` key required).
         injected: Extra evidence items to fold in (fixtures).
         strict: Propagate conflicts as :class:`AtlasConflict`.
@@ -236,7 +233,7 @@ def run_atlas(
     todo = selected[outcome.resumed:]
     indices = iter(todo)
 
-    def finish(unit: CampaignUnit, result: dict, cached: bool) -> None:
+    def finish(unit: AtlasUnit, result: dict, cached: bool) -> None:
         index = next(indices)
         cell = cells[index]
         row = _fuse_row(

@@ -27,12 +27,13 @@ verdicts -- ``proved-solvable``, ``witnessed-unsolvable``,
 ``consistent``, ``CONFLICT`` -- with the conflict policy the atlas is
 built around: *any* decisive evidence (grade ``"verdict"`` or
 ``"witness"``) contradicting the closed form is a hard error
-(:class:`~repro.core.errors.AtlasConflict`).
+(:class:`~repro.core.errors.AtlasConflict`).  :class:`AtlasUnit` is
+the unit-pipeline spec that collects one cell's evidence.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 from repro.analysis.bounds import (
@@ -43,9 +44,19 @@ from repro.analysis.bounds import (
     solvable,
     sync_bound,
 )
-from repro.core.errors import AtlasConflict, ProvenanceError
+from repro.atlas.lattice import BUDGET_SKIPPED, PLANS, WITH_EXPLORER
+from repro.core.errors import (
+    AtlasConflict,
+    ConfigurationError,
+    ProvenanceError,
+)
 from repro.core.params import Synchrony, SystemParams
 from repro.core.problem import BINARY, AgreementProblem
+from repro.experiments.campaign import (
+    PROBLEMS,
+    UnitSpec,
+    require_unique_labels,
+)
 
 #: The four fused cell verdicts.
 PROVED_SOLVABLE = "proved-solvable"
@@ -302,7 +313,7 @@ def run_atlas_unit(
 ) -> dict:
     """Collect all of one cell's non-symbolic evidence; worker entry point.
 
-    This is the body of the ``kind="atlas"`` campaign unit: everything
+    This is the work of an :class:`AtlasUnit`: everything
     is rebuilt deterministically from the arguments, so results are
     identical in-process, in a pool worker, or replayed from the
     content-hash cache.
@@ -344,6 +355,65 @@ def run_atlas_unit(
         "demonstration_kind": kind,
         "evidence": evidence,
     }
+
+
+@dataclass(frozen=True)
+class AtlasUnit(UnitSpec):
+    """The pipeline unit of one atlas cell: its whole evidence plan.
+
+    :meth:`run` is :func:`run_atlas_unit` on the cell.  ``plan`` is one
+    of :data:`~repro.atlas.lattice.PLANS`; any other value is refused
+    when the spec is built, so a misspelled plan cannot silently drop
+    evidence.
+    """
+
+    kind = "atlas"
+
+    label: str
+    params: SystemParams
+    plan: str
+    seed: int = 0
+    quick: bool = True
+    problem: str = "binary"
+
+    def __post_init__(self) -> None:
+        if self.plan not in PLANS:
+            raise ConfigurationError(
+                f"unknown atlas evidence plan {self.plan!r} for cell "
+                f"{self.label!r} (plans: {', '.join(PLANS)})"
+            )
+
+    def describe(self) -> str:
+        return f"{self.label} [{self.plan}]"
+
+    def run(self) -> dict:
+        return run_atlas_unit(
+            self.params, seed=self.seed, quick=self.quick,
+            problem=PROBLEMS[self.problem],
+            with_explorer=self.plan == WITH_EXPLORER,
+            budget_skipped=self.plan == BUDGET_SKIPPED,
+        )
+
+
+def enumerate_atlas_units(
+    cells: Sequence[tuple[str, SystemParams, str]],
+    seed: int = 0,
+    quick: bool = True,
+    problem: str = "binary",
+) -> list[AtlasUnit]:
+    """One :class:`AtlasUnit` per ``(label, params, plan)`` triple
+    (:attr:`~repro.atlas.lattice.AtlasCell.variant` is the plan), in
+    lattice order, sharing ``seed``, ``quick`` and ``problem``.
+
+    Raises:
+        ConfigurationError: On duplicate cell labels or an unknown
+            plan.
+    """
+    require_unique_labels(cells)
+    return [
+        AtlasUnit(label, params, plan, seed, quick, problem)
+        for label, params, plan in cells
+    ]
 
 
 # ----------------------------------------------------------------------

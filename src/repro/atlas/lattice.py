@@ -21,10 +21,12 @@ from dataclasses import dataclass, field
 from repro.core.errors import ConfigurationError
 from repro.core.params import Synchrony, SystemParams, model_space
 
-#: Unit variant markers carried by ``kind="atlas"`` campaign units.
+#: The evidence plans an atlas cell's unit
+#: (:class:`~repro.atlas.evidence.AtlasUnit`) can run.
 WITH_EXPLORER = "campaign+explorer"
 CAMPAIGN_ONLY = "campaign"
 BUDGET_SKIPPED = "budget-skipped"
+PLANS = (WITH_EXPLORER, CAMPAIGN_ONLY, BUDGET_SKIPPED)
 
 
 @dataclass(frozen=True)
@@ -54,7 +56,7 @@ class AtlasCell:
 
     @property
     def variant(self) -> str:
-        """The campaign-unit variant string for this cell."""
+        """The cell's evidence plan (one of :data:`PLANS`)."""
         if not self.with_campaign:
             return BUDGET_SKIPPED
         return WITH_EXPLORER if self.with_explorer else CAMPAIGN_ONLY

@@ -5,9 +5,10 @@ serialisation) over heterogeneous values:
 
 * :meth:`repro.sim.runner.ExecutionResult.brief` sorts the distinct
   decided values of an execution;
-* the campaign engine's content-hash cache keys
-  (:attr:`repro.experiments.campaign.CampaignUnit.unit_id`) must not
-  drift between runs, machines, or Python versions.
+* the unit pipeline's content-hash cache keys -- the
+  :attr:`~repro.experiments.campaign.UnitSpec.unit_id` of every unit
+  spec (campaign cells, atlas cells, soak windows) -- must not drift
+  between runs, machines, or Python versions.
 
 ``sorted(values, key=repr)`` is *not* that: ``repr`` of sets and
 frozensets follows hash-table iteration order (randomised per process

@@ -17,7 +17,7 @@ the paper presents them.
 from repro.experiments.campaign import (
     CampaignCache,
     CampaignReport,
-    CampaignUnit,
+    UnitSpec,
     enumerate_units,
     execute_unit,
     run_campaign,
@@ -55,9 +55,9 @@ from repro.experiments.workloads import (
 __all__ = [
     "CampaignCache",
     "CampaignReport",
-    "CampaignUnit",
     "CellResult",
     "RunRecord",
+    "UnitSpec",
     "algorithm_for",
     "alternating_inputs",
     "assignment_battery",

@@ -5,17 +5,19 @@ cell at a time in one process.  A *campaign* runs a whole battery of
 cells -- by default the eight canonical Table 1 boundary cells -- as a
 set of independent, serialisable work units:
 
-* :class:`CampaignUnit` describes one unit of work as plain data: the
-  cell parameters plus either a workload-slice key (solvable cells,
-  one unit per assignment x Byzantine-placement pair) or the
-  impossibility demonstration (unsolvable cells, one unit per cell).
-  Units are pure specs, so they pickle, shard, and cache by content
-  hash.
+* :class:`UnitSpec` is the base of the frozen unit specs: one type per
+  kind of work, each holding only the fields that work reads, so it
+  pickles, shards and caches by content hash.  The per-cell kinds live
+  here -- :class:`SliceUnit` (one validation slice of a solvable cell:
+  an assignment x Byzantine-placement pair), :class:`DelayUnit`,
+  :class:`ExploreUnit` and :class:`DemonstrationUnit` (the whole
+  impossibility demonstration of an unsolvable cell); the atlas and the
+  soak farm define their own specs beside their drivers.
 * :func:`enumerate_units` expands a cell list into the ordered unit
   grid; :func:`shard_units` selects a ``shard/of`` stripe of it for
   multi-machine splits.
-* :func:`execute_unit` is the picklable worker entry point: it rebuilds
-  everything from the spec and returns a plain-dict result.
+* :func:`execute_unit` is the picklable worker entry point: it runs the
+  spec's own work and wraps it into the plain-dict unit result.
 * :func:`execute_units` is the one ordered pool loop of the package
   and :func:`run_units` the cache-aware pipeline on top of it: units
   stream in lazily, run inline or on one process pool, and come back
@@ -44,9 +46,17 @@ import time
 from collections import deque
 from concurrent import futures
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import (
+    Callable,
+    ClassVar,
+    Iterable,
+    Iterator,
+    Mapping,
+    Sequence,
+    TypeVar,
+)
 
 import repro
 from repro.analysis.bounds import solvable
@@ -76,8 +86,6 @@ PROBLEMS: dict[str, AgreementProblem] = {"binary": BINARY}
 #: ``"rounds"``/``"messages"`` (delay slices and the soak farm's loss
 #: accounting), so records written by the 6-key schema miss.
 CACHE_SCHEMA = "campaign/7"
-
-_SYNCHRONY = {s.short: s for s in Synchrony}
 
 PSYNC = Synchrony.PARTIALLY_SYNCHRONOUS
 
@@ -133,139 +141,185 @@ def delay_cells() -> list[tuple[str, SystemParams]]:
 # ----------------------------------------------------------------------
 # Unit specs
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class CampaignUnit:
-    """One serialisable unit of campaign work.
+class UnitSpec:
+    """Base of the frozen unit specs the pipeline runs.
 
-    ``kind`` is ``"slice"`` for one workload slice of a solvable cell
-    (``assignment_index``/``byzantine_index`` name the slice),
-    ``"demonstration"`` for the whole impossibility demonstration of an
-    unsolvable cell (indices are ``-1``), ``"explore"`` for one bounded
-    strategy-exploration slice of the tightness frontier (indices name
-    the assignment x Byzantine-placement pair of
-    :func:`repro.explore.units.explore_slice_keys`), ``"delay"`` for
-    one delay-model workload slice
-    (:func:`repro.experiments.harness.run_delay_slice`) of a partially
-    synchronous solvable cell, or ``"atlas"`` for the full evidence
-    collection of one solvability-atlas cell
-    (:func:`repro.atlas.evidence.run_atlas_unit`; ``variant`` selects
-    the cell's evidence plan).
+    Each concrete spec is a frozen dataclass holding exactly the fields
+    its own work reads, so it pickles, shards and caches by content
+    hash.  ``kind`` names the work in results and ids; :meth:`run` does
+    the work and returns its half of the unit result: ``algorithm`` and
+    ``records``, plus ``demonstration``/``demonstration_kind`` and
+    ``evidence`` where the work produces them.  :func:`execute_unit`
+    wraps it into the full result dict.
     """
 
+    kind: ClassVar[str]
     label: str
-    n: int
-    ell: int
-    t: int
-    synchrony: str
-    numerate: bool
-    restricted: bool
-    kind: str
-    assignment_index: int = -1
-    byzantine_index: int = -1
-    seed: int = 0
-    quick: bool = True
-    problem: str = "binary"
-    variant: str = ""
-
-    def params(self) -> SystemParams:
-        """Reconstruct the cell's :class:`SystemParams` from the spec."""
-        return SystemParams(
-            n=self.n, ell=self.ell, t=self.t,
-            synchrony=_SYNCHRONY[self.synchrony],
-            numerate=self.numerate, restricted=self.restricted,
-        )
 
     @property
     def unit_id(self) -> str:
         """Content hash of the spec -- the cache key and dedup identity.
 
-        The hash covers the full spec plus :data:`CACHE_SCHEMA` and the
-        package version, so a cache directory never serves results
-        computed by a different release or result schema.  The hash
-        input is :func:`repro.core.canonical.canonical_json` -- the same
+        The hash covers ``kind``, every field of the spec (a cell as
+        its :meth:`SystemParams.describe
+        <repro.core.params.SystemParams.describe>` line),
+        :data:`CACHE_SCHEMA` and the package version, so a cache
+        directory never serves results computed by a different release
+        or result schema.  The hash input is
+        :func:`repro.core.canonical.canonical_json` -- the same
         canonicalisation :meth:`ExecutionResult.brief
         <repro.sim.runner.ExecutionResult.brief>` orders decisions with
         -- so keys cannot drift across Python versions or hash seeds.
         """
-        payload = canonical_json([CACHE_SCHEMA, repro.__version__, asdict(self)])
+        spec = {f.name: getattr(self, f.name) for f in fields(self)}
+        if "params" in spec:  # a cell hashes as its one-line description
+            spec["params"] = spec["params"].describe()
+        payload = canonical_json(
+            [CACHE_SCHEMA, repro.__version__, self.kind, spec]
+        )
         return hashlib.sha1(payload.encode()).hexdigest()[:16]
 
+    def slice_key(self) -> tuple[int, int]:
+        """The result's ``(assignment_index, byzantine_index)`` columns."""
+        return -1, -1
+
     def describe(self) -> str:
-        if self.kind == "demonstration":
-            where = "demonstration"
-        elif self.kind == "atlas":
-            where = self.variant or "atlas"
-        elif self.kind == "soak":
-            where = (
-                f"{self.variant}[{self.assignment_index}:"
-                f"{self.assignment_index + self.byzantine_index}]"
-            )
-        else:  # "slice" and "explore" are both (assignment, byz) slices
-            where = (
-                f"{self.kind} a{self.assignment_index}b{self.byzantine_index}"
-            )
-        return f"{self.label} [{where}]"
+        """One line naming the unit in progress lines and failure notes."""
+        return f"{self.label} [{self.kind}]"
 
-    def to_dict(self) -> dict:
-        """Serialise the spec to plain JSON-compatible data."""
-        return asdict(self)
+    def run(self) -> dict:
+        """Do the unit's work; see the class docstring for the keys."""
+        raise NotImplementedError
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "CampaignUnit":
-        """Rebuild a spec from :meth:`to_dict` output.
 
-        Args:
-            data: A mapping with exactly the dataclass fields.
+class CellUnit(UnitSpec):
+    """A unit of work on one labelled Table 1 cell (``params``); the
+    campaign report folds results back into cells by label."""
 
-        Returns:
-            The reconstructed unit.
-        """
-        return cls(**dict(data))
+    params: SystemParams
 
-    @classmethod
-    def for_cell(
-        cls,
-        label: str,
-        params: SystemParams,
-        kind: str,
-        assignment_index: int = -1,
-        byzantine_index: int = -1,
-        seed: int = 0,
-        quick: bool = True,
-        problem: str = "binary",
-        variant: str = "",
-    ) -> "CampaignUnit":
-        """Build a unit spec from live parameters.
+    def weight(self) -> int:
+        """Crude cost estimate used to schedule heavy units first."""
+        params = self.params
+        weight = params.n * params.n
+        if params.synchrony is PSYNC:
+            weight *= 8 if not (params.restricted and params.numerate) else 2
+        return weight
 
-        Args:
-            label: The cell's display label (groups units into cells).
-            params: The cell's system parameters.
-            kind: ``"slice"`` or ``"demonstration"``.
-            assignment_index: Slice key part (slices only).
-            byzantine_index: Slice key part (slices only).
-            seed: The battery seed.
-            quick: Whether the trimmed quick battery is used.
-            problem: Name of the agreement problem (key of
-                :data:`PROBLEMS`).
-            variant: Evidence-plan selector (``"atlas"`` units only).
 
-        Returns:
-            The frozen, hashable unit spec.
-        """
-        return cls(
-            label=label,
-            n=params.n, ell=params.ell, t=params.t,
-            synchrony=params.synchrony.short,
-            numerate=params.numerate, restricted=params.restricted,
-            kind=kind,
-            assignment_index=assignment_index,
-            byzantine_index=byzantine_index,
-            seed=seed, quick=quick, problem=problem,
-            variant=variant,
+@dataclass(frozen=True)
+class _CellSlice(CellUnit):
+    """A cell unit naming one assignment x Byzantine-placement slice."""
+
+    label: str
+    params: SystemParams
+    assignment_index: int
+    byzantine_index: int
+    quick: bool = True
+    problem: str = "binary"
+
+    def slice_key(self) -> tuple[int, int]:
+        return self.assignment_index, self.byzantine_index
+
+    def describe(self) -> str:
+        return (
+            f"{self.label} "
+            f"[{self.kind} a{self.assignment_index}b{self.byzantine_index}]"
         )
 
 
-def _require_unique_labels(cells: Sequence[tuple]) -> None:
+@dataclass(frozen=True)
+class SliceUnit(_CellSlice):
+    """One validation workload slice of a solvable cell
+    (:func:`repro.experiments.harness.run_solvable_slice`)."""
+
+    kind = "slice"
+
+    seed: int = 0
+
+    def run(self) -> dict:
+        problem = PROBLEMS[self.problem]
+        algorithm, _, _ = algorithm_for(self.params, problem)
+        records = run_solvable_slice(
+            self.params, self.slice_key(), problem, self.seed, self.quick
+        )
+        return {
+            "algorithm": algorithm,
+            "records": [asdict(r) for r in records],
+        }
+
+
+@dataclass(frozen=True)
+class DelayUnit(SliceUnit):
+    """One delay-model workload slice of a partially synchronous
+    solvable cell (:func:`repro.experiments.harness.run_delay_slice`)."""
+
+    kind = "delay"
+
+    def run(self) -> dict:
+        problem = PROBLEMS[self.problem]
+        algorithm, _, _ = algorithm_for(self.params, problem)
+        records = run_delay_slice(
+            self.params, self.slice_key(), problem, self.seed, self.quick
+        )
+        return {
+            "algorithm": algorithm,
+            "records": [asdict(r) for r in records],
+        }
+
+    def weight(self) -> int:
+        # A delay slice runs the whole policy battery per pattern.
+        return 3 * super().weight()
+
+
+@dataclass(frozen=True)
+class ExploreUnit(_CellSlice):
+    """One bounded strategy-exploration slice of the tightness frontier
+    (:func:`repro.explore.units.run_explore_unit`).  Exploration is
+    deterministic, so the spec carries no seed."""
+
+    kind = "explore"
+
+    def run(self) -> dict:
+        from repro.explore.units import run_explore_unit
+
+        return run_explore_unit(
+            self.params, self.assignment_index, self.byzantine_index,
+            quick=self.quick, problem=PROBLEMS[self.problem],
+        )
+
+    def weight(self) -> int:
+        # Per-round tree exploration (synchronous scopes) dwarfs the
+        # persistent-face sweeps, and certificates dwarf violations.
+        params = self.params
+        return params.n ** 3 * (4 if params.synchrony is PSYNC else 40)
+
+
+@dataclass(frozen=True)
+class DemonstrationUnit(CellUnit):
+    """The whole impossibility demonstration of one unsolvable cell
+    (:func:`repro.experiments.harness.evaluate_unsolvable_cell`)."""
+
+    kind = "demonstration"
+
+    label: str
+    params: SystemParams
+    seed: int = 0
+    problem: str = "binary"
+
+    def run(self) -> dict:
+        cell = evaluate_unsolvable_cell(
+            self.params, PROBLEMS[self.problem], self.seed
+        )
+        return {
+            "algorithm": cell.algorithm,
+            "records": [asdict(r) for r in cell.runs],
+            "demonstration": cell.demonstration,
+            "demonstration_kind": cell.demonstration_kind,
+        }
+
+
+def require_unique_labels(cells: Sequence[tuple]) -> None:
     """Refuse a battery whose cell labels repeat (labels are the
     aggregation key)."""
     labels = [cell[0] for cell in cells]
@@ -278,13 +332,14 @@ def enumerate_units(
     seed: int = 0,
     quick: bool = True,
     problem: str = "binary",
-) -> list[CampaignUnit]:
+) -> list[CellUnit]:
     """Expand a cell battery into the ordered campaign unit grid.
 
-    Solvable cells contribute one unit per workload slice; unsolvable
-    cells contribute a single demonstration unit.  The order is the
-    sequential harness's order, which makes report assembly (and the
-    determinism guarantee) a plain sort-free fold.
+    Solvable cells contribute one :class:`SliceUnit` per workload
+    slice; unsolvable cells contribute a single
+    :class:`DemonstrationUnit`.  The order is the sequential harness's
+    order, which makes report assembly (and the determinism guarantee)
+    a plain sort-free fold.
 
     Args:
         cells: ``(label, params)`` pairs; defaults to
@@ -302,21 +357,16 @@ def enumerate_units(
     """
     if cells is None:
         cells = table1_cells()
-    _require_unique_labels(cells)
-    units: list[CampaignUnit] = []
+    require_unique_labels(cells)
+    units: list[CellUnit] = []
     for label, params in cells:
         if solvable(params):
-            for a_idx, b_idx in solvable_slice_keys(params, seed, quick):
-                units.append(CampaignUnit.for_cell(
-                    label, params, "slice",
-                    assignment_index=a_idx, byzantine_index=b_idx,
-                    seed=seed, quick=quick, problem=problem,
-                ))
+            units.extend(
+                SliceUnit(label, params, a_idx, b_idx, quick, problem, seed)
+                for a_idx, b_idx in solvable_slice_keys(params, seed, quick)
+            )
         else:
-            units.append(CampaignUnit.for_cell(
-                label, params, "demonstration",
-                seed=seed, quick=quick, problem=problem,
-            ))
+            units.append(DemonstrationUnit(label, params, seed, problem))
     return units
 
 
@@ -325,7 +375,7 @@ def enumerate_explore_units(
     seed: int = 0,
     quick: bool = True,
     problem: str = "binary",
-) -> list[CampaignUnit]:
+) -> list[ExploreUnit]:
     """Expand a tightness-frontier battery into exploration units.
 
     One unit per (assignment, Byzantine placement) pair of each cell --
@@ -335,8 +385,8 @@ def enumerate_explore_units(
     Args:
         cells: ``(label, params)`` pairs; defaults to
             :func:`repro.explore.units.explore_battery`.
-        seed: Battery seed (recorded in the unit id; exploration itself
-            is deterministic).
+        seed: Battery seed (interface symmetry only: the placement
+            battery and the exploration itself are deterministic).
         quick: Trim the placement battery.
         problem: Name of the agreement problem.
 
@@ -350,13 +400,9 @@ def enumerate_explore_units(
 
     if cells is None:
         cells = explore_battery()
-    _require_unique_labels(cells)
+    require_unique_labels(cells)
     return [
-        CampaignUnit.for_cell(
-            label, params, "explore",
-            assignment_index=a_idx, byzantine_index=b_idx,
-            seed=seed, quick=quick, problem=problem,
-        )
+        ExploreUnit(label, params, a_idx, b_idx, quick, problem)
         for label, params in cells
         for a_idx, b_idx in explore_slice_keys(params, seed, quick)
     ]
@@ -367,7 +413,7 @@ def enumerate_delay_units(
     seed: int = 0,
     quick: bool = True,
     problem: str = "binary",
-) -> list[CampaignUnit]:
+) -> list[DelayUnit]:
     """Expand a delay battery into delay-model workload units.
 
     One unit per (assignment, Byzantine placement) slice of each cell,
@@ -391,7 +437,7 @@ def enumerate_delay_units(
     """
     if cells is None:
         cells = delay_cells()
-    _require_unique_labels(cells)
+    require_unique_labels(cells)
     for label, params in cells:
         if params.synchrony is not PSYNC or not solvable(params):
             raise ConfigurationError(
@@ -399,11 +445,7 @@ def enumerate_delay_units(
                 f"synchronous and solvable, got {params.describe()}"
             )
     return [
-        CampaignUnit.for_cell(
-            label, params, "delay",
-            assignment_index=a_idx, byzantine_index=b_idx,
-            seed=seed, quick=quick, problem=problem,
-        )
+        DelayUnit(label, params, a_idx, b_idx, quick, problem, seed)
         for label, params in cells
         for a_idx, b_idx in delay_slice_keys(params, seed, quick)
     ]
@@ -414,101 +456,12 @@ def enumerate_atlas_units(
     seed: int = 0,
     quick: bool = True,
     problem: str = "binary",
-) -> list[CampaignUnit]:
-    """Expand an atlas lattice into evidence-collection units.
+) -> list:
+    """Forward to :func:`repro.atlas.evidence.enumerate_atlas_units`,
+    keeping the name importable from the pipeline module."""
+    from repro.atlas import evidence
 
-    One unit per lattice cell: the unit executes the whole
-    evidence plan of its cell (:func:`repro.atlas.evidence.
-    run_atlas_unit`), with ``variant`` naming the plan -- the atlas
-    driver keeps lattice knowledge on its side so this module stays
-    evidence-agnostic.
-
-    Args:
-        cells: ``(label, params, variant)`` triples in lattice order.
-        seed: The battery seed shared by every unit.
-        quick: Use the trimmed quick batteries.
-        problem: Name of the agreement problem.
-
-    Returns:
-        The ordered unit list.
-
-    Raises:
-        ConfigurationError: On duplicate cell labels.
-    """
-    _require_unique_labels(cells)
-    return [
-        CampaignUnit.for_cell(
-            label, params, "atlas",
-            seed=seed, quick=quick, problem=problem, variant=variant,
-        )
-        for label, params, variant in cells
-    ]
-
-
-def soak_window_unit(
-    profile: str, farm_seed: int, start: int, count: int
-) -> CampaignUnit:
-    """The ``kind="soak"`` unit of one window of the instance stream.
-
-    ``variant`` names the profile, ``assignment_index`` the window's
-    first instance and ``byzantine_index`` its instance count (the
-    slice-key fields repurposed as the stream slice -- a soak window
-    spans many cells, so it has no single ``(n, ell, t)``; the cell
-    fields carry the trivial placeholder and are unused).  The unit id
-    still content-hashes the full spec, so windows from a different
-    profile, seed, window size or schema never collide in the cache.
-    This is the only place a window unit is built: bounded plans
-    (:func:`enumerate_soak_units`) and the farm's open-ended window
-    stream both call it.
-    """
-    return CampaignUnit(
-        label=f"soak/{profile}",
-        n=1, ell=1, t=0,
-        synchrony="sync", numerate=False, restricted=False,
-        kind="soak",
-        assignment_index=start,
-        byzantine_index=count,
-        seed=farm_seed,
-        variant=profile,
-    )
-
-
-def enumerate_soak_units(
-    profile: str,
-    farm_seed: int,
-    instances: int,
-    window: int,
-) -> list[CampaignUnit]:
-    """Expand a soak farm budget into window units.
-
-    One :func:`soak_window_unit` per window of the deterministic
-    instance stream.
-
-    Args:
-        profile: A :data:`repro.soak.mixture.PROFILES` key.
-        farm_seed: The farm's seed.
-        instances: Total instance budget (the last window may be
-            short).
-        window: Instances per window.
-
-    Returns:
-        The ordered window units.
-
-    Raises:
-        ConfigurationError: Non-positive window or negative budget.
-    """
-    if window < 1:
-        raise ConfigurationError(f"soak window must be >= 1, got {window}")
-    if instances < 0:
-        raise ConfigurationError(
-            f"soak instance budget must be >= 0, got {instances}"
-        )
-    return [
-        soak_window_unit(
-            profile, farm_seed, start, min(window, instances - start)
-        )
-        for start in range(0, instances, window)
-    ]
+    return evidence.enumerate_atlas_units(cells, seed, quick, problem)
 
 
 _T = TypeVar("_T")
@@ -577,128 +530,55 @@ def parse_shard(text: str) -> tuple[int, int]:
 # ----------------------------------------------------------------------
 # Worker entry point
 # ----------------------------------------------------------------------
-def execute_unit(unit: CampaignUnit | Mapping) -> dict:
+def execute_unit(unit: UnitSpec) -> dict:
     """Execute one unit and return its plain-dict result.
 
-    This is the function a pool worker runs: it accepts either a
-    :class:`CampaignUnit` or its ``to_dict`` form (what actually crosses
-    the process boundary), rebuilds the workload deterministically, and
-    returns JSON-compatible data only.
+    This is the function a pool worker runs on the pickled spec: the
+    spec's :meth:`~UnitSpec.run` rebuilds its workload
+    deterministically, and the result carries JSON-compatible data
+    only.  The result dicts below are the cache schema that
+    :data:`CACHE_SCHEMA` vouches for.
 
     Args:
-        unit: The unit spec (object or dict).
+        unit: The unit spec.
 
     Returns:
-        A dict with ``unit_id``, ``label``, ``kind``, ``algorithm``,
-        ``records`` (one per execution: label/ok/detail/rounds/
-        messages), ``demonstration``, ``demonstration_kind`` and
-        ``elapsed_s``.
+        A dict with ``unit_id``, ``label``, ``kind``,
+        ``assignment_index``/``byzantine_index`` (the spec's
+        :meth:`~UnitSpec.slice_key`), ``algorithm``, ``records`` (one
+        per execution: label/ok/detail/rounds/messages/losses),
+        ``demonstration``, ``demonstration_kind``, ``evidence`` when
+        the work collects evidence, and ``elapsed_s``.
     """
-    if not isinstance(unit, CampaignUnit):
-        unit = CampaignUnit.from_dict(unit)
     start = time.perf_counter()  # reprolint: disable=RL002 -- diagnostic timing only
-    params = unit.params()
-    problem = PROBLEMS[unit.problem]
-    demonstration = ""
-    demonstration_kind = ""
-    if unit.kind == "slice":
-        algorithm, _, _ = algorithm_for(params, problem)
-        records = run_solvable_slice(
-            params,
-            (unit.assignment_index, unit.byzantine_index),
-            problem, unit.seed, unit.quick,
-        )
-    elif unit.kind == "delay":
-        algorithm, _, _ = algorithm_for(params, problem)
-        records = run_delay_slice(
-            params,
-            (unit.assignment_index, unit.byzantine_index),
-            problem, unit.seed, unit.quick,
-        )
-    elif unit.kind == "soak":
-        from repro.soak.units import run_soak_window
-
-        algorithm = "soak-mixture"
-        records = run_soak_window(
-            unit.variant, unit.seed,
-            unit.assignment_index, unit.byzantine_index,
-        )
-    elif unit.kind == "demonstration":
-        cell = evaluate_unsolvable_cell(params, problem, unit.seed)
-        algorithm = cell.algorithm
-        records = cell.runs
-        demonstration = cell.demonstration
-        demonstration_kind = cell.demonstration_kind
-    elif unit.kind == "explore":
-        from repro.explore.units import run_explore_unit
-
-        outcome = run_explore_unit(
-            params, unit.assignment_index, unit.byzantine_index,
-            unit.seed, unit.quick, problem,
-        )
+    work = unit.run()
+    assignment_index, byzantine_index = unit.slice_key()
+    if "evidence" not in work:
         return {
             "unit_id": unit.unit_id,
             "label": unit.label,
             "kind": unit.kind,
-            "assignment_index": unit.assignment_index,
-            "byzantine_index": unit.byzantine_index,
-            "algorithm": outcome["algorithm"],
-            "demonstration": outcome["demonstration"],
-            "demonstration_kind": outcome["demonstration_kind"],
-            "records": outcome["records"],
+            "assignment_index": assignment_index,
+            "byzantine_index": byzantine_index,
+            "algorithm": work["algorithm"],
+            "demonstration": work.get("demonstration", ""),
+            "demonstration_kind": work.get("demonstration_kind", ""),
+            "records": work["records"],
             "elapsed_s": time.perf_counter() - start,  # reprolint: disable=RL002 -- diagnostic timing only
         }
-    elif unit.kind == "atlas":
-        from repro.atlas.evidence import run_atlas_unit
-        from repro.atlas.lattice import BUDGET_SKIPPED, WITH_EXPLORER
-
-        outcome = run_atlas_unit(
-            params, seed=unit.seed, quick=unit.quick, problem=problem,
-            with_explorer=unit.variant == WITH_EXPLORER,
-            budget_skipped=unit.variant == BUDGET_SKIPPED,
-        )
-        return {
-            "unit_id": unit.unit_id,
-            "label": unit.label,
-            "kind": unit.kind,
-            "assignment_index": unit.assignment_index,
-            "byzantine_index": unit.byzantine_index,
-            "algorithm": outcome["algorithm"],
-            "demonstration": outcome["demonstration"],
-            "demonstration_kind": outcome["demonstration_kind"],
-            "records": outcome["records"],
-            "evidence": outcome["evidence"],
-            "elapsed_s": time.perf_counter() - start,  # reprolint: disable=RL002 -- diagnostic timing only
-        }
-    else:
-        raise ConfigurationError(f"unknown unit kind {unit.kind!r}")
     return {
         "unit_id": unit.unit_id,
         "label": unit.label,
         "kind": unit.kind,
-        "assignment_index": unit.assignment_index,
-        "byzantine_index": unit.byzantine_index,
-        "algorithm": algorithm,
-        "demonstration": demonstration,
-        "demonstration_kind": demonstration_kind,
-        "records": [asdict(r) for r in records],
+        "assignment_index": assignment_index,
+        "byzantine_index": byzantine_index,
+        "algorithm": work["algorithm"],
+        "demonstration": work.get("demonstration", ""),
+        "demonstration_kind": work.get("demonstration_kind", ""),
+        "records": work["records"],
+        "evidence": work["evidence"],
         "elapsed_s": time.perf_counter() - start,  # reprolint: disable=RL002 -- diagnostic timing only
     }
-
-
-def _unit_weight(unit: CampaignUnit) -> int:
-    """Crude cost estimate used to schedule heavy units first."""
-    if unit.kind == "explore":
-        # Per-round tree exploration (synchronous scopes) dwarfs the
-        # persistent-face sweeps, and certificates dwarf violations.
-        return unit.n ** 3 * (40 if unit.synchrony == "sync" else 4)
-    weight = unit.n * unit.n
-    if unit.synchrony == "psync":
-        weight *= 8 if not (unit.restricted and unit.numerate) else 2
-    if unit.kind == "delay":
-        # A delay slice runs the whole policy battery per pattern.
-        weight *= 3
-    return weight
 
 
 def in_flight_bound(workers: int) -> int:
@@ -714,7 +594,7 @@ def in_flight_bound(workers: int) -> int:
 
 
 @contextmanager
-def _blame(unit: CampaignUnit) -> Iterator[None]:
+def _blame(unit: UnitSpec) -> Iterator[None]:
     """Attach ``unit``'s ``describe()`` and id to an escaping exception."""
     try:
         yield
@@ -727,8 +607,8 @@ def _blame(unit: CampaignUnit) -> Iterator[None]:
 
 
 def _split(
-    item: CampaignUnit | tuple[CampaignUnit, object],
-) -> tuple[CampaignUnit, dict | None, CampaignCache | None]:
+    item: UnitSpec | tuple[UnitSpec, object],
+) -> tuple[UnitSpec, dict | None, CampaignCache | None]:
     """A pending item as ``(unit, finished result, cache to fill)``."""
     if not isinstance(item, tuple):
         return item, None, None
@@ -739,9 +619,9 @@ def _split(
 
 
 def execute_units(
-    pending: Iterable[CampaignUnit | tuple[CampaignUnit, object]],
+    pending: Iterable[UnitSpec | tuple[UnitSpec, object]],
     workers: int,
-    finish: Callable[[CampaignUnit, dict], None],
+    finish: Callable[[UnitSpec, dict], None],
 ) -> None:
     """Execute units inline or on one process pool, delivering in order.
 
@@ -825,7 +705,7 @@ def execute_units(
             for item in pending:
                 unit, result, cache = _split(item)
                 if result is None:
-                    future = pool.submit(execute_unit, unit.to_dict())
+                    future = pool.submit(execute_unit, unit)
                 else:
                     future = futures.Future()
                     future.set_result(result)
@@ -841,9 +721,9 @@ def execute_units(
 
 
 def run_units(
-    units: Iterable[CampaignUnit],
+    units: Iterable[UnitSpec],
     workers: int,
-    finish: Callable[[CampaignUnit, dict, bool], None],
+    finish: Callable[[UnitSpec, dict, bool], None],
     cache: CampaignCache | None = None,
     resume: bool = False,
 ) -> None:
@@ -866,7 +746,7 @@ def run_units(
     """
     served: deque[bool] = deque()
 
-    def feed() -> Iterator[tuple[CampaignUnit, object]]:
+    def feed() -> Iterator[tuple[UnitSpec, object]]:
         for unit in units:
             hit = cache.load(unit) if cache is not None and resume else None
             served.append(hit is not None)
@@ -884,15 +764,15 @@ def run_units(
 class CampaignCache:
     """One-JSON-file-per-unit result cache keyed by unit content hash.
 
-    Because the key hashes the full unit spec (cell, slice, seed,
-    quick flag, problem), a cache can be shared between campaigns: only
+    Because the key hashes the full unit spec (its kind and every
+    field), a cache can be shared between campaigns: only
     identical work is reused, and re-runs execute just the delta.
     """
 
     def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
 
-    def path(self, unit: CampaignUnit) -> Path:
+    def path(self, unit: UnitSpec) -> Path:
         """Cache file for a unit."""
         return self.root / f"{unit.unit_id}.json"
 
@@ -903,7 +783,7 @@ class CampaignCache:
     )
     _RECORD_KEYS = frozenset(RunRecord.__dataclass_fields__)
 
-    def load(self, unit: CampaignUnit) -> dict | None:
+    def load(self, unit: UnitSpec) -> dict | None:
         """Return the cached result for ``unit``, or ``None``.
 
         Corrupt, mismatched, or wrong-shaped files (e.g. written by a
@@ -926,7 +806,7 @@ class CampaignCache:
             return None
         return data
 
-    def store(self, unit: CampaignUnit, result: Mapping) -> None:
+    def store(self, unit: UnitSpec, result: Mapping) -> None:
         """Persist a unit result atomically (write-then-rename).
 
         The tmp name is unique per process *and* per thread: concurrent
@@ -1231,7 +1111,7 @@ def run_campaign(
     results: dict[str, dict] = {}
     cached = 0
 
-    def finish(unit: CampaignUnit, result: dict, hit: bool) -> None:
+    def finish(unit: CellUnit, result: dict, hit: bool) -> None:
         nonlocal cached
         results[unit.unit_id] = result
         if hit:
@@ -1248,7 +1128,7 @@ def run_campaign(
     # Heavy units first: better makespan under LPT-style greedy
     # scheduling, identical results in any order.
     run_units(
-        sorted(units, key=_unit_weight, reverse=True),
+        sorted(units, key=lambda unit: unit.weight(), reverse=True),
         workers, finish, cache, resume,
     )
 

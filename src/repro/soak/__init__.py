@@ -16,7 +16,8 @@ The stream is a pure function of ``(profile, farm_seed, index)``:
   instance is replayable in isolation with
   :func:`~repro.soak.mixture.run_instance`;
 * :func:`~repro.soak.units.run_soak_window` executes a window of the
-  stream on batched kernels as one campaign unit;
+  stream on batched kernels; its spec
+  :class:`~repro.soak.units.SoakWindow` is the pipeline unit;
 * :func:`~repro.soak.driver.run_soak` drives windows through the
   campaign pool to an instance/duration budget, streaming metrics into
   a torn-line-safe JSONL log with checkpointed cumulative counters and
@@ -45,7 +46,7 @@ from repro.soak.mixture import (
     run_instance,
     sample_instance,
 )
-from repro.soak.units import run_soak_window
+from repro.soak.units import SoakWindow, run_soak_window
 
 __all__ = [
     "PROFILES",
@@ -54,6 +55,7 @@ __all__ = [
     "SoakCell",
     "SoakOutcome",
     "SoakProfile",
+    "SoakWindow",
     "build_instance",
     "checkpoint_id",
     "expected_row_ids",

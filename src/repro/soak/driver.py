@@ -3,10 +3,9 @@
 One :func:`run_soak` call drives the deterministic instance stream of a
 profile (:mod:`repro.soak.mixture`) window by window:
 
-1. a generator yields one ``kind="soak"`` campaign unit per window of
-   ``window`` consecutive instances
-   (:func:`repro.experiments.campaign.soak_window_unit`), executed on
-   batched kernels through the shared unit pipeline
+1. a generator yields one :class:`~repro.soak.units.SoakWindow` spec
+   per window of ``window`` consecutive instances, executed on batched
+   kernels through the shared unit pipeline
    (:func:`repro.experiments.campaign.run_units`): one process pool,
    the content-hash disk cache, and prompt cancel-on-first-failure;
 2. the pipeline hands finished windows back **in stream order**, and
@@ -41,14 +40,10 @@ from typing import Callable, Iterator, Mapping
 from repro.atlas.stream import AtlasLog
 from repro.core.canonical import canonical_json
 from repro.core.errors import ConfigurationError, SimulationError
-from repro.experiments.campaign import (
-    CampaignCache,
-    CampaignUnit,
-    run_units,
-    soak_window_unit,
-)
+from repro.experiments.campaign import CampaignCache, run_units
 from repro.sim.metrics import WindowAggregator
 from repro.soak.mixture import SOAK_SCHEMA, get_profile, sample_instance
+from repro.soak.units import SoakWindow
 
 
 def checkpoint_id(
@@ -278,7 +273,7 @@ def run_soak(
     def elapsed() -> float:
         return time.perf_counter() - start_clock  # reprolint: disable=RL002 -- diagnostic timing only
 
-    def windows() -> Iterator[CampaignUnit]:
+    def windows() -> Iterator[SoakWindow]:
         start = completed_windows * window
         while instances is None or start < instances:
             if duration is not None and elapsed() >= duration:
@@ -287,12 +282,12 @@ def run_soak(
                 window if instances is None
                 else min(window, instances - start)
             )
-            yield soak_window_unit(profile, seed, start, count)
+            yield SoakWindow(profile, seed, start, count)
             start += count
 
-    def finish(unit: CampaignUnit, result: dict, cached: bool) -> None:
+    def finish(unit: SoakWindow, result: dict, cached: bool) -> None:
         nonlocal skip_in_window
-        start, count = unit.assignment_index, unit.byzantine_index
+        start, count = unit.start, unit.count
         w = start // window
         records = result["records"]
         if len(records) != count:

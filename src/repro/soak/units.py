@@ -10,15 +10,19 @@ instance.  Kernels share no state, so each instance's verdict and costs
 are bit-identical to a solo :func:`~repro.soak.mixture.run_instance`
 replay -- the property the farm's replay contract rests on.
 
-Windows ride the campaign engine (``kind="soak"`` units built by
-:func:`repro.experiments.campaign.soak_window_unit`), which gives the
-farm the shared unit pipeline's process pool, content-hash disk cache
-and prompt cancel-on-failure for free.
+A window's spec is a :class:`SoakWindow` -- profile, farm seed, start
+and count, nothing else -- which rides the campaign engine's unit
+pipeline (:func:`repro.experiments.campaign.run_units`) and so gets its
+process pool, content-hash disk cache and prompt cancel-on-failure for
+free.
 """
 
 from __future__ import annotations
 
+from dataclasses import asdict, dataclass
+
 from repro.core.errors import ConfigurationError
+from repro.experiments.campaign import UnitSpec
 from repro.experiments.harness import RunRecord
 from repro.sim.kernel import ExecutionKernel, run_batch
 from repro.sim.runner import make_processes, result_from_kernel
@@ -102,3 +106,41 @@ def run_soak_window(
                 )
             )
     return records
+
+
+@dataclass(frozen=True)
+class SoakWindow(UnitSpec):
+    """``count`` consecutive instances of a profile's stream from ``start``.
+
+    :meth:`run` is :func:`run_soak_window`, which also validates the
+    profile and the window bounds -- in the worker, like any other
+    failure of a unit's work.
+    """
+
+    kind = "soak"
+
+    profile: str
+    seed: int
+    start: int
+    count: int
+
+    @property
+    def label(self) -> str:
+        return f"soak/{self.profile}"
+
+    def slice_key(self) -> tuple[int, int]:
+        """A window's result reports its stream slice ``(start, count)``."""
+        return self.start, self.count
+
+    def describe(self) -> str:
+        end = self.start + self.count
+        return f"{self.label} [{self.profile}[{self.start}:{end}]]"
+
+    def run(self) -> dict:
+        records = run_soak_window(
+            self.profile, self.seed, self.start, self.count
+        )
+        return {
+            "algorithm": "soak-mixture",
+            "records": [asdict(r) for r in records],
+        }

@@ -37,6 +37,8 @@ from repro.atlas import (
     run_atlas,
     run_atlas_unit,
 )
+from repro.atlas.evidence import AtlasUnit, enumerate_atlas_units
+from repro.atlas.lattice import CAMPAIGN_ONLY
 from repro.cli import main
 from repro.core.errors import (
     AtlasConflict,
@@ -45,7 +47,7 @@ from repro.core.errors import (
     ProvenanceError,
 )
 from repro.core.params import Synchrony, SystemParams
-from repro.experiments.campaign import CampaignCache, enumerate_atlas_units
+from repro.experiments.campaign import CampaignCache
 
 PSYNC = Synchrony.PARTIALLY_SYNCHRONOUS
 
@@ -546,10 +548,21 @@ class TestUnits:
         assert all(u.kind == "atlas" for u in units)
 
     def test_duplicate_labels_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="duplicate cell labels"):
             enumerate_atlas_units(
-                [("cell", SOLVABLE, ""), ("cell", SOLVABLE, "")]
+                [("cell", SOLVABLE, CAMPAIGN_ONLY),
+                 ("cell", SOLVABLE, CAMPAIGN_ONLY)]
             )
+
+    def test_misspelled_plan_rejected(self):
+        # Before plans were validated, this unit ran, hashed to an id of
+        # its own and silently returned campaign evidence only.
+        with pytest.raises(ConfigurationError, match=r"campaign\+explore'"):
+            enumerate_atlas_units(
+                [("c", SystemParams(4, 4, 1), "campaign+explore")]
+            )
+        with pytest.raises(ConfigurationError):
+            AtlasUnit("c", SystemParams(4, 4, 1), "")
 
 
 class TestCLI:

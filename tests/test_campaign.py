@@ -7,21 +7,27 @@ that contract on a cheap four-cell battery (one solvable and one
 unsolvable cell from two model families) so the whole file stays fast.
 """
 
+import dataclasses
 import json
+import pickle
 
 import pytest
 
+from repro.atlas.evidence import AtlasUnit
+from repro.atlas.lattice import PLANS
 from repro.core.errors import ConfigurationError
 from repro.core.params import SystemParams, Synchrony
 from repro.experiments.campaign import (
     CACHE_SCHEMA,
     CampaignCache,
-    CampaignUnit,
+    DelayUnit,
+    DemonstrationUnit,
+    ExploreUnit,
+    SliceUnit,
     delay_cells,
     enumerate_atlas_units,
     enumerate_delay_units,
     enumerate_explore_units,
-    enumerate_soak_units,
     enumerate_units,
     execute_unit,
     execute_units,
@@ -29,7 +35,6 @@ from repro.experiments.campaign import (
     run_campaign,
     run_units,
     shard_units,
-    soak_window_unit,
     table1_cells,
 )
 from repro.experiments.harness import (
@@ -38,6 +43,8 @@ from repro.experiments.harness import (
     run_delay_slice,
     solvable_slice_keys,
 )
+from repro.soak.driver import run_soak, window_plan
+from repro.soak.units import SoakWindow
 
 PSYNC = Synchrony.PARTIALLY_SYNCHRONOUS
 
@@ -79,14 +86,12 @@ class TestUnitEnumeration:
         reseeded = enumerate_units(CHEAP_CELLS, seed=1, quick=True)
         assert set(u.unit_id for u in reseeded).isdisjoint(ids)
 
-    def test_unit_roundtrips_through_dict(self):
+    def test_unit_roundtrips_through_pickle(self):
         for unit in enumerate_units(CHEAP_CELLS, quick=True):
-            clone = CampaignUnit.from_dict(
-                json.loads(json.dumps(unit.to_dict()))
-            )
+            clone = pickle.loads(pickle.dumps(unit))
             assert clone == unit
             assert clone.unit_id == unit.unit_id
-            assert clone.params() == unit.params()
+            assert clone.params == unit.params
 
     def test_duplicate_labels_rejected(self):
         cells = [CHEAP_CELLS[0], CHEAP_CELLS[0]]
@@ -365,16 +370,13 @@ class TestPoolFailureContract:
     """
 
     def _poison(self):
-        # An unknown soak profile fails validation in milliseconds.
-        u = enumerate_soak_units("quick", 0, 10, 10)[0]
-        return CampaignUnit.from_dict(
-            dict(u.to_dict(), variant="no-such-profile",
-                 byzantine_index=10_000)
-        )
+        # An unknown soak profile fails validation in the worker, in
+        # milliseconds (the spec itself builds without complaint).
+        return SoakWindow("no-such-profile", 0, 0, 10_000)
 
     def _heavies(self, count):
         # Real soak windows, a few hundred ms each.
-        return enumerate_soak_units("quick", 0, 150 * count, 150)
+        return _windows("quick", 0, 150 * count, 150)
 
     def test_inline_failure_attaches_unit_note(self):
         poison = self._poison()
@@ -413,8 +415,8 @@ class TestPoolFailureContract:
         # it complete and the poison fails: results are stored as each
         # unit completes, not at its delivery turn, so a resume never
         # re-executes them.
-        head = enumerate_soak_units("quick", 0, 450, 450)[0]
-        light = enumerate_soak_units("quick", 1, 3, 1)
+        head = _windows("quick", 0, 450, 450)[0]
+        light = _windows("quick", 1, 3, 1)
         poison = self._poison()
         cache = CampaignCache(tmp_path)
         finished = []
@@ -429,7 +431,7 @@ class TestPoolFailureContract:
         assert cache.load(poison) is None
 
     def test_failure_inside_finish_names_the_unit_and_stops_reading(self):
-        units = enumerate_soak_units("quick", 0, 40, 1)
+        units = _windows("quick", 0, 40, 1)
         read = []
 
         def source():
@@ -455,8 +457,8 @@ class TestOrderedPipeline:
     def test_finish_runs_in_input_order_despite_completion_order(self):
         # A heavy window first, cheap ones after: on two workers the
         # cheap units complete long before the heavy one.
-        heavy = enumerate_soak_units("quick", 0, 300, 300)
-        light = enumerate_soak_units("quick", 1, 6, 1)
+        heavy = _windows("quick", 0, 300, 300)
+        light = _windows("quick", 1, 6, 1)
         units = [*heavy, *light]
         delivered = []
         execute_units(
@@ -471,7 +473,7 @@ class TestOrderedPipeline:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_reads_at_most_the_bound_past_delivery(self, workers):
-        units = enumerate_soak_units("quick", 0, 40, 1)
+        units = _windows("quick", 0, 40, 1)
         bound = in_flight_bound(workers)
         assert len(units) > bound
         read = []
@@ -496,7 +498,7 @@ class TestOrderedPipeline:
             start = 0
             while True:
                 read.append(start)
-                yield soak_window_unit("quick", 0, start, 1)
+                yield SoakWindow("quick", 0, start, 1)
                 start += 1
 
         delivered = []
@@ -512,7 +514,7 @@ class TestOrderedPipeline:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_cache_hits_interleave_in_order(self, tmp_path, workers):
-        units = enumerate_soak_units("quick", 0, 8, 1)
+        units = _windows("quick", 0, 8, 1)
         cache = CampaignCache(tmp_path)
         for unit in units[::2]:
             cache.store(unit, execute_unit(unit))
@@ -527,46 +529,106 @@ class TestOrderedPipeline:
         assert all(cache.load(u) is not None for u in units)
 
 
+def _windows(profile, seed, instances, window):
+    """The window specs of a bounded farm, as :func:`run_soak` plans them."""
+    return [
+        SoakWindow(profile, seed, start, count)
+        for _, start, count in window_plan(instances, window)
+    ]
+
+
 class TestSoakUnits:
     def test_budget_expands_to_windows_with_a_short_tail(self):
-        units = enumerate_soak_units("quick", 5, 250, 100)
-        assert [(u.assignment_index, u.byzantine_index) for u in units] \
+        assert window_plan(250, 100) == [
+            (0, 0, 100), (1, 100, 100), (2, 200, 50),
+        ]
+        units = _windows("quick", 5, 250, 100)
+        assert [(u.start, u.count) for u in units] \
             == [(0, 100), (100, 100), (200, 50)]
         assert all(u.kind == "soak" for u in units)
-        assert all(u.variant == "quick" for u in units)
+        assert all(u.profile == "quick" for u in units)
         assert all(u.seed == 5 for u in units)
         assert len({u.unit_id for u in units}) == len(units)
 
-    def test_enumeration_builds_its_windows_with_soak_window_unit(self):
-        units = enumerate_soak_units("quick", 5, 250, 100)
-        assert units == [
-            soak_window_unit("quick", 5, 0, 100),
-            soak_window_unit("quick", 5, 100, 100),
-            soak_window_unit("quick", 5, 200, 50),
-        ]
+    def test_run_soak_caches_exactly_the_planned_windows(self, tmp_path):
+        cache = CampaignCache(tmp_path / "units")
+        run_soak(
+            "quick", seed=5, instances=25, window=10, cache=cache,
+            log_path=str(tmp_path / "soak.jsonl"),
+        )
+        planned = _windows("quick", 5, 25, 10)
+        assert all(cache.load(u) is not None for u in planned)
+        assert sorted(p.name for p in cache.root.iterdir()) \
+            == sorted(cache.path(u).name for u in planned)
 
     def test_profile_seed_and_schema_separate_cache_keys(self):
-        base = enumerate_soak_units("quick", 0, 100, 100)[0]
-        other_profile = enumerate_soak_units("standard", 0, 100, 100)[0]
-        other_seed = enumerate_soak_units("quick", 1, 100, 100)[0]
+        base = SoakWindow("quick", 0, 0, 100)
+        other_profile = SoakWindow("standard", 0, 0, 100)
+        other_seed = SoakWindow("quick", 1, 0, 100)
         assert len({base.unit_id, other_profile.unit_id,
                     other_seed.unit_id}) == 3
 
     def test_describe_names_the_stream_slice(self):
-        unit = enumerate_soak_units("quick", 0, 250, 100)[1]
+        unit = _windows("quick", 0, 250, 100)[1]
         assert "quick" in unit.describe()
         assert "100" in unit.describe()
 
-    def test_bad_budget_rejected(self):
+    def test_bad_budget_rejected(self, tmp_path):
+        log = str(tmp_path / "soak.jsonl")
         with pytest.raises(ConfigurationError):
-            enumerate_soak_units("quick", 0, 100, 0)
+            window_plan(100, 0)
         with pytest.raises(ConfigurationError):
-            enumerate_soak_units("quick", 0, -1, 100)
+            run_soak("quick", instances=100, window=0, log_path=log)
+        with pytest.raises(ConfigurationError):
+            run_soak("quick", instances=-1, window=100, log_path=log)
 
     def test_execute_unit_runs_the_window(self):
-        unit = enumerate_soak_units("quick", 0, 8, 8)[0]
-        result = execute_unit(unit.to_dict())
+        result = execute_unit(SoakWindow("quick", 0, 0, 8))
         assert result["kind"] == "soak"
         assert result["algorithm"] == "soak-mixture"
+        assert (result["assignment_index"], result["byzantine_index"]) \
+            == (0, 8)
         assert len(result["records"]) == 8
         assert all(r["ok"] for r in result["records"])
+
+
+#: One spec of every unit kind.
+SPECS = [
+    SliceUnit("cell", SystemParams(n=5, ell=4, t=1), 0, 1),
+    DelayUnit("cell", CHEAP_DELAY_CELLS[0][1], 0, 1),
+    ExploreUnit("cell", SystemParams(n=3, ell=3, t=1), 0, 1),
+    DemonstrationUnit("cell", SystemParams(n=5, ell=3, t=1)),
+    AtlasUnit("cell", SystemParams(n=4, ell=4, t=1), "campaign"),
+    SoakWindow("quick", 0, 0, 8),
+]
+
+
+def _other(name, value):
+    """A different valid value for one spec field."""
+    if name == "plan":
+        return next(plan for plan in PLANS if plan != value)
+    if isinstance(value, SystemParams):
+        return dataclasses.replace(value, t=value.t + 1)
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    return value + "-other"
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
+class TestUnitSpecs:
+    def test_pickle_round_trip_keeps_the_id(self, spec):
+        clone = pickle.loads(pickle.dumps(spec))
+        assert clone == spec
+        assert type(clone) is type(spec)
+        assert clone.unit_id == spec.unit_id
+
+    def test_every_field_changes_the_id(self, spec):
+        ids = {spec.unit_id}
+        for spec_field in dataclasses.fields(spec):
+            value = getattr(spec, spec_field.name)
+            ids.add(dataclasses.replace(
+                spec, **{spec_field.name: _other(spec_field.name, value)}
+            ).unit_id)
+        assert len(ids) == 1 + len(dataclasses.fields(spec))

@@ -31,7 +31,8 @@ from repro.core.params import SystemParams, Synchrony
 from repro.core.problem import BINARY
 from repro.classic.eig import EIGSpec
 from repro.experiments.campaign import (
-    CampaignUnit,
+    DemonstrationUnit,
+    ExploreUnit,
     enumerate_explore_units,
     execute_unit,
     run_campaign,
@@ -291,20 +292,15 @@ class TestExploreCampaign:
 
     def test_unit_ids_distinguish_kind_and_slice(self):
         params = SystemParams(n=3, ell=3, t=1, synchrony=PSYNC)
-        a = CampaignUnit.for_cell("x", params, "explore",
-                                  assignment_index=0, byzantine_index=0)
-        b = CampaignUnit.for_cell("x", params, "explore",
-                                  assignment_index=0, byzantine_index=1)
-        c = CampaignUnit.for_cell("x", params, "demonstration")
+        a = ExploreUnit("x", params, 0, 0)
+        b = ExploreUnit("x", params, 0, 1)
+        c = DemonstrationUnit("x", params)
         assert len({a.unit_id, b.unit_id, c.unit_id}) == 3
 
     def test_execute_unit_runs_explore_kind(self):
         params = SystemParams(n=3, ell=3, t=1, synchrony=PSYNC)
-        unit = CampaignUnit.for_cell(
-            "explore psync violation", params, "explore",
-            assignment_index=0, byzantine_index=0, quick=True,
-        )
-        result = execute_unit(unit.to_dict())
+        unit = ExploreUnit("explore psync violation", params, 0, 0)
+        result = execute_unit(unit)
         assert result["kind"] == "explore"
         assert result["algorithm"] == "fig5-dls"
         assert result["demonstration"].startswith("explorer witness")

@@ -46,6 +46,19 @@ def test_package_carries_no_oracle():
             importlib.import_module(gone)
 
 
+def test_overloaded_unit_spec_is_gone():
+    """One spec type per kind of work: the overloaded ``CampaignUnit``
+    and its soak-window builders are not reachable from any module."""
+    gone = {"CampaignUnit", "soak_window_unit", "enumerate_soak_units"}
+    found = []
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name != "repro.__main__":
+            module = importlib.import_module(info.name)
+            names = set(vars(module)) | set(getattr(module, "__all__", ()))
+            found += [f"{info.name}.{name}" for name in sorted(names & gone)]
+    assert found == []
+
+
 def test_setup_version_matches_package_version():
     """``repro.__version__`` feeds every campaign unit id; the
     distribution metadata must carry the same version."""

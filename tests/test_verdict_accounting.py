@@ -16,18 +16,26 @@ Two bug classes are pinned here:
 
 import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import fields
 from typing import Hashable
 
 import repro
 from repro.core.canonical import canonical_json, canonical_key
 from repro.core.identity import balanced_assignment
 from repro.core.params import SystemParams
-from repro.experiments.campaign import CACHE_SCHEMA, CampaignUnit
+from repro.atlas.evidence import AtlasUnit
+from repro.experiments.campaign import (
+    CACHE_SCHEMA,
+    DelayUnit,
+    DemonstrationUnit,
+    ExploreUnit,
+    SliceUnit,
+)
 from repro.sim.metrics import Metrics
 from repro.sim.process import Process
 from repro.sim.runner import ExecutionResult, run_execution
 from repro.sim.trace import Trace
+from repro.soak.units import SoakWindow
 
 
 class InstantDecider(Process):
@@ -138,16 +146,29 @@ class TestCanonicalKeys:
         )
 
     def test_unit_id_hashes_canonical_json(self):
-        """The cache key is sha1 over the shared canonicalisation."""
-        unit = CampaignUnit(
-            label="x", n=5, ell=4, t=1, synchrony="sync",
-            numerate=False, restricted=False, kind="slice",
-            assignment_index=0, byzantine_index=1,
-        )
-        payload = canonical_json(
-            [CACHE_SCHEMA, repro.__version__, asdict(unit)]
-        )
-        assert unit.unit_id == hashlib.sha1(payload.encode()).hexdigest()[:16]
-        # Canonical JSON is loadable and key-sorted, so the id cannot
-        # depend on dict insertion order or separator whitespace.
-        assert json.loads(payload)[0] == CACHE_SCHEMA
+        """Every spec's cache key is sha1 over the shared
+        canonicalisation of its kind and fields (cells by their
+        description)."""
+        params = SystemParams(n=5, ell=4, t=1)
+        specs = [
+            SliceUnit("x", params, 0, 1),
+            DelayUnit("x", params, 0, 1),
+            ExploreUnit("x", params, 0, 1),
+            DemonstrationUnit("x", params),
+            AtlasUnit("x", params, "campaign"),
+            SoakWindow("quick", 0, 0, 8),
+        ]
+        for unit in specs:
+            identity = {f.name: getattr(unit, f.name) for f in fields(unit)}
+            if "params" in identity:
+                identity["params"] = params.describe()
+            payload = canonical_json(
+                [CACHE_SCHEMA, repro.__version__, unit.kind, identity]
+            )
+            assert unit.unit_id == \
+                hashlib.sha1(payload.encode()).hexdigest()[:16]
+            # Canonical JSON is loadable and key-sorted, so the id
+            # cannot depend on dict insertion order or separator
+            # whitespace.
+            assert json.loads(payload)[0] == CACHE_SCHEMA
+        assert len({unit.unit_id for unit in specs}) == len(specs)
