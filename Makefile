@@ -8,7 +8,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: test test-all lint bench-quick bench-fabric bench-delay \
 	bench-explore bench-atlas bench-soak bench-snapshot bench-diff \
 	docs-check api-docs campaign explore-frontier atlas-quick atlas \
-	atlas-shard-smoke soak-smoke clean
+	atlas-shard-smoke soak-smoke examples clean
 
 ## tier-1: docs consistency, the invariant linter, then the fast test
 ## suite (the bar every change must clear). The cheap static gates run
@@ -135,6 +135,14 @@ soak-smoke:
 	$(PYTHON) -m repro soak --profile quick --instances 2000 --workers 4 \
 	    --resume --log soak-resumed.jsonl --cache-dir .soak-cache
 	cmp soak.jsonl soak-resumed.jsonl
+
+## run every examples/*.py script end to end; fails on the first
+## script that exits non-zero (what the CI test job runs)
+examples:
+	@for script in examples/*.py; do \
+	    echo "== $$script"; \
+	    $(PYTHON) $$script || exit 1; \
+	done
 
 clean:
 	rm -rf .campaign-cache .atlas-cache .soak-cache .pytest_cache \

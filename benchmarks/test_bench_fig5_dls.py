@@ -17,12 +17,12 @@ from repro.core.params import SystemParams, Synchrony
 from repro.core.problem import BINARY
 from repro.psync.ablations import LockSplitAdversary
 from repro.psync.dls_homonyms import ROUNDS_PER_PHASE, dls_factory, dls_horizon
+from repro.sim.kernel import BasicPsync
 from repro.sim.partial import SilenceUntil
 from repro.sim.runner import run_agreement
 
 
 def run_dls(params, byz, adversary=None, gst=0):
-    schedule = SilenceUntil(gst) if gst else None
     return run_agreement(
         params=params,
         assignment=balanced_assignment(params.n, params.ell),
@@ -30,7 +30,7 @@ def run_dls(params, byz, adversary=None, gst=0):
         proposals={k: k % 2 for k in range(params.n) if k not in byz},
         byzantine=byz,
         adversary=adversary,
-        drop_schedule=schedule,
+        timing=BasicPsync(SilenceUntil(gst)) if gst else None,
         max_rounds=dls_horizon(params, gst),
     )
 

@@ -23,6 +23,7 @@ from repro.psync.restricted import (
     restricted_horizon,
 )
 from repro.sim.adversary import Adversary
+from repro.sim.kernel import BasicPsync
 from repro.sim.partial import SilenceUntil
 from repro.sim.runner import run_agreement
 
@@ -46,7 +47,7 @@ def run_fig7(params, byz, adversary=None, gst=0, proposals=None,
         proposals=proposals,
         byzantine=byz,
         adversary=adversary,
-        drop_schedule=SilenceUntil(gst) if gst else None,
+        timing=BasicPsync(SilenceUntil(gst)) if gst else None,
         max_rounds=restricted_horizon(params, gst),
     )
 

@@ -29,6 +29,7 @@ from repro.core.identity import IdentityAssignment
 from repro.core.params import SystemParams, Synchrony
 from repro.core.problem import AgreementProblem
 from repro.psync.dls_homonyms import dls_factory, dls_horizon
+from repro.sim.kernel import BasicPsync
 from repro.sim.partial import PartitionSchedule
 from repro.sim.runner import run_agreement
 
@@ -103,7 +104,7 @@ def main() -> None:
         proposals=proposals,
         byzantine=byzantine,
         adversary=EquivocatorAdversary(factory, "keep", "evict"),
-        drop_schedule=weather,
+        timing=BasicPsync(weather),
         max_rounds=dls_horizon(params, 16),
     )
 

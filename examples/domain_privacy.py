@@ -25,6 +25,7 @@ from repro.core.params import SystemParams, Synchrony
 from repro.core.problem import BINARY
 from repro.psync.dls_homonyms import dls_factory, dls_horizon
 from repro.adversaries.generic import EquivocatorAdversary
+from repro.sim.kernel import BasicPsync
 from repro.sim.partial import SilenceUntil
 from repro.sim.runner import run_agreement
 
@@ -83,7 +84,7 @@ def main() -> None:
         proposals=proposals,
         byzantine=byzantine,
         adversary=adversary,
-        drop_schedule=SilenceUntil(16),  # a rough network start
+        timing=BasicPsync(SilenceUntil(16)),  # a rough network start
         max_rounds=dls_horizon(params, 16),
     )
     print()

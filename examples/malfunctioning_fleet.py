@@ -25,6 +25,7 @@ from repro.core.identity import balanced_assignment
 from repro.core.params import SystemParams, Synchrony
 from repro.core.problem import BINARY
 from repro.psync.restricted import restricted_factory, restricted_horizon
+from repro.sim.kernel import BasicPsync
 from repro.sim.partial import RandomDrops
 from repro.sim.runner import run_agreement
 
@@ -66,7 +67,7 @@ def main() -> None:
             proposals=proposals,
             byzantine=glitchy,
             adversary=adversary,
-            drop_schedule=RandomDrops(gst=12, p=0.3, seed=7),
+            timing=BasicPsync(RandomDrops(gst=12, p=0.3, seed=7)),
             max_rounds=restricted_horizon(params, 12),
         )
         print(f"\n[{name}] {result.verdict.summary()}")

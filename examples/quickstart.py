@@ -20,6 +20,7 @@ from repro.core.identity import balanced_assignment
 from repro.core.params import SystemParams, Synchrony
 from repro.core.problem import BINARY
 from repro.psync.dls_homonyms import dls_factory, dls_horizon
+from repro.sim.kernel import BasicPsync
 from repro.sim.partial import RandomDrops
 from repro.sim.runner import run_agreement
 
@@ -60,7 +61,7 @@ def main() -> None:
         proposals=proposals,
         byzantine=byzantine,
         adversary=adversary,
-        drop_schedule=schedule,
+        timing=BasicPsync(schedule),
         max_rounds=dls_horizon(params, gst_round=16),
     )
 

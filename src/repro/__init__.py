@@ -11,7 +11,7 @@ Quick tour (see ``examples/quickstart.py`` for a runnable version)::
 
     from repro.core import BINARY, SystemParams, Synchrony, balanced_assignment
     from repro.psync import dls_factory, dls_horizon
-    from repro.sim import SilenceUntil, run_agreement
+    from repro.sim import BasicPsync, SilenceUntil, run_agreement
 
     params = SystemParams(n=7, ell=6, t=1,
                           synchrony=Synchrony.PARTIALLY_SYNCHRONOUS)
@@ -21,7 +21,7 @@ Quick tour (see ``examples/quickstart.py`` for a runnable version)::
         factory=dls_factory(params, BINARY),
         proposals={k: k % 2 for k in range(6)},
         byzantine=(6,),
-        drop_schedule=SilenceUntil(16),
+        timing=BasicPsync(SilenceUntil(16)),
         max_rounds=dls_horizon(params, 16),
     )
     assert result.verdict.ok
@@ -30,6 +30,8 @@ Package layout:
 
 * :mod:`repro.core` -- parameters, identities, messages, problem spec;
 * :mod:`repro.sim` -- the round engine, synchrony models, adversary API;
+  every runner takes one ``timing`` model (``LockStep``, ``BasicPsync``
+  for basic-model losses, ``DelayBased`` for the delay formulations);
 * :mod:`repro.classic` -- unique-identifier baselines (EIG, Phase-King)
   in the Figure 2 functional form;
 * :mod:`repro.homonyms` -- the Figure 3 transformation ``T(A)``;

@@ -30,7 +30,7 @@ from typing import Callable, Hashable, Mapping
 from repro.core.identity import stacked_assignment
 from repro.core.params import SystemParams
 from repro.sim.adversary import Adversary, AdversaryView, Emission
-from repro.sim.partial import DropSchedule
+from repro.sim.kernel import TimingModel
 from repro.sim.process import Process
 from repro.sim.runner import ExecutionResult, run_execution
 
@@ -95,7 +95,7 @@ def run_clone_experiment(
     adversary: Adversary,
     proposals_by_ident: Mapping[int, Hashable],
     byzantine: tuple[int, ...] = (),
-    drop_schedule: DropSchedule | None = None,
+    timing: TimingModel | None = None,
     max_rounds: int = 100,
     stacked_id: int = 1,
 ) -> CloneReport:
@@ -123,7 +123,7 @@ def run_clone_experiment(
         processes=processes,
         byzantine=tuple(sorted(byz_set)),
         adversary=CloneFairAdversary(adversary),
-        drop_schedule=drop_schedule,
+        timing=timing,
         max_rounds=max_rounds,
         stop_when_all_decided=True,
         require_termination=True,

@@ -44,6 +44,7 @@ from repro.core.errors import ConfigurationError
 from repro.core.identity import IdentityAssignment, assignment_from_sizes
 from repro.core.params import SystemParams, Synchrony
 from repro.sim.adversary import Adversary, AdversaryView, Emission
+from repro.sim.kernel import BasicPsync
 from repro.sim.partial import PartitionSchedule
 from repro.sim.process import Process
 from repro.sim.runner import ExecutionResult, run_execution
@@ -345,7 +346,7 @@ def run_partition_attack(
             streams_w0, streams_w1, w0, w1,
             innumerate_single_copy=False,
         ),
-        drop_schedule=PartitionSchedule(gst, w0, w1),
+        timing=BasicPsync(PartitionSchedule(gst, w0, w1)),
         max_rounds=gst + slack_rounds,
         stop_when_all_decided=False,
         require_termination=True,

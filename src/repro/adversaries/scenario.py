@@ -57,7 +57,6 @@ from repro.sim.kernel import (
     TimingModel,
 )
 from repro.sim.metrics import Metrics, RoundDeliveries, metrics_from_deliveries
-from repro.sim.partial import DropSchedule
 from repro.sim.process import Process
 from repro.sim.topology import DirectedTopology
 from repro.sim.trace import Trace
@@ -206,11 +205,7 @@ class ScenarioSystem:
                 in_neighbors[k] = frozenset(allowed)
         return DirectedTopology(in_neighbors)
 
-    def _timing_model(
-        self,
-        drop_schedule: DropSchedule | None,
-        timing: TimingModel | None,
-    ) -> TimingModel:
+    def _timing_model(self, timing: TimingModel | None) -> TimingModel:
         """Stack the structural view wiring under the caller's timing.
 
         The Figure 1 wiring is not optional -- it *is* the scenario --
@@ -218,12 +213,7 @@ class ScenarioSystem:
         :class:`~repro.sim.kernel.ComposedTiming` rather than replacing
         it.
         """
-        if timing is not None and drop_schedule is not None:
-            raise ConfigurationError(
-                "pass either an explicit timing model or a drop "
-                "schedule, not both"
-            )
-        structural = BasicPsync(drop_schedule, self.topology())
+        structural = BasicPsync(topology=self.topology())
         if timing is None:
             return structural
         return ComposedTiming(structural, timing)
@@ -240,7 +230,6 @@ class ScenarioSystem:
         self,
         factory: AlgorithmFactory,
         max_rounds: int,
-        drop_schedule: DropSchedule | None = None,
         timing: TimingModel | None = None,
         checkpoint_every: int | None = None,
     ) -> ScenarioOutcome:
@@ -255,11 +244,10 @@ class ScenarioSystem:
             factory: The algorithm under test.
             max_rounds: Round budget (the run stops early once every
                 process decided).
-            drop_schedule: Optional basic-model losses stacked on top
-                of the view wiring (exclusive with ``timing``).
             timing: Optional extra :class:`~repro.sim.kernel.TimingModel`
-                composed with the structural wiring (exclusive with
-                ``drop_schedule``).
+                composed with the structural wiring (e.g.
+                :class:`~repro.sim.kernel.BasicPsync` for basic-model
+                losses on top of the view wiring).
             checkpoint_every: When set, snapshot the kernel every that
                 many rounds; the snapshots ride on the outcome.
 
@@ -272,7 +260,7 @@ class ScenarioSystem:
             params=params,
             assignment=assignment,
             processes=processes,
-            timing=self._timing_model(drop_schedule, timing),
+            timing=self._timing_model(timing),
         )
         checkpoints: list[EngineCheckpoint] = []
         for _ in range(max_rounds):

@@ -6,8 +6,10 @@ Proposition 6 authenticated broadcast, the reliable-broadcast
 extension, and the Figure 6 multiplicity broadcast -- on
 :class:`~repro.sim.kernel.ExecutionKernel`: one delivery semantics,
 delivery metrics for free, and a pluggable
-:class:`~repro.sim.kernel.TimingModel` (pass ``timing=`` for the
-delay-based formulations, or a legacy ``drop_schedule``).
+:class:`~repro.sim.kernel.TimingModel` (``timing=``: lock-step rounds
+by default, :class:`~repro.sim.kernel.BasicPsync` for basic-model
+losses, :class:`~repro.sim.kernel.DelayBased` for the delay-based
+formulations).
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from repro.broadcast.hosts import (
     MultiplicityBroadcastHost,
 )
 from repro.broadcast.reliable import ReliableBroadcastProcess
-from repro.core.errors import ConfigurationError
 from repro.core.identity import (
     IdentityAssignment,
     balanced_assignment,
@@ -28,9 +29,8 @@ from repro.core.identity import (
 )
 from repro.core.params import SystemParams
 from repro.sim.adversary import Adversary
-from repro.sim.kernel import ExecutionKernel, TimingModel, timing_model_for
+from repro.sim.kernel import ExecutionKernel, TimingModel
 from repro.sim.metrics import Metrics, RoundDeliveries, metrics_from_deliveries
-from repro.sim.partial import DropSchedule
 from repro.sim.process import Process
 from repro.sim.trace import Trace
 
@@ -62,18 +62,10 @@ def _drive(
     processes: Sequence[Process | None],
     byzantine: Sequence[int],
     adversary: Adversary | None,
-    drop_schedule: DropSchedule | None,
     timing: TimingModel | None,
     rounds: int,
 ) -> BroadcastRun:
     """Run one broadcast execution on the kernel."""
-    if timing is None:
-        timing = timing_model_for(drop_schedule, None)
-    elif drop_schedule is not None:
-        raise ConfigurationError(
-            "pass either an explicit timing model or the legacy "
-            "drop_schedule, not both"
-        )
     engine = ExecutionKernel(
         params=params,
         assignment=assignment,
@@ -103,7 +95,6 @@ def run_authenticated_broadcast(
     t: int,
     byzantine: Sequence[int] = (),
     adversary: Adversary | None = None,
-    drop_schedule: DropSchedule | None = None,
     timing: TimingModel | None = None,
     rounds: int = 10,
     broadcast_superround: int = 0,
@@ -122,9 +113,8 @@ def run_authenticated_broadcast(
         t: Byzantine bound.
         byzantine: Byzantine slot indices.
         adversary: The Byzantine strategy (defaults to silence).
-        drop_schedule: Legacy basic-model drop schedule (exclusive
-            with ``timing``).
-        timing: Explicit :class:`~repro.sim.kernel.TimingModel`.
+        timing: The :class:`~repro.sim.kernel.TimingModel` (defaults
+            to lock-step rounds).
         rounds: Round budget.
         broadcast_superround: When the armed hosts broadcast.
         values: ``slot index -> value``; defaults to every slot
@@ -155,7 +145,7 @@ def run_authenticated_broadcast(
     ]
     return _drive(
         params, assignment, processes, byzantine, adversary,
-        drop_schedule, timing, rounds,
+        timing, rounds,
     )
 
 
@@ -167,7 +157,6 @@ def run_reliable_broadcast(
     values_by_slot: Mapping[int, Hashable],
     byzantine: Sequence[int] = (),
     adversary: Adversary | None = None,
-    drop_schedule: DropSchedule | None = None,
     timing: TimingModel | None = None,
     rounds: int = 14,
     assignment: IdentityAssignment | None = None,
@@ -187,9 +176,8 @@ def run_reliable_broadcast(
         values_by_slot: ``slot index -> value`` for the armed holders.
         byzantine: Byzantine slot indices.
         adversary: The Byzantine strategy (defaults to silence).
-        drop_schedule: Legacy basic-model drop schedule (exclusive
-            with ``timing``).
-        timing: Explicit :class:`~repro.sim.kernel.TimingModel`.
+        timing: The :class:`~repro.sim.kernel.TimingModel` (defaults
+            to lock-step rounds).
         rounds: Round budget.
         assignment: Identifier assignment; defaults to
             :func:`~repro.core.identity.balanced_assignment`.
@@ -217,7 +205,7 @@ def run_reliable_broadcast(
         )
     return _drive(
         params, assignment, processes, byzantine, adversary,
-        drop_schedule, timing, rounds,
+        timing, rounds,
     )
 
 
@@ -228,7 +216,6 @@ def run_multiplicity_broadcast(
     broadcaster_ident: int,
     byzantine: Sequence[int] = (),
     adversary: Adversary | None = None,
-    drop_schedule: DropSchedule | None = None,
     timing: TimingModel | None = None,
     rounds: int = 8,
     assignment: IdentityAssignment | None = None,
@@ -248,9 +235,8 @@ def run_multiplicity_broadcast(
         broadcaster_ident: The broadcasting identifier.
         byzantine: Byzantine slot indices.
         adversary: The Byzantine strategy (defaults to silence).
-        drop_schedule: Legacy basic-model drop schedule (exclusive
-            with ``timing``).
-        timing: Explicit :class:`~repro.sim.kernel.TimingModel`.
+        timing: The :class:`~repro.sim.kernel.TimingModel` (defaults
+            to lock-step rounds).
         rounds: Round budget.
         assignment: Identifier assignment; defaults to
             :func:`~repro.core.identity.stacked_assignment`.
@@ -282,5 +268,5 @@ def run_multiplicity_broadcast(
     ]
     return _drive(
         params, assignment, processes, byzantine, adversary,
-        drop_schedule, timing, rounds,
+        timing, rounds,
     )

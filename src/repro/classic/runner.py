@@ -27,7 +27,6 @@ from repro.core.messages import Inbox
 from repro.core.params import SystemParams
 from repro.sim.adversary import Adversary
 from repro.sim.kernel import TimingModel
-from repro.sim.partial import DropSchedule
 from repro.sim.process import Process
 from repro.sim.runner import ExecutionResult, run_agreement
 
@@ -81,7 +80,6 @@ def run_classic(
     proposals: Mapping[int, Hashable],
     byzantine: Sequence[int] = (),
     adversary: Adversary | None = None,
-    drop_schedule: DropSchedule | None = None,
     timing: TimingModel | None = None,
     max_rounds: int | None = None,
     require_termination: bool = True,
@@ -97,9 +95,8 @@ def run_classic(
         proposals: ``correct slot index -> input value``.
         byzantine: Byzantine slot indices.
         adversary: The Byzantine strategy (defaults to silence).
-        drop_schedule: Legacy basic-model drop schedule (exclusive
-            with ``timing``).
-        timing: Explicit :class:`~repro.sim.kernel.TimingModel`.
+        timing: The :class:`~repro.sim.kernel.TimingModel` (defaults
+            to lock-step rounds).
         max_rounds: Round budget; defaults to ``spec.max_rounds + 2``.
         require_termination: Count non-termination within the budget
             as a violation.
@@ -115,7 +112,6 @@ def run_classic(
         proposals=proposals,
         byzantine=byzantine,
         adversary=adversary,
-        drop_schedule=drop_schedule,
         timing=timing,
         max_rounds=max_rounds,
         require_termination=require_termination,

@@ -96,7 +96,7 @@ from repro.sim.delay import (
     EventuallyBoundedDelays,
     equivalent_basic_gst,
 )
-from repro.sim.kernel import DelayBased
+from repro.sim.kernel import BasicPsync, DelayBased
 from repro.sim.partial import RandomDrops, SilenceUntil
 from repro.sim.render import render_decision_summary, render_timeline
 from repro.sim.runner import run_agreement
@@ -269,11 +269,11 @@ def cmd_run(args) -> int:
         "chaos": RandomByzantineAdversary(seed=args.seed),
         "equivocate": EquivocatorAdversary(factory),
     }[args.attack]
-    schedule = None
+    network = timing  # None runs lock-step rounds
     if args.gst and args.drops == "silence":
-        schedule = SilenceUntil(args.gst)
+        network = BasicPsync(SilenceUntil(args.gst))
     elif args.gst:
-        schedule = RandomDrops(gst=args.gst, p=0.5, seed=args.seed)
+        network = BasicPsync(RandomDrops(gst=args.gst, p=0.5, seed=args.seed))
 
     print(f"algorithm: {name} on {params.describe()}")
     print(f"assignment: {assignment.describe()}  byzantine: {byzantine}")
@@ -287,8 +287,7 @@ def cmd_run(args) -> int:
         proposals=proposals,
         byzantine=byzantine,
         adversary=adversary,
-        drop_schedule=schedule,
-        timing=timing,
+        timing=network,
         max_rounds=horizon,
     )
     print()

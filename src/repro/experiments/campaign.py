@@ -372,7 +372,6 @@ def enumerate_units(
 
 def enumerate_explore_units(
     cells: Sequence[tuple[str, SystemParams]] | None = None,
-    seed: int = 0,
     quick: bool = True,
     problem: str = "binary",
 ) -> list[ExploreUnit]:
@@ -385,8 +384,6 @@ def enumerate_explore_units(
     Args:
         cells: ``(label, params)`` pairs; defaults to
             :func:`repro.explore.units.explore_battery`.
-        seed: Battery seed (interface symmetry only: the placement
-            battery and the exploration itself are deterministic).
         quick: Trim the placement battery.
         problem: Name of the agreement problem.
 
@@ -404,7 +401,7 @@ def enumerate_explore_units(
     return [
         ExploreUnit(label, params, a_idx, b_idx, quick, problem)
         for label, params in cells
-        for a_idx, b_idx in explore_slice_keys(params, seed, quick)
+        for a_idx, b_idx in explore_slice_keys(params, quick)
     ]
 
 
@@ -1099,7 +1096,7 @@ def run_campaign(
         from repro.explore.units import explore_battery
 
         cells = explore_battery() if cells is None else list(cells)
-        units = enumerate_explore_units(cells, seed=seed, quick=quick)
+        units = enumerate_explore_units(cells, quick=quick)
     elif unit_kind == "delay":
         cells = delay_cells() if cells is None else list(cells)
         units = enumerate_delay_units(cells, seed=seed, quick=quick)

@@ -48,7 +48,7 @@ from repro.core.problem import BINARY, AgreementProblem
 from repro.homonyms.transform import transform_factory, transform_horizon
 from repro.psync.dls_homonyms import dls_factory, dls_horizon
 from repro.psync.restricted import restricted_factory, restricted_horizon
-from repro.sim.kernel import DelayBased
+from repro.sim.kernel import BasicPsync, DelayBased, LockStep, TimingModel
 from repro.sim.partial import RandomDrops, SilenceUntil
 from repro.sim.process import Process
 from repro.sim.runner import run_agreement
@@ -308,14 +308,14 @@ def _run_slice(
     problem: AgreementProblem,
     seed: int,
     quick: bool,
-    network_dimension: list[tuple[str, dict]],
+    network_dimension: list[tuple[str, TimingModel]],
 ) -> list[RunRecord]:
     """The shared slice body: patterns x network dimension x attacks.
 
     Both slice runners sweep the same grid and differ only in the
     middle dimension -- drop schedules for the validation battery,
     delay policies for the delay family -- expressed here as
-    ``(name, run_agreement-kwargs)`` pairs.
+    ``(name, TimingModel)`` pairs.
 
     Args:
         params: The cell's system parameters.
@@ -345,7 +345,7 @@ def _run_slice(
 
     records: list[RunRecord] = []
     for p_name, proposals in patterns:
-        for net_name, net_kwargs in network_dimension:
+        for net_name, timing in network_dimension:
             for atk_name, adversary in attacks:
                 label = "/".join((a_name, b_name, p_name, net_name, atk_name))
                 run = run_agreement(
@@ -355,8 +355,8 @@ def _run_slice(
                     proposals=proposals,
                     byzantine=byzantine,
                     adversary=adversary,
+                    timing=timing,
                     max_rounds=horizon,
-                    **net_kwargs,
                 )
                 brief = run.brief()
                 records.append(
@@ -406,7 +406,7 @@ def run_solvable_slice(
         schedules = schedules[:2]
     return _run_slice(
         params, key, problem, seed, quick,
-        [(s_name, {"drop_schedule": schedule})
+        [(s_name, LockStep() if schedule is None else BasicPsync(schedule))
          for s_name, schedule in schedules],
     )
 
@@ -485,8 +485,7 @@ def run_delay_slice(
         policies = policies[:2]
     return _run_slice(
         params, key, problem, seed, quick,
-        [(d_name, {"timing": DelayBased(policy)})
-         for d_name, policy in policies],
+        [(d_name, DelayBased(policy)) for d_name, policy in policies],
     )
 
 

@@ -1006,7 +1006,7 @@ def replay_witness(
         processes=processes,
         byzantine=scenario.byzantine,
         adversary=StrategyTreeAdversary(script),
-        drop_schedule=script.drop_schedule(),
+        timing=BasicPsync(script.drop_schedule()),
         max_rounds=scenario.depth if max_rounds is None else max_rounds,
         require_termination=False,
     )

@@ -90,7 +90,7 @@ def _placement_battery(
 
 
 def explore_slice_keys(
-    params: SystemParams, seed: int = 0, quick: bool = True
+    params: SystemParams, quick: bool = True
 ) -> list[tuple[int, int]]:
     """The (assignment index, placement index) frontier of one config.
 
@@ -100,14 +100,11 @@ def explore_slice_keys(
 
     Args:
         params: The configuration.
-        seed: Accepted for interface symmetry (exploration is
-            deterministic; the seed does not enter).
         quick: Trim the placement battery.
 
     Returns:
         The ordered key list.
     """
-    del seed  # deterministic search: kept for slice-interface symmetry
     return [
         (a_idx, b_idx)
         for a_idx in range(len(_assignment_battery(params)))
@@ -145,7 +142,6 @@ def run_explore_unit(
     params: SystemParams,
     assignment_index: int,
     byzantine_index: int,
-    seed: int = 0,
     quick: bool = True,
     problem: AgreementProblem = BINARY,
 ) -> dict:
@@ -155,7 +151,6 @@ def run_explore_unit(
         params: The configuration to explore.
         assignment_index: Index into the assignment battery.
         byzantine_index: Index into the placement battery.
-        seed: Interface symmetry only (see :func:`explore_slice_keys`).
         quick: Trim input patterns and placements.
         problem: The agreement problem.
 
@@ -166,7 +161,6 @@ def run_explore_unit(
         carries the nodes expanded and ``messages`` the children
         generated, so campaign totals reflect search effort.
     """
-    del seed
     assignment = _assignment_battery(params)[assignment_index]
     byzantine = _placement_battery(params, quick)[byzantine_index]
     predicted = solvable(params)
@@ -194,7 +188,8 @@ def run_explore_unit(
         if predicted:
             ok = not certificate.found_violation
             detail = (
-                "certified clean: " + certificate.stats.summary()
+                "certified clean: "
+                + certificate.stats.deterministic_summary()
                 if ok else
                 f"UNEXPECTED {certificate.violation} "
                 f"(round {certificate.violation_round})"

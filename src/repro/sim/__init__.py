@@ -10,10 +10,8 @@ from repro.sim.adversary import (
 from repro.sim.delay import (
     AlwaysBoundedUnknownDelays,
     DelayPolicy,
-    DelaySimulationResult,
     EventuallyBoundedDelays,
     equivalent_basic_gst,
-    run_delay_execution,
 )
 from repro.sim.kernel import (
     BasicPsync,
@@ -23,7 +21,6 @@ from repro.sim.kernel import (
     ExecutionKernel,
     LockStep,
     TimingModel,
-    timing_model_for,
 )
 from repro.sim.metrics import (
     Metrics,
@@ -60,14 +57,11 @@ __all__ = [
     "ComposedTiming",
     "DelayBased",
     "DelayPolicy",
-    "DelaySimulationResult",
     "EventuallyBoundedDelays",
     "ExecutionKernel",
     "LockStep",
     "TimingModel",
     "equivalent_basic_gst",
-    "run_delay_execution",
-    "timing_model_for",
     "CompleteTopology",
     "DirectedTopology",
     "DropSchedule",

@@ -27,10 +27,13 @@ is a legitimate basic-model execution, so every algorithm in
 is the trivial inclusion the paper also notes: a basic-model round *is*
 a delay-1 network.)
 
-The round simulation itself executes on the unified kernel: the
-:class:`~repro.sim.kernel.DelayBased` timing model stamps each round's
-late edges straight onto the message fabric (see
-:func:`run_delay_execution`).  The old per-message tick loop is kept
+The round simulation itself executes on the unified kernel: wrap a
+policy in :class:`~repro.sim.kernel.DelayBased` and pass it as the
+``timing`` of :func:`~repro.sim.runner.run_execution` (or any other
+runner).  The timing model stamps each round's late edges straight
+onto the message fabric; the result's ``losses`` are those
+correct-to-correct late edges and its ``ticks`` the network ticks the
+executed rounds occupied.  The old per-message tick loop is kept
 verbatim as a test oracle (``tests/oracles/delay.py``).
 
 Determinism: delay policies derive their per-message RNG from
@@ -43,19 +46,12 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 import numpy as np
 
 from repro.core.canonical import stable_seed
 from repro.core.errors import ConfigurationError
-from repro.core.identity import IdentityAssignment
-from repro.core.params import SystemParams
-from repro.sim.adversary import Adversary
-from repro.sim.kernel import DelayBased, ExecutionKernel
-from repro.sim.process import Process
-from repro.sim.trace import Trace
 
 
 class DelayPolicy(ABC):
@@ -182,80 +178,6 @@ class AlwaysBoundedUnknownDelays(DelayPolicy):
         # only relative to a too-small guess, never beyond the tick at
         # which the guess catches up.  The simulator computes that tick.
         return 0
-
-
-@dataclass
-class DelaySimulationResult:
-    """Outcome of running round-based processes over a delay network."""
-
-    trace: Trace
-    dropped: tuple[tuple[int, int, int], ...]  # (round, sender, recipient)
-    ticks_executed: int
-    rounds_executed: int
-
-    def last_lost_round(self) -> int:
-        return max((r for r, _s, _q in self.dropped), default=-1)
-
-
-def _kernel_delay_result(
-    kernel: ExecutionKernel, executed: int
-) -> DelaySimulationResult:
-    """Package a finished delay-timed kernel run into the result type."""
-    return DelaySimulationResult(
-        trace=kernel.trace,
-        dropped=tuple(kernel.losses),
-        ticks_executed=kernel.timing.ticks_executed(executed),
-        rounds_executed=len(kernel.trace),
-    )
-
-
-def run_delay_execution(
-    params: SystemParams,
-    assignment: IdentityAssignment,
-    processes: Sequence[Process | None],
-    policy: DelayPolicy,
-    byzantine: Sequence[int] = (),
-    adversary: Adversary | None = None,
-    max_rounds: int = 200,
-    stop_when_all_decided: bool = True,
-) -> DelaySimulationResult:
-    """Run round-based processes over a delay network, on the kernel.
-
-    Builds an :class:`~repro.sim.kernel.ExecutionKernel` with a
-    :class:`~repro.sim.kernel.DelayBased` timing model, runs it, and
-    packages the delay-specific bookkeeping (losses, tick count) into a
-    :class:`DelaySimulationResult`.  The losses are correct-to-correct
-    edges only -- a message addressed to a Byzantine slot has no
-    receiving process, so its lateness is unobservable.
-
-    Args:
-        params: System parameters.
-        assignment: Identifier assignment.
-        processes: Process objects (``None`` in Byzantine slots).
-        policy: The delay policy.
-        byzantine: Byzantine slot indices.
-        adversary: Byzantine adversary (round-granular, as in the basic
-            model -- perfect timing is the conservative choice).
-        max_rounds: Round budget.
-        stop_when_all_decided: Stop as soon as every correct process
-            decided.
-
-    Returns:
-        The :class:`DelaySimulationResult` (the executed kernel's trace
-        is shared, not copied).
-    """
-    kernel = ExecutionKernel(
-        params=params,
-        assignment=assignment,
-        processes=processes,
-        byzantine=byzantine,
-        adversary=adversary,
-        timing=DelayBased(policy),
-    )
-    executed = kernel.run(
-        max_rounds=max_rounds, stop_when_all_decided=stop_when_all_decided
-    )
-    return _kernel_delay_result(kernel, executed)
 
 
 def equivalent_basic_gst(policy: DelayPolicy) -> int:

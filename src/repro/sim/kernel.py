@@ -327,25 +327,6 @@ class ComposedTiming(TimingModel):
         return f"ComposedTiming{self.models!r}"
 
 
-def timing_model_for(
-    drop_schedule: DropSchedule | None = None,
-    topology: Topology | None = None,
-) -> TimingModel:
-    """Build the timing model the legacy engine arguments describe.
-
-    Args:
-        drop_schedule: Optional basic-model drop schedule.
-        topology: Optional link topology.
-
-    Returns:
-        :class:`LockStep` when both arguments are unset, else the
-        :class:`BasicPsync` model wrapping them.
-    """
-    if drop_schedule is None and topology is None:
-        return LockStep()
-    return BasicPsync(drop_schedule, topology)
-
-
 # ----------------------------------------------------------------------
 # Checkpoints
 # ----------------------------------------------------------------------

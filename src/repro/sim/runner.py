@@ -18,11 +18,9 @@ from repro.core.identity import IdentityAssignment
 from repro.core.params import SystemParams
 from repro.core.problem import Verdict, check_agreement_properties
 from repro.sim.adversary import Adversary
-from repro.sim.kernel import ExecutionKernel, TimingModel, timing_model_for
+from repro.sim.kernel import ExecutionKernel, TimingModel
 from repro.sim.metrics import Metrics, metrics_from_deliveries
-from repro.sim.partial import DropSchedule
 from repro.sim.process import Process
-from repro.sim.topology import Topology
 from repro.sim.trace import Trace
 
 
@@ -144,8 +142,6 @@ def run_execution(
     processes: Sequence[Process | None],
     byzantine: Sequence[int] = (),
     adversary: Adversary | None = None,
-    drop_schedule: DropSchedule | None = None,
-    topology: Topology | None = None,
     timing: TimingModel | None = None,
     max_rounds: int = 200,
     stop_when_all_decided: bool = True,
@@ -154,26 +150,18 @@ def run_execution(
     """Run one execution to completion (or the round horizon).
 
     The execution runs on the unified kernel
-    (:class:`~repro.sim.kernel.ExecutionKernel`).  Pass either a
-    ``timing`` model directly -- e.g. a
-    :class:`~repro.sim.kernel.DelayBased` model for the delay-based
-    formulations -- or the legacy ``drop_schedule``/``topology`` pair,
-    from which the matching basic-model
-    :class:`~repro.sim.kernel.TimingModel` is built; combining both is
-    a configuration error.
+    (:class:`~repro.sim.kernel.ExecutionKernel`) under the ``timing``
+    model: lock-step rounds when unset,
+    :class:`~repro.sim.kernel.BasicPsync` for basic-model losses and
+    link topologies, :class:`~repro.sim.kernel.DelayBased` for the
+    delay-based formulations (the result's ``losses`` and ``ticks``
+    then carry the late edges and the tick count).
 
     When ``stop_when_all_decided`` is set the run ends as soon as every
     correct process has decided; otherwise it always runs ``max_rounds``
     rounds (useful when later rounds should be observed, e.g. to verify
     the paper's "continue running the algorithm" behaviour).
     """
-    if timing is None:
-        timing = timing_model_for(drop_schedule, topology)
-    elif drop_schedule is not None or topology is not None:
-        raise ConfigurationError(
-            "pass either an explicit timing model or the legacy "
-            "drop_schedule/topology pair, not both"
-        )
     engine = ExecutionKernel(
         params=params,
         assignment=assignment,
@@ -255,7 +243,6 @@ def run_agreement(
     proposals: Mapping[int, Hashable],
     byzantine: Sequence[int] = (),
     adversary: Adversary | None = None,
-    drop_schedule: DropSchedule | None = None,
     timing: TimingModel | None = None,
     max_rounds: int = 200,
     require_termination: bool = True,
@@ -270,9 +257,8 @@ def run_agreement(
         proposals: ``correct slot index -> input value``.
         byzantine: Byzantine slot indices.
         adversary: The Byzantine strategy (defaults to silence).
-        drop_schedule: Legacy basic-model drop schedule (exclusive
-            with ``timing``).
-        timing: Explicit :class:`~repro.sim.kernel.TimingModel`.
+        timing: The :class:`~repro.sim.kernel.TimingModel` (defaults
+            to lock-step rounds).
         max_rounds: Round budget.
         require_termination: Count non-termination within the budget
             as a violation.
@@ -287,7 +273,6 @@ def run_agreement(
         processes=processes,
         byzantine=byzantine,
         adversary=adversary,
-        drop_schedule=drop_schedule,
         timing=timing,
         max_rounds=max_rounds,
         require_termination=require_termination,

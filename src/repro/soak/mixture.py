@@ -57,7 +57,7 @@ from repro.experiments.workloads import (
 from repro.explore.alphabet import GhostPlan
 from repro.sim.adversary import Adversary, NullAdversary
 from repro.sim.delay import AlwaysBoundedUnknownDelays, EventuallyBoundedDelays
-from repro.sim.kernel import DelayBased, TimingModel, timing_model_for
+from repro.sim.kernel import BasicPsync, DelayBased, LockStep, TimingModel
 from repro.sim.partial import RandomDrops, SilenceUntil
 from repro.sim.runner import run_agreement
 
@@ -454,17 +454,16 @@ def _build_timing(spec: InstanceSpec, rng: random.Random) -> TimingModel:
     """
     kind = spec.timing
     if kind == "none":
-        return timing_model_for(None, None)
+        return LockStep()
     if kind == "silence-gst":
-        return timing_model_for(SilenceUntil(rng.choice((4, 8, 12, 16))), None)
+        return BasicPsync(SilenceUntil(rng.choice((4, 8, 12, 16))))
     if kind == "drops":
-        return timing_model_for(
+        return BasicPsync(
             RandomDrops(
                 gst=rng.choice((8, 12)),
                 p=rng.choice((0.2, 0.4)),
                 seed=stable_seed((spec.seed, "soak-drops")),
-            ),
-            None,
+            )
         )
     if kind == "punctual":
         return DelayBased(

@@ -12,9 +12,19 @@ from repro.core.params import SystemParams
 from repro.sim.adversary import (
     Adversary, AdversaryView, NullAdversary, normalize_emissions,
 )
-from repro.sim.delay import DelayPolicy, DelaySimulationResult
+from repro.sim.delay import DelayPolicy
 from repro.sim.process import Process
 from repro.sim.trace import RoundRecord, Trace
+
+
+@dataclass
+class DelaySimulationResult:
+    """Outcome of running round-based processes over a delay network."""
+
+    trace: Trace
+    dropped: tuple[tuple[int, int, int], ...]  # (round, sender, recipient)
+    ticks_executed: int
+    rounds_executed: int
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,29 @@ from __future__ import annotations
 from typing import Hashable, Mapping
 
 from repro.core.messages import Inbox, Message
-from repro.sim.kernel import ExecutionKernel, timing_model_for
+from repro.sim.kernel import BasicPsync, ExecutionKernel, LockStep, TimingModel
 from repro.sim.metrics import RoundDeliveries, payload_size
-from repro.sim.partial import NoDrops
-from repro.sim.topology import CompleteTopology
+from repro.sim.partial import DropSchedule, NoDrops
+from repro.sim.topology import CompleteTopology, Topology
+
+
+def timing_model_for(
+    drop_schedule: DropSchedule | None = None,
+    topology: Topology | None = None,
+) -> TimingModel:
+    """Build the timing model the pre-kernel engine arguments describe.
+
+    Args:
+        drop_schedule: Optional basic-model drop schedule.
+        topology: Optional link topology.
+
+    Returns:
+        :class:`LockStep` when both arguments are unset, else the
+        :class:`BasicPsync` model wrapping them.
+    """
+    if drop_schedule is None and topology is None:
+        return LockStep()
+    return BasicPsync(drop_schedule, topology)
 
 
 class ReferenceRoundEngine(ExecutionKernel):

@@ -18,6 +18,7 @@ from repro.broadcast.authenticated import (
 from repro.broadcast.runner import run_authenticated_broadcast
 from repro.core.errors import BoundViolation
 from repro.sim.adversary import Adversary
+from repro.sim.kernel import BasicPsync
 from repro.sim.partial import SilenceUntil
 
 
@@ -83,11 +84,11 @@ class TestLayerUnit:
         assert echoes == [("m", 4, 2)]
 
 
-def run_hosts(n, ell, t, byz=(), adversary=None, drop_schedule=None,
+def run_hosts(n, ell, t, byz=(), adversary=None, timing=None,
               rounds=10, broadcast_sr=0, values=None):
     return run_authenticated_broadcast(
         n, ell, t, byzantine=byz, adversary=adversary,
-        drop_schedule=drop_schedule, rounds=rounds,
+        timing=timing, rounds=rounds,
         broadcast_superround=broadcast_sr, values=values,
     ).processes
 
@@ -142,7 +143,7 @@ class TestRelayProperty:
         # safely past stabilisation): the Correctness property applies
         # and everyone accepts during superround 3.
         procs = run_hosts(
-            4, 4, 1, drop_schedule=SilenceUntil(4),
+            4, 4, 1, timing=BasicPsync(SilenceUntil(4)),
             values={0: 9}, rounds=12, broadcast_sr=3,
         )
         for p in procs:
@@ -155,7 +156,7 @@ class TestRelayProperty:
         # never accepted -- the primitive promises nothing about
         # broadcasts before stabilisation.
         procs = run_hosts(
-            4, 4, 1, drop_schedule=SilenceUntil(4),
+            4, 4, 1, timing=BasicPsync(SilenceUntil(4)),
             values={0: 9}, rounds=12, broadcast_sr=0,
         )
         for p in procs:
@@ -175,7 +176,7 @@ class TestRelayProperty:
                 if sender != recipient:
                     drops.add((1, sender, recipient))
         procs = run_hosts(
-            4, 4, 1, drop_schedule=ExplicitDrops(drops),
+            4, 4, 1, timing=BasicPsync(ExplicitDrops(drops)),
             values={0: 3}, rounds=6,
         )
         firsts = {}
@@ -200,7 +201,7 @@ def test_correctness_under_random_pre_gst_drops(gst, seed):
     broadcast_sr = gst  # first round 2*gst >= gst: safely post-GST
     procs = run_hosts(
         4, 4, 1,
-        drop_schedule=RandomDrops(gst=gst, p=0.6, seed=seed),
+        timing=BasicPsync(RandomDrops(gst=gst, p=0.6, seed=seed)),
         values={1: 5}, rounds=2 * gst + 10, broadcast_sr=broadcast_sr,
     )
     for p in procs:

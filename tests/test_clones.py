@@ -10,6 +10,7 @@ from repro.homonyms.transform import transform_factory, transform_horizon
 from repro.classic.eig import EIGSpec
 from repro.psync.dls_homonyms import dls_factory, dls_horizon
 from repro.sim.adversary import NullAdversary
+from repro.sim.kernel import BasicPsync
 from repro.sim.partial import SilenceUntil
 
 
@@ -80,7 +81,7 @@ class TestCloneProperty:
             dls_factory(params, BINARY),
             NullAdversary(),
             proposals_by_ident={i: i % 2 for i in range(1, 7)},
-            drop_schedule=SilenceUntil(16),
+            timing=BasicPsync(SilenceUntil(16)),
             max_rounds=dls_horizon(params, 16),
         )
         assert report.clones_identical

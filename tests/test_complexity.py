@@ -22,6 +22,7 @@ from repro.core.problem import BINARY
 from repro.homonyms.transform import transform_factory, transform_horizon
 from repro.psync.dls_homonyms import dls_factory
 from repro.psync.restricted import restricted_factory
+from repro.sim.kernel import BasicPsync
 from repro.sim.partial import SilenceUntil
 from repro.sim.runner import run_agreement
 
@@ -111,7 +112,7 @@ class TestPsyncBounds:
             proposals={k: k % 2 for k in range(6)},
             byzantine=(6,),
             adversary=RandomByzantineAdversary(seed=2),
-            drop_schedule=SilenceUntil(gst) if gst else None,
+            timing=BasicPsync(SilenceUntil(gst)) if gst else None,
             max_rounds=dls_all_decided_bound(params, gst) + 8,
         )
         assert result.verdict.ok
@@ -130,7 +131,7 @@ class TestPsyncBounds:
             factory=restricted_factory(params, BINARY),
             proposals={k: k % 2 for k in range(3)},
             byzantine=(3,),
-            drop_schedule=SilenceUntil(gst) if gst else None,
+            timing=BasicPsync(SilenceUntil(gst)) if gst else None,
             max_rounds=restricted_all_decided_bound(params, gst) + 8,
         )
         assert result.verdict.ok

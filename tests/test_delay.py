@@ -5,7 +5,8 @@ unchanged over tick-based networks with adversarial delays, late
 messages become basic-model losses, and post-stabilisation everything
 is punctual -- so Figure 5 / Figure 7 keep their guarantees.  The
 round simulation runs on the unified kernel
-(:func:`repro.sim.delay.run_delay_execution`).
+(:func:`repro.sim.runner.run_execution` under a
+:class:`~repro.sim.kernel.DelayBased` timing model).
 """
 
 
@@ -21,9 +22,10 @@ from repro.sim.delay import (
     AlwaysBoundedUnknownDelays,
     EventuallyBoundedDelays,
     equivalent_basic_gst,
-    run_delay_execution,
 )
+from repro.sim.kernel import DelayBased
 from repro.sim.process import EchoProcess
+from repro.sim.runner import run_execution
 from tests.oracles.delay import ReferenceDelaySimulator
 
 
@@ -88,14 +90,14 @@ class TestRoundSimulation:
 
     def test_punctual_network_loses_nothing(self):
         params, assignment, procs = self.make()
-        result = run_delay_execution(
+        result = run_execution(
             params, assignment, procs,
-            AlwaysBoundedUnknownDelays(true_delta=3),
+            timing=DelayBased(AlwaysBoundedUnknownDelays(true_delta=3)),
             max_rounds=5, stop_when_all_decided=False,
         )
-        assert result.dropped == ()
-        assert result.rounds_executed == 5
-        assert result.ticks_executed == 15
+        assert result.losses == ()
+        assert len(result.trace) == 5
+        assert result.ticks == 15
         # Full inboxes every round.
         for r in range(5):
             assert len(procs[0].received[r]) == 3
@@ -104,22 +106,22 @@ class TestRoundSimulation:
         policy = EventuallyBoundedDelays(delta=2, gst_tick=20,
                                          chaos_factor=6, seed=11)
         params, assignment, procs = self.make()
-        result = run_delay_execution(
-            params, assignment, procs, policy,
+        result = run_execution(
+            params, assignment, procs, timing=DelayBased(policy),
             max_rounds=20, stop_when_all_decided=False,
         )
-        assert result.dropped  # chaos did drop something
+        assert result.losses  # chaos did drop something
         gst_round = equivalent_basic_gst(policy)
         # The finiteness guarantee: no loss at or after the equivalent
         # basic-model GST round.
-        assert result.last_lost_round() < gst_round
+        assert all(r < gst_round for r, _s, _q in result.losses)
 
     def test_self_delivery_is_never_late(self):
         policy = EventuallyBoundedDelays(delta=2, gst_tick=50,
                                          chaos_factor=8, seed=4)
         params, assignment, procs = self.make()
-        run_delay_execution(
-            params, assignment, procs, policy,
+        run_execution(
+            params, assignment, procs, timing=DelayBased(policy),
             max_rounds=10, stop_when_all_decided=False,
         )
         for r in range(10):
@@ -135,13 +137,13 @@ class TestRoundSimulation:
         ).run(max_rounds=8, stop_when_all_decided=False)
 
         _, _, kernel_procs = self.make()
-        kernel_result = run_delay_execution(
-            params, assignment, kernel_procs, policy,
+        kernel_result = run_execution(
+            params, assignment, kernel_procs, timing=DelayBased(policy),
             max_rounds=8, stop_when_all_decided=False,
         )
         assert ref_result.dropped  # the chaos window is exercised
-        assert sorted(ref_result.dropped) == sorted(kernel_result.dropped)
-        assert ref_result.ticks_executed == kernel_result.ticks_executed
+        assert sorted(ref_result.dropped) == sorted(kernel_result.losses)
+        assert ref_result.ticks_executed == kernel_result.ticks
         assert len(ref_result.trace) == len(kernel_result.trace)
         for a, b in zip(ref_result.trace, kernel_result.trace):
             assert (a.payloads, a.decisions) == (b.payloads, b.decisions)
@@ -164,18 +166,19 @@ class TestRoundSimulation:
         ref_result = ReferenceDelaySimulator(
             params, assignment, processes(), policy, byzantine=byz,
         ).run(max_rounds=10, stop_when_all_decided=False)
-        kernel_result = run_delay_execution(
-            params, assignment, processes(), policy, byzantine=byz,
+        kernel_result = run_execution(
+            params, assignment, processes(),
+            timing=DelayBased(policy), byzantine=byz,
             max_rounds=10, stop_when_all_decided=False,
         )
-        assert kernel_result.rounds_executed == ref_result.rounds_executed
-        assert kernel_result.ticks_executed == ref_result.ticks_executed
+        assert len(kernel_result.trace) == ref_result.rounds_executed
+        assert kernel_result.ticks == ref_result.ticks_executed
         assert [(r.round_no, r.payloads, r.emissions, r.decisions)
                 for r in kernel_result.trace] == \
             [(r.round_no, r.payloads, r.emissions, r.decisions)
              for r in ref_result.trace]
         # The kernel records no losses at a Byzantine recipient.
-        assert sorted(kernel_result.dropped) == sorted(
+        assert sorted(kernel_result.losses) == sorted(
             drop for drop in ref_result.dropped if drop[2] not in byz
         )
 
@@ -199,14 +202,15 @@ class TestAlgorithmsOverDelayNetworks:
         policy = EventuallyBoundedDelays(delta=3, gst_tick=30,
                                          chaos_factor=4, seed=9)
         gst_round = equivalent_basic_gst(policy)
-        result = run_delay_execution(
-            params, assignment, processes, policy, byzantine=byz,
+        result = run_execution(
+            params, assignment, processes,
+            timing=DelayBased(policy), byzantine=byz,
             max_rounds=dls_horizon(params, gst_round * 1 + 8),
         )
         correct = tuple(k for k in range(7) if k not in byz)
         verdict = verdict_of(result, processes, correct, proposals)
         assert verdict.ok, verdict.summary()
-        assert result.last_lost_round() < gst_round
+        assert all(r < gst_round for r, _s, _q in result.losses)
 
     def test_fig7_over_unknown_bound_delays(self):
         params = SystemParams(
@@ -223,11 +227,12 @@ class TestAlgorithmsOverDelayNetworks:
             for k in range(4)
         ]
         policy = AlwaysBoundedUnknownDelays(true_delta=5, seed=3)
-        result = run_delay_execution(
-            params, assignment, processes, policy, byzantine=byz,
+        result = run_execution(
+            params, assignment, processes,
+            timing=DelayBased(policy), byzantine=byz,
             max_rounds=restricted_horizon(params, 0),
         )
         correct = tuple(k for k in range(4) if k not in byz)
         verdict = verdict_of(result, processes, correct, proposals)
         assert verdict.ok
-        assert result.dropped == ()  # always-bounded: a synchronous run
+        assert result.losses == ()  # always-bounded: a synchronous run

@@ -22,6 +22,7 @@ from repro.psync.dls_homonyms import (
     dls_horizon,
     leader_of_phase,
 )
+from repro.sim.kernel import BasicPsync
 from repro.sim.partial import RandomDrops, SilenceUntil
 from repro.sim.runner import run_agreement
 
@@ -32,7 +33,7 @@ def make_params(n=7, ell=6, t=1):
     )
 
 
-def run_dls(params, proposals, byz=(), adversary=None, drop_schedule=None,
+def run_dls(params, proposals, byz=(), adversary=None, timing=None,
             assignment=None, gst=0):
     if assignment is None:
         assignment = balanced_assignment(params.n, params.ell)
@@ -43,7 +44,7 @@ def run_dls(params, proposals, byz=(), adversary=None, drop_schedule=None,
         proposals=proposals,
         byzantine=byz,
         adversary=adversary,
-        drop_schedule=drop_schedule,
+        timing=timing,
         max_rounds=dls_horizon(params, gst),
     )
 
@@ -103,19 +104,20 @@ class TestPartialSynchrony:
     def test_total_silence_until_gst(self):
         params = make_params()
         r = run_dls(params, {k: k % 2 for k in range(6)}, byz=(6,),
-                    drop_schedule=SilenceUntil(24), gst=24)
+                    timing=BasicPsync(SilenceUntil(24)), gst=24)
         assert r.verdict.ok
 
     def test_random_drops(self):
         params = make_params()
         r = run_dls(params, {k: k % 2 for k in range(6)}, byz=(6,),
-                    drop_schedule=RandomDrops(gst=20, p=0.5, seed=4), gst=20)
+                    timing=BasicPsync(RandomDrops(gst=20, p=0.5, seed=4)),
+                    gst=20)
         assert r.verdict.ok
 
     def test_no_decision_before_messages_flow(self):
         params = make_params()
         r = run_dls(params, {k: 0 for k in range(7)},
-                    drop_schedule=SilenceUntil(24), gst=24)
+                    timing=BasicPsync(SilenceUntil(24)), gst=24)
         assert r.verdict.ok
         # Nothing can be decided while every message is dropped:
         # deciding requires an ack quorum, which requires accepts.
@@ -169,7 +171,8 @@ class TestByzantineResilience:
         params = make_params()
         r = run_dls(params, {k: k % 2 for k in range(6)}, byz=(6,),
                     adversary=RandomByzantineAdversary(seed=8),
-                    drop_schedule=RandomDrops(gst=16, p=0.4, seed=2), gst=16)
+                    timing=BasicPsync(RandomDrops(gst=16, p=0.4, seed=2)),
+                    gst=16)
         assert r.verdict.ok
 
     def test_two_byzantine_eleven_processes(self):
@@ -205,7 +208,9 @@ def test_dls_fuzz(seed, gst, byz_slot):
     r = run_dls(
         params, proposals, byz=(byz_slot,),
         adversary=RandomByzantineAdversary(seed=seed),
-        drop_schedule=RandomDrops(gst=gst, p=0.5, seed=seed) if gst else None,
+        timing=(
+            BasicPsync(RandomDrops(gst=gst, p=0.5, seed=seed)) if gst else None
+        ),
         gst=gst,
     )
     assert r.verdict.ok

@@ -6,14 +6,14 @@ from repro.core.errors import AdversaryViolation, ConfigurationError
 from repro.core.identity import balanced_assignment
 from repro.core.params import SystemParams
 from repro.sim.adversary import Adversary
-from repro.sim.kernel import ExecutionKernel, timing_model_for
+from repro.sim.kernel import BasicPsync, ExecutionKernel
 from repro.sim.partial import ExplicitDrops, PartitionSchedule
 from repro.sim.process import EchoProcess
 from repro.sim.topology import DirectedTopology
 
 
 def build(n=3, ell=3, t=0, byz=(), adversary=None, numerate=False,
-          restricted=False, drop_schedule=None, topology=None):
+          restricted=False, timing=None):
     params = SystemParams(n=n, ell=ell, t=t, numerate=numerate,
                           restricted=restricted)
     assignment = balanced_assignment(n, ell)
@@ -24,7 +24,7 @@ def build(n=3, ell=3, t=0, byz=(), adversary=None, numerate=False,
     engine = ExecutionKernel(
         params=params, assignment=assignment, processes=processes,
         byzantine=byz, adversary=adversary,
-        timing=timing_model_for(drop_schedule, topology),
+        timing=timing,
     )
     return engine, processes
 
@@ -123,7 +123,7 @@ class TestAdversaryEnforcement:
 class TestSchedulesAndTopology:
     def test_explicit_drop_removes_single_link_message(self):
         engine, procs = build(
-            n=3, drop_schedule=ExplicitDrops({(0, 1, 0)})
+            n=3, timing=BasicPsync(ExplicitDrops({(0, 1, 0)}))
         )
         engine.step()
         # Process 0 misses sender index 1 (identifier 2) in round 0...
@@ -135,7 +135,7 @@ class TestSchedulesAndTopology:
 
     def test_self_delivery_cannot_be_dropped(self):
         engine, procs = build(
-            n=3, drop_schedule=ExplicitDrops({(0, 0, 0)})
+            n=3, timing=BasicPsync(ExplicitDrops({(0, 0, 0)}))
         )
         engine.step()
         assert any(m.sender_id == 1 for m in procs[0].received[0])
@@ -143,7 +143,9 @@ class TestSchedulesAndTopology:
     def test_partition_schedule_blocks_cross_traffic(self):
         engine, procs = build(
             n=4, ell=4,
-            drop_schedule=PartitionSchedule(5, block_a=[0, 1], block_b=[2, 3]),
+            timing=BasicPsync(
+                PartitionSchedule(5, block_a=[0, 1], block_b=[2, 3])
+            ),
         )
         engine.step()
         assert {m.sender_id for m in procs[0].received[0]} == {1, 2}
@@ -151,7 +153,7 @@ class TestSchedulesAndTopology:
 
     def test_directed_topology_filters_links(self):
         topo = DirectedTopology({0: {0, 1}})  # process 0 hears only 0, 1
-        engine, procs = build(n=3, topology=topo)
+        engine, procs = build(n=3, timing=BasicPsync(topology=topo))
         engine.step()
         assert {m.sender_id for m in procs[0].received[0]} == {1, 2}
         assert {m.sender_id for m in procs[1].received[0]} == {1, 2, 3}

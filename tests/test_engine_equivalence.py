@@ -24,8 +24,8 @@ from repro.core.params import SystemParams, Synchrony
 from repro.core.problem import BINARY
 from repro.psync.dls_homonyms import dls_factory, dls_horizon
 from repro.sim.adversary import NullAdversary
-from repro.sim.delay import AlwaysBoundedUnknownDelays, run_delay_execution
-from repro.sim.kernel import BasicPsync, ExecutionKernel, timing_model_for
+from repro.sim.delay import AlwaysBoundedUnknownDelays
+from repro.sim.kernel import BasicPsync, DelayBased, ExecutionKernel
 from repro.sim.metrics import metrics_from_deliveries
 from repro.sim.partial import (
     ExplicitDrops,
@@ -34,12 +34,12 @@ from repro.sim.partial import (
     SilenceUntil,
 )
 from repro.sim.process import EchoProcess
-from repro.sim.runner import make_processes
+from repro.sim.runner import make_processes, run_execution
 from repro.sim.topology import DirectedTopology
 from repro.experiments.workloads import delay_policy_battery
 from tests.oracles import canonical
 from tests.oracles.delay import ReferenceDelaySimulator
-from tests.oracles.network import ReferenceRoundEngine
+from tests.oracles.network import ReferenceRoundEngine, timing_model_for
 
 
 def build_processes(params, assignment, byz):
@@ -67,9 +67,11 @@ class TestEngineEquivalence:
         engine.run(max_rounds=rounds, stop_when_all_decided=True)
 
         procs_b, _ = build_processes(params, assignment, byz)
-        result = run_delay_execution(
+        result = run_execution(
             params, assignment, procs_b,
-            AlwaysBoundedUnknownDelays(true_delta=3, seed=seed),
+            timing=DelayBased(
+                AlwaysBoundedUnknownDelays(true_delta=3, seed=seed)
+            ),
             byzantine=byz,
             adversary=RandomByzantineAdversary(seed=seed),
             max_rounds=rounds,
@@ -113,19 +115,19 @@ class TestDelayKernelMatchesTickLoop:
         ref_result = reference.run(max_rounds=rounds)
 
         procs_k, _ = build_processes(params, assignment, byz)
-        kernel_result = run_delay_execution(
-            params, assignment, procs_k, policy, byzantine=byz,
-            adversary=RandomByzantineAdversary(seed=seed),
+        kernel_result = run_execution(
+            params, assignment, procs_k, timing=DelayBased(policy),
+            byzantine=byz, adversary=RandomByzantineAdversary(seed=seed),
             max_rounds=rounds,
         )
 
         assert canonical(ref_result.trace) == canonical(kernel_result.trace)
         assert [p.decision for p in procs_ref if p] == \
                [p.decision for p in procs_k if p]
-        assert ref_result.ticks_executed == kernel_result.ticks_executed
-        assert ref_result.rounds_executed == kernel_result.rounds_executed
+        assert ref_result.ticks_executed == kernel_result.ticks
+        assert ref_result.rounds_executed == len(kernel_result.trace)
         byz_set = set(byz)
-        assert sorted(kernel_result.dropped) == sorted(
+        assert sorted(kernel_result.losses) == sorted(
             drop for drop in ref_result.dropped if drop[2] not in byz_set
         )
 
@@ -144,15 +146,15 @@ class TestDelayKernelMatchesTickLoop:
         ).run(max_rounds=rounds)
 
         procs_k, _ = build_processes(params, assignment, byz)
-        kernel_result = run_delay_execution(
-            params, assignment, procs_k, policy, byzantine=byz,
-            max_rounds=rounds,
+        kernel_result = run_execution(
+            params, assignment, procs_k, timing=DelayBased(policy),
+            byzantine=byz, max_rounds=rounds,
         )
 
         assert canonical(ref_result.trace) == canonical(kernel_result.trace)
-        assert ref_result.ticks_executed == kernel_result.ticks_executed
+        assert ref_result.ticks_executed == kernel_result.ticks
         byz_set = set(byz)
-        assert sorted(kernel_result.dropped) == sorted(
+        assert sorted(kernel_result.losses) == sorted(
             drop for drop in ref_result.dropped if drop[2] not in byz_set
         )
 
@@ -187,10 +189,11 @@ class TestFabricMatchesReference:
 
     Three engines run every scenario of the grid: the kernel built
     directly with a :class:`BasicPsync` timing model, the kernel with
-    the model :func:`timing_model_for` builds from the legacy
-    arguments (which must be the identical kernel), and the
-    pre-refactor :class:`ReferenceRoundEngine` oracle.  All three must
-    agree byte for byte.
+    the model the oracle's :func:`timing_model_for` builds from the
+    pre-kernel arguments (``LockStep`` when both are unset, which must
+    be the identical kernel), and the pre-refactor
+    :class:`ReferenceRoundEngine` oracle.  All three must agree byte
+    for byte.
     """
 
     N, ELL, BYZ = 7, 6, (6,)
@@ -298,7 +301,7 @@ class TestFabricMatchesReference:
         procs = [EchoProcess(assignment.identifier_of(k)) for k in range(4)]
         engine = ExecutionKernel(
             params=params, assignment=assignment, processes=procs,
-            timing=timing_model_for(None, topology),
+            timing=BasicPsync(topology=topology),
         )
         engine.run(max_rounds=3, stop_when_all_decided=False)
         for d in engine.deliveries:

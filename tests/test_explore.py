@@ -281,7 +281,7 @@ class TestScenarioConstruction:
 # ----------------------------------------------------------------------
 class TestExploreCampaign:
     def test_unit_grid_shards_the_frontier(self):
-        units = enumerate_explore_units(seed=0, quick=True)
+        units = enumerate_explore_units(quick=True)
         assert all(u.kind == "explore" for u in units)
         labels = {u.label for u in units}
         assert len(labels) == len(explore_battery())
@@ -306,6 +306,30 @@ class TestExploreCampaign:
         assert result["demonstration"].startswith("explorer witness")
         assert result["demonstration_kind"] == "explorer"
         assert all(r["ok"] for r in result["records"])
+
+    def test_clean_record_detail_is_deterministic(self, monkeypatch):
+        # A certified-clean record's detail carries the search counters
+        # only, no wall-clock suffix, so two runs of the same code write
+        # byte-identical campaign reports and cached unit results.
+        from repro.explore import units
+
+        certificates = []
+
+        def shallow_explore(scenario):
+            scenario.depth = 4  # keep the certificate search small
+            certificate = explore(scenario)
+            certificates.append(certificate)
+            return certificate
+
+        monkeypatch.setattr(units, "explore", shallow_explore)
+        params = SystemParams(n=4, ell=4, t=1, synchrony=PSYNC)
+        result = units.run_explore_unit(params, 0, 0)
+        assert [r["detail"] for r in result["records"]] == [
+            "certified clean: " + c.stats.deterministic_summary()
+            for c in certificates
+        ]
+        assert certificates
+        assert not any(c.found_violation for c in certificates)
 
     def test_campaign_folds_explore_cells(self):
         cells = [(

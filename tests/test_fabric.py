@@ -42,7 +42,6 @@ from repro.sim.kernel import (
     DelayBased,
     ExecutionKernel,
     LockStep,
-    timing_model_for,
 )
 from repro.sim.partial import (
     ExplicitDrops,
@@ -626,7 +625,8 @@ def _fixed_pair(ids, payloads, emissions, numerate, drops=None, rounds=2):
     )
     engines = []
     for engine_cls, engine_kwargs in (
-        (ExecutionKernel, {"timing": timing_model_for(drops)}),
+        (ExecutionKernel,
+         {"timing": None if drops is None else BasicPsync(drops)}),
         (ReferenceRoundEngine, {"drop_schedule": drops}),
     ):
         engines.append(_run(engine_cls(

@@ -19,6 +19,7 @@ from repro.experiments.harness import algorithm_for
 from repro.homonyms.transform import transform_factory, transform_horizon
 from repro.psync.dls_homonyms import dls_factory, dls_horizon
 from repro.psync.restricted import restricted_factory, restricted_horizon
+from repro.sim.kernel import BasicPsync
 from repro.sim.partial import RandomDrops
 from repro.sim.runner import run_agreement
 
@@ -64,7 +65,9 @@ def test_solvable_frontier_survives_chaos(seed, which):
     proposals = {
         k: (k * 31 + seed) % 2 for k in range(params.n) if k not in byz
     }
-    schedule = RandomDrops(gst=gst, p=0.5, seed=seed) if gst else None
+    timing = (
+        BasicPsync(RandomDrops(gst=gst, p=0.5, seed=seed)) if gst else None
+    )
     result = run_agreement(
         params=params,
         assignment=assignment,
@@ -72,7 +75,7 @@ def test_solvable_frontier_survives_chaos(seed, which):
         proposals=proposals,
         byzantine=byz,
         adversary=RandomByzantineAdversary(seed=seed),
-        drop_schedule=schedule,
+        timing=timing,
         max_rounds=horizon,
     )
     assert result.verdict.ok, result.verdict.summary()

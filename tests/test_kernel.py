@@ -33,7 +33,6 @@ from repro.sim.kernel import (
     DelayBased,
     ExecutionKernel,
     LockStep,
-    timing_model_for,
 )
 from repro.sim.partial import ExplicitDrops, NoDrops, SilenceUntil
 from repro.sim.process import EchoProcess
@@ -41,6 +40,7 @@ from repro.sim.runner import make_processes, run_execution
 from repro.sim.topology import CompleteTopology, DirectedTopology
 from repro.experiments.workloads import delay_policy_battery
 from tests.oracles import canonical
+from tests.oracles.network import timing_model_for
 
 PSYNC = Synchrony.PARTIALLY_SYNCHRONOUS
 
@@ -133,6 +133,8 @@ class TestTimingModels:
             DelayBased(Duck())
 
     def test_timing_model_for_dispatch(self):
+        # The pre-kernel engine arguments of the frozen round-engine
+        # oracle map onto the timing models as follows.
         assert isinstance(timing_model_for(), LockStep)
         with_sched = timing_model_for(SilenceUntil(3))
         assert isinstance(with_sched, BasicPsync)
@@ -200,15 +202,6 @@ class TestRunnerIntegration:
         )
         return params, assignment, byz, processes
 
-    def test_timing_and_schedule_are_mutually_exclusive(self):
-        params, assignment, byz, processes = self._setup()
-        with pytest.raises(ConfigurationError):
-            run_execution(
-                params=params, assignment=assignment, processes=processes,
-                byzantine=byz,
-                timing=LockStep(), drop_schedule=SilenceUntil(2),
-            )
-
     def test_delay_timing_populates_losses_and_ticks(self):
         params, assignment, byz, processes = self._setup()
         policy = EventuallyBoundedDelays(delta=2, gst_tick=24,
@@ -227,7 +220,7 @@ class TestRunnerIntegration:
         params, assignment, byz, processes = self._setup()
         result = run_execution(
             params=params, assignment=assignment, processes=processes,
-            byzantine=byz, drop_schedule=SilenceUntil(2),
+            byzantine=byz, timing=BasicPsync(SilenceUntil(2)),
             max_rounds=dls_horizon(params, 2),
         )
         assert result.losses == ()

@@ -89,6 +89,11 @@ ADVERSARIES = [
 ]
 
 SCHEDULE_IDS = [s[0] for s in SCHEDULES]
+
+
+def basic_timing(schedule):
+    """The kernel runners' timing model for an oracle's drop schedule."""
+    return None if schedule is None else BasicPsync(schedule)
 ADVERSARY_IDS = [a[0] for a in ADVERSARIES]
 
 DELAY_POLICIES = ["punctual-d3", "eventual-d2-gst24"]
@@ -149,7 +154,7 @@ class TestScenarioConformance:
     def test_views_traces_and_deliveries(self, n, t, sched_name, sched_fn):
         factory, horizon = scenario_factory(t)
         kernel_outcome = ScenarioSystem(n, t).run(
-            factory, max_rounds=horizon, drop_schedule=sched_fn()
+            factory, max_rounds=horizon, timing=basic_timing(sched_fn())
         )
         reference_outcome = ReferenceScenarioSystem(n, t).run(
             factory, max_rounds=horizon, drop_schedule=sched_fn()
@@ -278,7 +283,7 @@ class TestClassicConformance:
         byz, proposals = classic_fixture(spec)
         kernel_result = run_classic(
             spec, proposals, byzantine=byz, adversary=adv_fn(),
-            drop_schedule=sched_fn(), require_termination=False,
+            timing=basic_timing(sched_fn()), require_termination=False,
         )
         reference_result = run_classic_reference(
             spec, proposals, byzantine=byz, adversary=adv_fn(),
@@ -292,7 +297,7 @@ class TestClassicConformance:
         byz, proposals = classic_fixture(spec)
         sched = lambda: PartitionSchedule(3, {0, 1}, {2, 3})  # noqa: E731
         kernel_result = run_classic(
-            spec, proposals, byzantine=byz, drop_schedule=sched(),
+            spec, proposals, byzantine=byz, timing=BasicPsync(sched()),
             require_termination=False,
         )
         reference_result = run_classic_reference(
@@ -371,7 +376,8 @@ class TestBroadcastConformance:
     ):
         byzantine = (4,) if adv_name != "silent" else ()
         kernel_run = kernel_fn(
-            byzantine=byzantine, adversary=adv_fn(), drop_schedule=sched_fn()
+            byzantine=byzantine, adversary=adv_fn(),
+            timing=basic_timing(sched_fn()),
         )
         reference_run = ref_fn(
             byzantine=byzantine, adversary=adv_fn(), drop_schedule=sched_fn()
@@ -535,15 +541,19 @@ def test_property_classic_conformance_random_drops(gst, seed):
     byz, proposals = classic_fixture(spec)
     drop_seed = stable_seed(("conformance-classic", gst, seed))
 
-    def run(fn):
+    sched = lambda: RandomDrops(gst=gst, p=0.5, seed=drop_seed)  # noqa: E731
+
+    def run(fn, **network):
         return fn(
             spec, proposals, byzantine=byz,
             adversary=RandomByzantineAdversary(seed=seed),
-            drop_schedule=RandomDrops(gst=gst, p=0.5, seed=drop_seed),
-            require_termination=False,
+            require_termination=False, **network,
         )
 
-    assert_result_conformance(run(run_classic), run(run_classic_reference))
+    assert_result_conformance(
+        run(run_classic, timing=BasicPsync(sched())),
+        run(run_classic_reference, drop_schedule=sched()),
+    )
 
 
 @given(gst=st.integers(0, 6), seed=st.integers(0, 40))
@@ -553,17 +563,18 @@ def test_property_broadcast_conformance_random_drops(gst, seed):
     random drop schedules and Byzantine mixtures."""
     drop_seed = stable_seed(("conformance-broadcast", gst, seed))
 
-    def run(fn):
+    sched = lambda: RandomDrops(gst=gst, p=0.5, seed=drop_seed)  # noqa: E731
+
+    def run(fn, **network):
         return fn(
             5, 4, 1, byzantine=(4,),
             adversary=RandomByzantineAdversary(seed=seed),
-            drop_schedule=RandomDrops(gst=gst, p=0.5, seed=drop_seed),
-            rounds=2 * gst + 6,
+            rounds=2 * gst + 6, **network,
         )
 
     assert_broadcast_conformance(
-        run(run_authenticated_broadcast),
-        run(run_authenticated_broadcast_reference),
+        run(run_authenticated_broadcast, timing=BasicPsync(sched())),
+        run(run_authenticated_broadcast_reference, drop_schedule=sched()),
     )
 
 
@@ -576,7 +587,7 @@ def test_property_scenario_conformance_random_drops(seed):
     drop_seed = stable_seed(("conformance-scenario", seed))
     sched = lambda: RandomDrops(gst=4, p=0.3, seed=drop_seed)  # noqa: E731
     kernel_outcome = ScenarioSystem(4, 1).run(
-        factory, max_rounds=horizon, drop_schedule=sched()
+        factory, max_rounds=horizon, timing=BasicPsync(sched())
     )
     reference_outcome = ReferenceScenarioSystem(4, 1).run(
         factory, max_rounds=horizon, drop_schedule=sched()

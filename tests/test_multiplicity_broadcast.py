@@ -20,6 +20,7 @@ from repro.broadcast.runner import run_multiplicity_broadcast
 from repro.core.errors import BoundViolation
 from repro.core.identity import stacked_assignment
 from repro.sim.adversary import Adversary
+from repro.sim.kernel import BasicPsync
 from repro.sim.partial import SilenceUntil
 
 
@@ -107,10 +108,10 @@ class TestLayerUnit:
 
 
 def run_multiplicity(n, ell, t, broadcaster_ident, byz=(), adversary=None,
-                     drop_schedule=None, rounds=8, assignment=None):
+                     timing=None, rounds=8, assignment=None):
     run = run_multiplicity_broadcast(
         n, ell, t, broadcaster_ident, byzantine=byz, adversary=adversary,
-        drop_schedule=drop_schedule, rounds=rounds, assignment=assignment,
+        timing=timing, rounds=rounds, assignment=assignment,
     )
     return run.correct_processes, run.assignment
 
@@ -177,7 +178,7 @@ class TestRelayProperty:
     def test_accepts_recur_and_spread_after_gst(self):
         procs, assignment = run_multiplicity(
             6, 4, 1, broadcaster_ident=1,
-            drop_schedule=SilenceUntil(0),  # fully synchronous
+            timing=BasicPsync(SilenceUntil(0)),  # fully synchronous
             rounds=10,
         )
         # Every correct process re-accepts each superround (echoes
@@ -202,7 +203,7 @@ def test_post_gst_broadcast_accepted_with_full_multiplicity(gst, seed):
     start_sr = (gst + 1) // 2 + 1
     run = run_multiplicity_broadcast(
         n, ell, t, broadcaster_ident=1,
-        drop_schedule=RandomDrops(gst=gst, p=0.5, seed=seed),
+        timing=BasicPsync(RandomDrops(gst=gst, p=0.5, seed=seed)),
         rounds=2 * start_sr + 6, broadcast_superround=start_sr,
     )
     alpha = len(run.assignment.group(1))

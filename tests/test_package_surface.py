@@ -59,6 +59,43 @@ def test_overloaded_unit_spec_is_gone():
     assert found == []
 
 
+def test_timing_model_is_the_only_loss_spelling():
+    """Every runner says how messages are lost with one ``timing``
+    model: the ``drop_schedule``/``topology`` keywords, the
+    ``timing_model_for`` translator and the second delay runner with
+    its own result type are gone."""
+    from repro.adversaries.clones import run_clone_experiment
+    from repro.adversaries.scenario import ScenarioSystem
+    from repro.broadcast import runner as broadcast_runner
+    from repro.classic.runner import run_classic
+    from repro.sim.runner import run_agreement, run_execution
+
+    gone = {"timing_model_for", "run_delay_execution",
+            "DelaySimulationResult", "_kernel_delay_result"}
+    found = []
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name != "repro.__main__":
+            module = importlib.import_module(info.name)
+            names = set(vars(module)) | set(getattr(module, "__all__", ()))
+            found += [f"{info.name}.{name}" for name in sorted(names & gone)]
+    assert found == []
+    runners = [
+        run_execution,
+        run_agreement,
+        run_classic,
+        broadcast_runner.run_authenticated_broadcast,
+        broadcast_runner.run_reliable_broadcast,
+        broadcast_runner.run_multiplicity_broadcast,
+        broadcast_runner._drive,
+        ScenarioSystem.run,
+        run_clone_experiment,
+    ]
+    for fn in runners:
+        parameters = set(inspect.signature(fn).parameters)
+        assert "timing" in parameters, fn.__qualname__
+        assert not parameters & {"drop_schedule", "topology"}, fn.__qualname__
+
+
 def test_setup_version_matches_package_version():
     """``repro.__version__`` feeds every campaign unit id; the
     distribution metadata must carry the same version."""

@@ -15,10 +15,10 @@ from repro.core.params import SystemParams, Synchrony
 from repro.core.problem import check_agreement_properties
 from repro.core.problem import BINARY
 from repro.psync.dls_homonyms import dls_factory, dls_horizon
-from repro.sim.delay import AlwaysBoundedUnknownDelays, run_delay_execution
-from repro.sim.kernel import ExecutionKernel, timing_model_for
+from repro.sim.delay import AlwaysBoundedUnknownDelays
+from repro.sim.kernel import BasicPsync, DelayBased, ExecutionKernel
 from repro.sim.partial import RandomDrops
-from repro.sim.runner import make_processes
+from repro.sim.runner import make_processes, run_execution
 
 
 @given(delta=st.integers(1, 6), seed=st.integers(0, 30))
@@ -44,9 +44,11 @@ def test_punctual_delay_networks_always_match_round_engine(delta, seed):
 
     procs_b = make_processes(dls_factory(params, BINARY), assignment,
                              proposals, byz)
-    result = run_delay_execution(
+    result = run_execution(
         params, assignment, procs_b,
-        AlwaysBoundedUnknownDelays(true_delta=delta, seed=seed),
+        timing=DelayBased(
+            AlwaysBoundedUnknownDelays(true_delta=delta, seed=seed)
+        ),
         byzantine=byz,
         max_rounds=rounds,
     )
@@ -78,7 +80,7 @@ def test_reliable_broadcast_totality_under_random_weather(gst, seed):
         )
     engine = ExecutionKernel(
         params=params, assignment=assignment, processes=processes,
-        timing=timing_model_for(RandomDrops(gst=gst, p=0.5, seed=seed)),
+        timing=BasicPsync(RandomDrops(gst=gst, p=0.5, seed=seed)),
     )
     for _ in range(2 * start_superround + 10):
         engine.step()

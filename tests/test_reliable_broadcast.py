@@ -10,15 +10,16 @@ from repro.broadcast.runner import run_reliable_broadcast
 from repro.core.errors import BoundViolation
 from repro.core.identity import stacked_assignment
 from repro.sim.adversary import Adversary
+from repro.sim.kernel import BasicPsync
 from repro.sim.partial import SilenceUntil
 
 
 def run_rbc(n, ell, t, sender_ident, values_by_slot, byz=(),
-            adversary=None, drop_schedule=None, rounds=14,
+            adversary=None, timing=None, rounds=14,
             assignment=None, start_superround=0):
     run = run_reliable_broadcast(
         n, ell, t, sender_ident, values_by_slot, byzantine=byz,
-        adversary=adversary, drop_schedule=drop_schedule, rounds=rounds,
+        adversary=adversary, timing=timing, rounds=rounds,
         assignment=assignment, start_superround=start_superround,
     )
     return run.correct_processes, run.assignment
@@ -100,7 +101,7 @@ class TestTotality:
         # Broadcast after stabilisation: everyone must deliver.
         procs, _ = run_rbc(
             5, 4, 1, sender_ident=3, values_by_slot={2: 9},
-            drop_schedule=SilenceUntil(6), rounds=20,
+            timing=BasicPsync(SilenceUntil(6)), rounds=20,
             start_superround=4,
         )
         for p in procs:

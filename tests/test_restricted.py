@@ -20,6 +20,7 @@ from repro.psync.restricted import (
     restricted_factory,
     restricted_horizon,
 )
+from repro.sim.kernel import BasicPsync
 from repro.sim.partial import RandomDrops, SilenceUntil
 from repro.sim.runner import run_agreement
 
@@ -32,7 +33,7 @@ def make_params(n=4, ell=2, t=1):
     )
 
 
-def run_fig7(params, proposals, byz=(), adversary=None, drop_schedule=None,
+def run_fig7(params, proposals, byz=(), adversary=None, timing=None,
              assignment=None, gst=0):
     if assignment is None:
         assignment = balanced_assignment(params.n, params.ell)
@@ -43,7 +44,7 @@ def run_fig7(params, proposals, byz=(), adversary=None, drop_schedule=None,
         proposals=proposals,
         byzantine=byz,
         adversary=adversary,
-        drop_schedule=drop_schedule,
+        timing=timing,
         max_rounds=restricted_horizon(params, gst),
     )
 
@@ -111,13 +112,14 @@ class TestPartialSynchrony:
     def test_silence_until_gst(self):
         params = make_params()
         r = run_fig7(params, {k: k % 2 for k in range(3)}, byz=(3,),
-                     drop_schedule=SilenceUntil(16), gst=16)
+                     timing=BasicPsync(SilenceUntil(16)), gst=16)
         assert r.verdict.ok
 
     def test_random_drops(self):
         params = make_params()
         r = run_fig7(params, {k: k % 2 for k in range(3)}, byz=(3,),
-                     drop_schedule=RandomDrops(gst=12, p=0.5, seed=7), gst=12)
+                     timing=BasicPsync(RandomDrops(gst=12, p=0.5, seed=7)),
+                     gst=12)
         assert r.verdict.ok
 
 
@@ -147,7 +149,7 @@ class TestByzantineResilience:
         params = make_params(n=5, ell=2, t=1)
         r = run_fig7(params, {k: k % 2 for k in range(4)}, byz=(4,),
                      adversary=RandomByzantineAdversary(seed=11),
-                     drop_schedule=RandomDrops(gst=10, p=0.4, seed=3),
+                     timing=BasicPsync(RandomDrops(gst=10, p=0.4, seed=3)),
                      gst=10)
         assert r.verdict.ok
 
@@ -175,7 +177,9 @@ def test_fig7_fuzz(seed, byz_slot, gst):
     r = run_fig7(
         params, proposals, byz=(byz_slot,),
         adversary=RandomByzantineAdversary(seed=seed),
-        drop_schedule=RandomDrops(gst=gst, p=0.5, seed=seed) if gst else None,
+        timing=(
+            BasicPsync(RandomDrops(gst=gst, p=0.5, seed=seed)) if gst else None
+        ),
         gst=gst,
     )
     assert r.verdict.ok
