@@ -127,11 +127,17 @@ atlas:
 ## the 2000-instance soak smoke (what CI runs and uploads): a cold run
 ## that fills the window unit cache, then a resumed pass over the same
 ## cache into a fresh log, byte-compared against the cold one (the
-## window specs' cache keys on a 4-worker pool)
+## window specs' cache keys on a 4-worker pool); then the resumed log's
+## final row is torn and a second resume must repair it back to the
+## same bytes (the log reader's torn-tail rule, end to end)
 soak-smoke:
 	$(PYTHON) -m repro soak --profile quick --instances 2000 --workers 4 \
 	    --log soak.jsonl --report soak-report.json --cache-dir .soak-cache
 	rm -f soak-resumed.jsonl
+	$(PYTHON) -m repro soak --profile quick --instances 2000 --workers 4 \
+	    --resume --log soak-resumed.jsonl --cache-dir .soak-cache
+	cmp soak.jsonl soak-resumed.jsonl
+	truncate -s -40 soak-resumed.jsonl
 	$(PYTHON) -m repro soak --profile quick --instances 2000 --workers 4 \
 	    --resume --log soak-resumed.jsonl --cache-dir .soak-cache
 	cmp soak.jsonl soak-resumed.jsonl

@@ -22,7 +22,8 @@ import os
 import time
 
 from benchmarks.conftest import emit, run_once, snapshot
-from repro.soak import run_instance, run_soak, sample_instance, stream_rows
+from repro.atlas import AtlasLog
+from repro.soak import run_instance, run_soak, sample_instance
 
 PROFILE = "quick"
 SEED = 2026
@@ -51,7 +52,7 @@ def test_soak_farm_throughput(benchmark, tmp_path):
         solo_s = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        rows = list(stream_rows(str(log_path)))
+        rows = list(AtlasLog(log_path).rows())
         read_s = time.perf_counter() - t0
         return outcome, solo, rows, farm_s, solo_s, read_s
 

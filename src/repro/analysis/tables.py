@@ -42,11 +42,11 @@ def table1_text() -> str:
     w1 = max(len(col1), max(len(r[1]) for r in rows)) + 2
     w2 = max(len(col2), max(len(r[2]) for r in rows)) + 2
     lines = [
-        " " * w0 + col1.ljust(w1) + col2.ljust(w2),
+        " " * w0 + col1.ljust(w1) + col2,
         "-" * (w0 + w1 + w2),
     ]
     for name, sync_cond, psync_cond in rows:
-        lines.append(name.ljust(w0) + sync_cond.ljust(w1) + psync_cond.ljust(w2))
+        lines.append(name.ljust(w0) + sync_cond.ljust(w1) + psync_cond)
     lines.append("-" * (w0 + w1 + w2))
     lines.append("In all cases, n must be greater than 3t.")
     return "\n".join(lines)

@@ -1,11 +1,14 @@
 """Render the atlas: machine-derived Table 1 and boundary maps.
 
-The renderer is a stream fold: it consumes the JSONL row stream once
-(:meth:`~repro.atlas.stream.AtlasLog.rows`), accumulating only
-fixed-size aggregates -- per-family tallies for the Table 1 view,
-per-``(n, t)`` glyph maps for the boundary view, and evidence-source
-counters for the provenance summary -- so rendering scales to lattices
-far larger than memory would allow if rows were retained.
+The renderer is a stream fold: it consumes the JSONL row stream once,
+accumulating only fixed-size aggregates -- per-family tallies for the
+Table 1 view, per-``(n, t)`` glyph maps for the boundary view, and
+evidence-source counters for the provenance summary -- so rendering
+scales to lattices far larger than memory would allow if rows were
+retained.  The renderer never parses the log itself: rows arrive
+through :class:`~repro.atlas.stream.AtlasLog` -- ``rows()``, or
+``fold()`` from a render cursor's byte offset -- which owns the line
+format and the torn-tail rule.
 
 Outputs:
 
@@ -33,7 +36,7 @@ from repro.atlas.evidence import (
     PROVED_SOLVABLE,
     WITNESSED_UNSOLVABLE,
 )
-from repro.core.errors import AtlasLogCorrupt
+from repro.atlas.stream import AtlasLog
 
 #: One glyph per verdict, used by the boundary maps.
 GLYPHS = {
@@ -185,60 +188,6 @@ def aggregate(rows: Iterable[Mapping]) -> AtlasAggregates:
 CURSOR_SCHEMA = "atlas-render-cursor/1"
 
 
-def _parse_line(raw: bytes) -> dict | None:
-    """Parse one raw log line; ``None`` for torn/corrupt lines."""
-    if not raw.endswith(b"\n"):
-        return None
-    try:
-        row = json.loads(raw)
-    except ValueError:
-        return None
-    return row if isinstance(row, dict) else None
-
-
-def _fold_from(path: Path, agg: AtlasAggregates,
-               start_bytes: int) -> tuple[int, int]:
-    """Fold complete rows from a byte offset onward.
-
-    Args:
-        path: The JSONL log.
-        agg: Fold state to accumulate into.
-        start_bytes: Offset of the first unfolded row.
-
-    Returns:
-        ``(rows_folded, end_bytes)`` where ``end_bytes`` is the offset
-        just past the last complete row (the next cursor position).
-
-    Raises:
-        AtlasLogCorrupt: A bad line with well-formed rows after it
-            (same contract as :meth:`AtlasLog.rows
-            <repro.atlas.stream.AtlasLog.rows>`).
-    """
-    folded = 0
-    offset = start_bytes
-    torn_at = None
-    with path.open("rb") as fh:
-        fh.seek(start_bytes)
-        for raw in fh:
-            row = _parse_line(raw)
-            if torn_at is not None:
-                if row is not None:
-                    raise AtlasLogCorrupt(
-                        f"{path}: corrupt line at byte {torn_at} is "
-                        f"followed by a well-formed row; a torn append "
-                        f"can only damage the final line, so this file "
-                        f"was corrupted mid-stream"
-                    )
-                continue
-            if row is None:
-                torn_at = offset
-                continue
-            agg.fold(row)
-            folded += 1
-            offset += len(raw)
-    return folded, offset
-
-
 def _prefix_sha256(path: Path, length: int) -> str:
     """Content hash of the log's first ``length`` bytes."""
     digest = hashlib.sha256()
@@ -312,10 +261,7 @@ def aggregate_incremental(
             start_bytes = 0
             incremental = False
 
-    if log.exists():
-        folded, end_bytes = _fold_from(log, agg, start_bytes)
-    else:
-        folded, end_bytes = 0, 0
+    folded, end_bytes = AtlasLog(log).fold(agg.fold, start_bytes)
     cursor_file.parent.mkdir(parents=True, exist_ok=True)
     cursor_file.write_text(json.dumps({
         "schema": CURSOR_SCHEMA,

@@ -1,11 +1,19 @@
-"""Streaming atlas result log: append-only JSONL, resumable, bounded.
+"""Streaming result logs: append-only JSONL, resumable, bounded.
 
-The atlas is built to sweep lattices of thousands of cells, so results
-never accumulate in memory: every fused cell becomes one line of
-canonical JSON (:func:`repro.core.canonical.canonical_json`, so the
-bytes are independent of dict insertion order and hash seeds) appended
-to the log and immediately forgotten.  Reading is a generator; the
-renderer folds the stream into fixed-size aggregates.
+Every result log -- the atlas log, its shard logs and the soak farm's
+log -- is written and read by :class:`AtlasLog`, the one owner of the
+line format.  Results never accumulate in memory: every row becomes one
+line of canonical JSON (:func:`repro.core.canonical.canonical_json`, so
+the bytes are independent of dict insertion order and hash seeds)
+appended to the log and immediately forgotten.  Reading is a generator;
+the renderer folds the stream into fixed-size aggregates.
+
+Torn-tail rule: writers only ever append, so a crash can damage only
+the *final* line (torn mid-write, or garbled up to a flushed newline).
+Every reader goes through one byte-level line scanner that applies the
+rule: a bad final line ends the stream silently, while a bad line
+followed by a well-formed row cannot come from a torn append and raises
+:class:`~repro.core.errors.AtlasLogCorrupt`.
 
 Resume contract: rows are written in lattice enumeration order and
 each row carries its cell's campaign ``unit_id`` (a content hash of the
@@ -22,10 +30,21 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.core.canonical import canonical_json
 from repro.core.errors import AtlasLogCorrupt
+
+
+def _parse(raw: bytes) -> dict | None:
+    """Parse one raw line; ``None`` for a torn, corrupt or non-dict line."""
+    if not raw.endswith(b"\n"):
+        return None  # torn final line from an interrupted append
+    try:
+        row = json.loads(raw)
+    except ValueError:  # UnicodeDecodeError included
+        return None
+    return row if isinstance(row, dict) else None
 
 
 class AtlasLog:
@@ -45,11 +64,7 @@ class AtlasLog:
         Args:
             row: The JSON-compatible row (must contain ``unit_id``).
         """
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a") as fh:
-            fh.write(canonical_json(row) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        self._write((row,))
 
     def append_many(self, rows: Sequence[dict]) -> None:
         """Append a batch of rows with a single flush+fsync.
@@ -63,14 +78,52 @@ class AtlasLog:
         Args:
             rows: JSON-compatible rows (each must contain ``unit_id``).
         """
-        if not rows:
-            return
+        if rows:
+            self._write(rows)
+
+    def _write(self, rows: Sequence[dict]) -> None:
+        """Append rows through one buffered handle, then flush+fsync."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("a") as fh:
             for row in rows:
                 fh.write(canonical_json(row) + "\n")
             fh.flush()
             os.fsync(fh.fileno())
+
+    def _scan(self, start: int = 0) -> Iterator[tuple[dict | None, int]]:
+        """The line scanner every reader goes through.
+
+        Yields ``(row, end)`` per line from byte offset ``start``: the
+        parsed row (``None`` for a torn or corrupt line) and the offset
+        just past the line.  Nothing is yielded after the first bad
+        line; a reader that keeps iterating past it has the torn-tail
+        rule enforced on the rest of the file.
+
+        Raises:
+            AtlasLogCorrupt: A bad line has a well-formed row after it
+                (mid-file corruption, not a torn append).
+        """
+        if not self.path.exists():
+            return
+        end = start
+        bad_line = None
+        with self.path.open("rb") as fh:
+            fh.seek(start)
+            for lineno, raw in enumerate(fh, start=1):
+                end += len(raw)
+                row = _parse(raw)
+                if bad_line is None:
+                    if row is None:
+                        bad_line = lineno
+                    yield row, end
+                elif row is not None:
+                    origin = f" after byte {start}" if start else ""
+                    raise AtlasLogCorrupt(
+                        f"{self.path}: corrupt line {bad_line}{origin} "
+                        f"is followed by a well-formed row at line "
+                        f"{lineno}; a torn append can only damage the "
+                        "final line, so this file was corrupted mid-stream"
+                    )
 
     def rows(self, limit: int | None = None) -> Iterator[dict]:
         """Stream the log's rows without holding them in memory.
@@ -92,60 +145,54 @@ class AtlasLog:
             AtlasLogCorrupt: A corrupt line has well-formed rows after
                 it (mid-file corruption, not a torn append).
         """
-        if not self.path.exists():
-            return
         count = 0
-        with self.path.open() as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if limit is not None and count >= limit:
-                    return
-                row = self._parse(line)
-                if row is None:
-                    self._require_torn_tail(fh, lineno)
-                    return
+        for row, _ in self._scan():
+            if limit is not None and count >= limit:
+                return
+            if row is not None:
                 yield row
                 count += 1
 
-    @staticmethod
-    def _parse(line: str) -> dict | None:
-        """Parse one line; ``None`` for torn/corrupt/non-dict lines."""
-        if not line.endswith("\n"):
-            return None  # torn final line from an interrupted append
-        try:
-            row = json.loads(line)
-        except ValueError:
-            return None
-        return row if isinstance(row, dict) else None
+    def fold(self, fn: Callable[[dict], None],
+             start: int = 0) -> tuple[int, int]:
+        """Feed every row from a byte offset onward to ``fn``.
 
-    def _require_torn_tail(self, fh, bad_lineno: int) -> None:
-        """Verify nothing well-formed follows a bad line.
+        The same torn-tail rule as :meth:`rows` applies; the returned
+        offset lets an incremental reader resume after the last row.
 
-        ``fh`` is positioned just past the bad line.  Any complete,
-        well-formed row after it proves mid-file corruption rather than
-        a torn final append, which must surface loudly.
+        Args:
+            fn: Called once per well-formed row, in log order.
+            start: Offset of the first row to read (a line boundary).
+
+        Returns:
+            ``(rows_folded, end)`` where ``end`` is the offset just
+            past the last well-formed row (``start`` if there is none).
+
+        Raises:
+            AtlasLogCorrupt: Mid-file corruption at or after ``start``.
         """
-        for offset, line in enumerate(fh, start=1):
-            if self._parse(line) is not None:
-                raise AtlasLogCorrupt(
-                    f"{self.path}: corrupt line {bad_lineno} is followed "
-                    f"by a well-formed row at line {bad_lineno + offset}; "
-                    "a torn append can only damage the final line, so "
-                    "this file was corrupted mid-stream"
-                )
+        folded, end_bytes = 0, start
+        for row, end in self._scan(start):
+            if row is not None:
+                fn(row)
+                folded += 1
+                end_bytes = end
+        return folded, end_bytes
 
-    def resume_prefix(self, expected_unit_ids: Sequence[str]) -> int:
+    def resume_prefix(self, expected_unit_ids: Iterable[str]) -> int:
         """Validate and keep the longest usable prefix of the log.
 
         Walks existing rows against the expected per-cell unit-id
-        sequence; the first torn line, parse failure, or id mismatch
-        ends the prefix.  The file is physically truncated to the
-        surviving rows, so subsequent :meth:`append` calls continue the
-        stream seamlessly.
+        sequence; the first torn or corrupt line, or id mismatch, ends
+        the prefix.  The file is physically truncated to the surviving
+        rows, so subsequent :meth:`append` calls continue the stream
+        seamlessly.
 
         Args:
             expected_unit_ids: Cell unit ids in lattice enumeration
                 order (the id hashes the full cell spec, so a changed
-                lattice, seed, or schema invalidates the tail).
+                lattice, seed, or schema invalidates the tail).  May be
+                unbounded; it is read only as far as the log reaches.
 
         Returns:
             The number of rows kept; the next cell to execute is
@@ -154,25 +201,12 @@ class AtlasLog:
         if not self.path.exists():
             self.reset()
             return 0
-        kept = 0
-        keep_bytes = 0
-        with self.path.open("rb") as fh:
-            for raw in fh:
-                if kept >= len(expected_unit_ids):
-                    break
-                if not raw.endswith(b"\n"):
-                    break
-                try:
-                    row = json.loads(raw)
-                except ValueError:
-                    break
-                if (
-                    not isinstance(row, dict)
-                    or row.get("unit_id") != expected_unit_ids[kept]
-                ):
-                    break
-                kept += 1
-                keep_bytes += len(raw)
+        kept = keep_bytes = 0
+        for expected, (row, end) in zip(expected_unit_ids, self._scan()):
+            if row is None or row.get("unit_id") != expected:
+                break
+            kept += 1
+            keep_bytes = end
         if keep_bytes < self.path.stat().st_size:
             with self.path.open("rb+") as fh:
                 fh.truncate(keep_bytes)

@@ -80,7 +80,7 @@ from repro.core.identity import (
 from repro.core.canonical import canonical_json
 from repro.core.params import SystemParams, Synchrony
 from repro.core.problem import BINARY
-from repro.core.errors import ConfigurationError
+from repro.core.errors import AtlasLogCorrupt, ConfigurationError
 from repro.experiments.campaign import (
     CampaignCache,
     parse_shard,
@@ -1079,7 +1079,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     Returns:
         The exit code of the selected subcommand (2 on configuration
         errors such as inconsistent parameters or a malformed
-        ``--shard``).
+        ``--shard``; 1 when a result log is corrupt mid-file).
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -1088,6 +1088,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AtlasLogCorrupt as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError:  # e.g. `python -m repro ... | head`
         return 0
     except OSError as exc:  # e.g. unwritable --report path

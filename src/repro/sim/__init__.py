@@ -37,7 +37,7 @@ from repro.sim.partial import (
     RandomDrops,
     SilenceUntil,
 )
-from repro.sim.process import EchoProcess, Process, SilentProcess
+from repro.sim.process import EchoProcess, Process
 from repro.sim.runner import (
     ExecutionResult,
     ProcessFactory,
@@ -82,7 +82,6 @@ __all__ = [
     "RoundRecord",
     "RunSummary",
     "SilenceUntil",
-    "SilentProcess",
     "Topology",
     "Trace",
     "make_processes",

@@ -127,20 +127,6 @@ class Process(ABC):
         )
 
 
-class SilentProcess(Process):
-    """A correct process that never sends and never decides.
-
-    Useful as a placeholder in wiring tests and as the simplest
-    demonstration that termination checking catches undecided processes.
-    """
-
-    def compose(self, round_no: int) -> Hashable:
-        return None
-
-    def deliver(self, round_no: int, inbox: Inbox) -> None:
-        pass
-
-
 class EchoProcess(Process):
     """Diagnostic process: broadcasts a constant tag plus the round number.
 

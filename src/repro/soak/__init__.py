@@ -32,7 +32,6 @@ from repro.soak.driver import (
     checkpoint_id,
     expected_row_ids,
     run_soak,
-    stream_rows,
     window_plan,
 )
 from repro.soak.mixture import (
@@ -64,6 +63,5 @@ __all__ = [
     "run_soak",
     "run_soak_window",
     "sample_instance",
-    "stream_rows",
     "window_plan",
 ]

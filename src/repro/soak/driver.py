@@ -13,7 +13,10 @@ profile (:mod:`repro.soak.mixture`) window by window:
    *checkpoint row* per window carrying the cumulative
    verdict/latency/loss counters
    (:class:`~repro.sim.metrics.WindowAggregator`) to an append-only
-   JSONL log (:class:`~repro.atlas.stream.AtlasLog`);
+   JSONL log.  :class:`~repro.atlas.stream.AtlasLog` is that log's one
+   reader and writer: the driver never opens the file itself, and the
+   torn-tail rule is the log's, as for the atlas (read a finished log
+   with ``AtlasLog(path).rows()``);
 3. the farm stops at the ``instances`` budget, the ``duration``
    wall-clock budget (checked each time the generator yields the next
    window and each time a window is logged), or never (both ``None`` is
@@ -32,6 +35,7 @@ reported on the outcome only, never logged.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -74,6 +78,15 @@ def window_plan(
     ]
 
 
+def _window_row_ids(
+    profile: str, seed: int, w: int, start: int, count: int
+) -> Iterator[str]:
+    """One window's log-row ids: its instance ids, then the checkpoint id."""
+    for index in range(start, start + count):
+        yield sample_instance(profile, seed, index).instance_id
+    yield checkpoint_id(profile, seed, w, start + count)
+
+
 def expected_row_ids(
     profile: str, seed: int, instances: int, window: int
 ) -> list[str]:
@@ -83,12 +96,11 @@ def expected_row_ids(
     This is what :meth:`~repro.atlas.stream.AtlasLog.resume_prefix`
     validates an existing log against.
     """
-    ids: list[str] = []
-    for w, start, count in window_plan(instances, window):
-        for index in range(start, start + count):
-            ids.append(sample_instance(profile, seed, index).instance_id)
-        ids.append(checkpoint_id(profile, seed, w, start + count))
-    return ids
+    return [
+        row_id
+        for w, start, count in window_plan(instances, window)
+        for row_id in _window_row_ids(profile, seed, w, start, count)
+    ]
 
 
 class _BudgetSpent(Exception):
@@ -174,23 +186,6 @@ def _instance_row(spec, record: Mapping) -> dict:
     }
 
 
-def _covering_expected_ids(
-    log: AtlasLog, profile: str, seed: int, window: int
-) -> list[str]:
-    """Expected ids covering every line of an unbounded farm's log.
-
-    Duration-budget farms have no fixed instance count, so the expected
-    sequence is generated just far enough to cover the file's existing
-    lines (each window contributes ``window + 1`` rows).
-    """
-    if not log.path.exists():
-        return []
-    with log.path.open("rb") as fh:
-        lines = sum(1 for _ in fh)
-    windows = lines // (window + 1) + 1
-    return expected_row_ids(profile, seed, windows * window, window)
-
-
 def run_soak(
     profile: str,
     seed: int = 0,
@@ -258,7 +253,15 @@ def run_soak(
         if instances is not None:
             expected = expected_row_ids(profile, seed, instances, window)
         else:
-            expected = _covering_expected_ids(log, profile, seed, window)
+            # A duration farm has no fixed length: the ids run on for
+            # as long as the existing log does.
+            expected = (
+                row_id
+                for w in itertools.count()
+                for row_id in _window_row_ids(
+                    profile, seed, w, w * window, window
+                )
+            )
         outcome.resumed_rows = log.resume_prefix(expected)
         for row in log.rows(limit=outcome.resumed_rows):
             if row.get("kind") == "checkpoint":
@@ -339,13 +342,3 @@ def run_soak(
         outcome.messages = agg.messages
         outcome.losses = agg.losses
     return outcome
-
-
-def stream_rows(log_path: str) -> Iterator[dict]:
-    """Stream a soak log's rows (instances and checkpoints).
-
-    Thin reader over :meth:`~repro.atlas.stream.AtlasLog.rows`, so the
-    torn-final-line tolerance and the mid-file
-    :class:`~repro.core.errors.AtlasLogCorrupt` contract apply.
-    """
-    yield from AtlasLog(log_path).rows()

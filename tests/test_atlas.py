@@ -14,8 +14,12 @@ The atlas's three contracts, pinned here:
 """
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.bounds import governing_condition, solvable
 from repro.atlas import (
@@ -40,6 +44,7 @@ from repro.atlas import (
 from repro.atlas.evidence import AtlasUnit, enumerate_atlas_units
 from repro.atlas.lattice import CAMPAIGN_ONLY
 from repro.cli import main
+from repro.core.canonical import canonical_json
 from repro.core.errors import (
     AtlasConflict,
     AtlasLogCorrupt,
@@ -652,6 +657,98 @@ class TestStreamCorruption:
         log.path.write_text("".join(lines) + '{"unit_id": "u3"}\n')
         # A bounded read that never reaches the damage stays clean.
         assert [r["unit_id"] for r in log.rows(limit=2)] == ["u0", "u1"]
+
+
+def _synthetic_row(i: int) -> dict:
+    """A small well-formed atlas row the render fold accepts."""
+    return {
+        "unit_id": f"u{i}",
+        "label": f"cell-{i}",
+        "cell": {"synchrony": ("sync", "psync")[i % 2],
+                 "numerate": i % 3 == 0, "restricted": False,
+                 "n": 4, "t": 1, "ell": 1 + i % 4},
+        "verdict": (CONSISTENT, PROVED_SOLVABLE,
+                    WITNESSED_UNSOLVABLE)[i % 3],
+        "evidence": [{"kind": "campaign"}],
+    }
+
+
+#: Line damage a log can carry: garbage, a non-UTF-8 line, a JSON
+#: value that is not a row, and half a row.
+_BAD_LINES = (b"not json", b"\xff\xfe\x80 not utf-8", b"[1, 2, 3]",
+              b'{"unit_id": "half')
+
+
+class TestLogDefects:
+    """Every :class:`AtlasLog` reader agrees on a damaged log.
+
+    A log is ``k`` canonical rows plus one defect: a torn tail, a bad
+    final line (with or without its newline, non-UTF-8 included), a
+    bad line mid-file followed by rows, a duplicated row, or two
+    swapped rows.  ``rows()`` and a cold-cursor
+    :func:`aggregate_incremental` keep the same rows or both raise
+    :class:`AtlasLogCorrupt`; ``resume_prefix`` keeps exactly the rows
+    before the first bad line or the first id mismatch.
+    """
+
+    @given(
+        k=st.integers(2, 6),
+        defect=st.sampled_from(
+            ("torn", "bad_tail", "bad_mid", "duplicate", "swap")
+        ),
+        at=st.integers(0, 40),
+        bad=st.sampled_from(_BAD_LINES),
+        newline=st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_readers_agree_on_one_defect(self, k, defect, at, bad, newline):
+        rows = [_synthetic_row(i) for i in range(k)]
+        lines = [(canonical_json(row) + "\n").encode() for row in rows]
+        # (bytes, row or None for a bad line), in file order.
+        entries = list(zip(lines, rows))
+        if defect == "torn":
+            extra = (canonical_json(_synthetic_row(k)) + "\n").encode()
+            entries.append((extra[:1 + at % (len(extra) - 1)], None))
+        elif defect == "bad_tail":
+            entries.append((bad + b"\n" * newline, None))
+        elif defect == "bad_mid":
+            entries.insert(at % k, (bad + b"\n", None))
+        elif defect == "duplicate":
+            entries.insert(at % k + 1, entries[at % k])
+        else:
+            i = at % (k - 1)
+            entries[i], entries[i + 1] = entries[i + 1], entries[i]
+        kept_rows = [row for _, row in entries if row is not None]
+        bad_at = [i for i, (_, row) in enumerate(entries) if row is None]
+        corrupt = bool(bad_at) and bad_at[0] < len(kept_rows)
+        ids = [row["unit_id"] for row in rows]
+        resumed = 0
+        for row, expected in zip((row for _, row in entries), ids):
+            if row is None or row["unit_id"] != expected:
+                break
+            resumed += 1
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "log.jsonl"
+            path.write_bytes(b"".join(line for line, _ in entries))
+            log = AtlasLog(path)
+            cursor = Path(tmp) / "cursor.json"
+            if corrupt:
+                with pytest.raises(AtlasLogCorrupt):
+                    list(log.rows())
+                with pytest.raises(AtlasLogCorrupt):
+                    aggregate_incremental(path, cursor)
+            else:
+                assert list(log.rows()) == kept_rows
+                agg, folded, incremental = aggregate_incremental(
+                    path, cursor
+                )
+                assert (folded, incremental) == (len(kept_rows), False)
+                assert agg.to_dict() == aggregate(kept_rows).to_dict()
+            assert log.resume_prefix(ids) == resumed
+            assert path.read_bytes() == b"".join(
+                line for line, _ in entries[:resumed]
+            )
 
 
 class TestAppendMany:

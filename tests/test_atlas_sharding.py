@@ -24,6 +24,7 @@ from repro.cli import main
 from repro.core.canonical import canonical_json
 from repro.core.errors import (
     AtlasConflict,
+    AtlasLogCorrupt,
     AtlasMergeError,
     ConfigurationError,
 )
@@ -219,6 +220,15 @@ def _rewrite_row(path, index, mutate) -> dict:
     return mutated
 
 
+def _corrupt_shard(case, cache):
+    """A full shard log with a non-UTF-8 line after its second row."""
+    path = case / "atlas-0-of-1.jsonl"
+    _sweep(TINY, path, cache, shard=(0, 1))
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:2] + [b"\xff\xfe\n"] + lines[2:]))
+    return path
+
+
 class TestMergeTrustBoundary:
     def test_divergent_duplicates_conflict_with_both_rows(
         self, scratch, cache
@@ -320,6 +330,27 @@ class TestMergeTrustBoundary:
         log.reset()
         log.append({"unit_id": "u0"})
         with pytest.raises(AtlasMergeError, match="unusable global"):
+            merge_shards([path], case / "atlas.jsonl")
+
+    @pytest.mark.parametrize(
+        "tail", [b"\xff\xfe not utf-8\n", b"\xff\xfe", b"not json\n"]
+    )
+    def test_damaged_final_line_is_tolerated_wear(
+        self, tail, scratch, cache
+    ):
+        case = scratch()
+        path = case / "atlas-0-of-1.jsonl"
+        _sweep(TINY, path, cache, shard=(0, 1))
+        with path.open("ab") as fh:
+            fh.write(tail)
+        fused = case / "atlas.jsonl"
+        merge_shards([path], fused)
+        assert fused.read_bytes() == _reference_bytes(TINY, scratch, cache)
+
+    def test_mid_file_non_utf8_line_is_corrupt(self, scratch, cache):
+        case = scratch()
+        path = _corrupt_shard(case, cache)
+        with pytest.raises(AtlasLogCorrupt, match="corrupt line 3"):
             merge_shards([path], case / "atlas.jsonl")
 
     def test_incomplete_shard_set_surfaces_as_gaps(self, scratch, cache):
@@ -430,6 +461,22 @@ class TestCLI:
         assert code == 1
         assert "ATLAS CONFLICT" in captured.err
         assert canonical_json(row) in captured.err
+
+    @pytest.mark.parametrize("action", ["merge", "render"])
+    def test_corrupt_log_is_an_error_not_a_traceback(
+        self, action, scratch, cache, capsys
+    ):
+        case = scratch()
+        path = _corrupt_shard(case, cache)
+        argv = (
+            ["atlas", "merge", str(path), "--out", str(case / "out.jsonl")]
+            if action == "merge"
+            else ["atlas", "render", "--log", str(path)]
+        )
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "corrupt line 3" in err
 
     def test_bad_shard_selector_is_rejected(self, tmp_path, capsys):
         code = main([

@@ -96,6 +96,26 @@ def test_timing_model_is_the_only_loss_spelling():
         assert not parameters & {"drop_schedule", "topology"}, fn.__qualname__
 
 
+def test_one_reader_for_the_result_logs():
+    """``AtlasLog`` is the one reader of the JSONL result logs: the
+    soak forwarder, the renderer's private parser and fold, and the
+    unused ``SilentProcess`` are gone."""
+    import repro.atlas.render as render
+
+    gone = {"SilentProcess", "stream_rows"}
+    found = []
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name != "repro.__main__":
+            module = importlib.import_module(info.name)
+            names = set(vars(module)) | set(getattr(module, "__all__", ()))
+            found += [f"{info.name}.{name}" for name in sorted(names & gone)]
+    found += [
+        f"repro.atlas.render.{name}" for name in ("_parse_line", "_fold_from")
+        if hasattr(render, name)
+    ]
+    assert found == []
+
+
 def test_setup_version_matches_package_version():
     """``repro.__version__`` feeds every campaign unit id; the
     distribution metadata must carry the same version."""

@@ -18,6 +18,7 @@ import json
 
 import pytest
 
+from repro.atlas import AtlasLog
 from repro.cli import main
 from repro.core.errors import ConfigurationError, SimulationError
 from repro.experiments.campaign import CampaignCache
@@ -31,7 +32,6 @@ from repro.soak import (
     run_soak,
     run_soak_window,
     sample_instance,
-    stream_rows,
     window_plan,
 )
 
@@ -177,7 +177,7 @@ class TestDriver:
         assert outcome.passed
         assert outcome.instances == self.BUDGET
         assert outcome.executed_windows == 3
-        rows = list(stream_rows(str(path)))
+        rows = list(AtlasLog(path).rows())
         instances = [r for r in rows if r["kind"] == "instance"]
         checkpoints = [r for r in rows if r["kind"] == "checkpoint"]
         assert len(instances) == self.BUDGET
@@ -190,7 +190,7 @@ class TestDriver:
     def test_instance_rows_match_solo_replay(self, tmp_path):
         path = tmp_path / "soak.jsonl"
         self._run(path, instances=10, window=5)
-        for row in stream_rows(str(path)):
+        for row in AtlasLog(path).rows():
             if row["kind"] != "instance":
                 continue
             spec = sample_instance(PROFILE, SEED, row["index"])
@@ -318,7 +318,7 @@ class TestDurationBudget:
                            progress=slow_progress)
         assert outcome.instances == 10
         assert outcome.executed_windows == 1
-        assert [r["kind"] for r in stream_rows(str(path))].count(
+        assert [r["kind"] for r in AtlasLog(path).rows()].count(
             "checkpoint") == 1
 
 
@@ -362,5 +362,5 @@ class TestCLI:
         assert main([*args, "--instances", "60", "--resume"]) == 0
         out = capsys.readouterr().out
         assert "60 instances" in out
-        rows = list(stream_rows(str(log)))
+        rows = list(AtlasLog(log).rows())
         assert sum(1 for r in rows if r["kind"] == "checkpoint") == 3
