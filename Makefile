@@ -101,8 +101,11 @@ atlas-quick:
 ## the sharded atlas pipeline end to end: 3 shard sweeps over a shared
 ## unit cache (shard 1 on a 2-worker pool, so the byte-compare covers
 ## the pooled path), deterministic merge, byte-compare against an
-## unsharded sweep, incremental render, and a query-service smoke (what
-## the CI atlas-shard-smoke job runs and uploads)
+## unsharded sweep served from that cache and against a cold unsharded
+## sweep with no cache at all (scope-striped shards and in-run search
+## sharing give the same bytes), incremental render, and a
+## query-service smoke (what the CI atlas-shard-smoke job runs and
+## uploads)
 atlas-shard-smoke:
 	$(PYTHON) -m repro atlas --quick --shard 0/3 \
 	    --cache-dir .atlas-cache --resume
@@ -115,6 +118,8 @@ atlas-shard-smoke:
 	$(PYTHON) -m repro atlas --quick --log atlas-unsharded.jsonl \
 	    --cache-dir .atlas-cache --resume
 	cmp atlas.jsonl atlas-unsharded.jsonl
+	$(PYTHON) -m repro atlas --quick --log atlas-cold.jsonl
+	cmp atlas.jsonl atlas-cold.jsonl
 	$(PYTHON) -m repro atlas render --log atlas.jsonl \
 	    --markdown atlas.md --json atlas.json
 	$(PYTHON) tools/atlas_service_smoke.py atlas.jsonl

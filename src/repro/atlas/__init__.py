@@ -25,14 +25,15 @@ Results stream through an append-only, resumable JSONL log
 memory-bounded, and render as the paper's Table 1 plus per-``(n, t)``
 boundary maps (:mod:`repro.atlas.render`).  Entry points: the
 ``python -m repro atlas`` subcommand and :func:`~repro.atlas.driver.
-run_atlas`; cells execute as ``kind="atlas"`` campaign units sharing
-the campaign engine's worker pool and content-hash cache.
+run_atlas`; cells execute as ``kind="atlas"`` campaign units, and each
+scope group's one explorer search as a ``kind="explore-scope"`` unit,
+sharing the campaign engine's worker pool and content-hash cache.
 
 At lattice scale the atlas distributes: ``run_atlas(...,
-shard=(index, count))`` stripes cells across machines into per-shard
-logs, :func:`~repro.atlas.merge.merge_shards` fuses them back into the
-canonical ``atlas.jsonl`` byte-identically, renders re-fold only
-appended rows via a persisted cursor
+shard=(index, count))`` stripes whole scope groups across machines
+into per-shard logs, :func:`~repro.atlas.merge.merge_shards` fuses them
+back into the canonical ``atlas.jsonl`` byte-identically, renders
+re-fold only appended rows via a persisted cursor
 (:func:`~repro.atlas.render.aggregate_incremental`), and
 :mod:`repro.atlas.service` serves the fused dataset as a stdlib-only
 JSON query API (``python -m repro atlas serve``).
@@ -45,6 +46,7 @@ from repro.atlas.evidence import (
     PROVED_SOLVABLE,
     WITNESSED_UNSOLVABLE,
     AtlasUnit,
+    ExploreScope,
     budget_skipped_evidence,
     closed_form_evidence,
     fuse_evidence,
@@ -78,6 +80,7 @@ __all__ = [
     "AtlasUnit",
     "CONFLICT",
     "CONSISTENT",
+    "ExploreScope",
     "LatticeSpec",
     "MergeOutcome",
     "PROVED_SOLVABLE",

@@ -6,17 +6,22 @@ LatticeSpec` end to end:
 1. every cell becomes one :class:`~repro.atlas.evidence.AtlasUnit`
    carrying the cell's evidence plan
    (:func:`repro.atlas.evidence.enumerate_atlas_units`); a shard keeps
-   its :func:`~repro.experiments.campaign.shard_units` stripe;
-2. the units run in lattice order through the shared unit pipeline
+   the cells of its stripe of scope groups (:func:`shard_positions`);
+2. the explorer cells of one scope group share one
+   :class:`~repro.atlas.evidence.ExploreScope` search, which enters
+   the unit stream just before the first remaining cell that needs it;
+3. the units run in stream order through the shared unit pipeline
    (:func:`repro.experiments.campaign.run_units`): one process pool
    (``workers <= 1`` runs inline), a read-ahead window bounded by the
    pool width, and the campaign engine's content-hash disk cache, so an
-   already computed cell is replayed instead of re-executed;
-3. the pipeline hands results back in lattice order, and the driver's
-   row function fuses each cell's evidence with the closed-form claim
+   already computed cell or search is replayed instead of re-executed;
+4. the pipeline hands results back in stream order; the driver keeps
+   each scope's explorer items by scope group, and its row function
+   fuses each cell's evidence -- campaign items, then the
+   scope's explorer items -- with the closed-form claim
    (:func:`repro.atlas.evidence.fuse_evidence`) and appends one row to
    the streaming JSONL log;
-4. a fused ``CONFLICT`` aborts the sweep with
+5. a fused ``CONFLICT`` aborts the sweep with
    :class:`~repro.core.errors.AtlasConflict` unless ``strict=False``;
    like a failing unit, it cancels the queued work and names the cell's
    unit in a note.
@@ -34,19 +39,25 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from repro.atlas.evidence import (
     CONFLICT,
     AtlasUnit,
+    ExploreScope,
     closed_form_evidence,
     enumerate_atlas_units,
     fuse_evidence,
 )
-from repro.atlas.lattice import AtlasCell, LatticeSpec
+from repro.atlas.lattice import AtlasCell, LatticeSpec, scope_group
 from repro.atlas.stream import AtlasLog
 from repro.core.errors import ConfigurationError
-from repro.experiments.campaign import CampaignCache, run_units, shard_units
+from repro.experiments.campaign import (
+    CampaignCache,
+    UnitSpec,
+    run_units,
+    shard_units,
+)
 
 
 @dataclass
@@ -55,7 +66,8 @@ class AtlasOutcome:
 
     The per-cell rows live in the JSONL log, not here -- this object
     stays O(1) in the lattice size (plus the conflict list, which a
-    strict run caps at zero).
+    strict run caps at zero).  ``executed`` and ``cached`` count cells
+    only, never the explorer searches they share.
     """
 
     lattice: LatticeSpec
@@ -86,11 +98,35 @@ class AtlasOutcome:
         )
 
 
+def shard_positions(
+    cells: Sequence[AtlasCell], index: int, count: int
+) -> list[int]:
+    """The lattice positions of shard ``index`` of ``count``.
+
+    Shards stripe whole scope groups
+    (:func:`~repro.atlas.lattice.scope_group`), numbered in order of
+    first appearance, so every explorer search runs on exactly one
+    shard even when shards share no cache.
+
+    Raises:
+        ConfigurationError: ``index``/``count`` out of range.
+    """
+    groups: dict[tuple, int] = {}
+    for cell in cells:
+        groups.setdefault(scope_group(cell.params), len(groups))
+    kept = set(shard_units(range(len(groups)), index, count))
+    return [
+        pos for pos, cell in enumerate(cells)
+        if groups[scope_group(cell.params)] in kept
+    ]
+
+
 def _fuse_row(
     index: int,
     cell: AtlasCell,
     unit: AtlasUnit,
     result: Mapping,
+    explored: Sequence[Mapping],
     injected: Sequence[Mapping],
     strict: bool,
 ) -> dict:
@@ -101,6 +137,8 @@ def _fuse_row(
         cell: The lattice cell.
         unit: Its atlas unit (supplies the content-hash id).
         result: The unit's result dict (``evidence`` key required).
+        explored: The scope's explorer items (empty outside explorer
+            scope).
         injected: Extra evidence items to fold in (fixtures).
         strict: Propagate conflicts as :class:`AtlasConflict`.
 
@@ -109,6 +147,7 @@ def _fuse_row(
     """
     evidence = [closed_form_evidence(cell.params)]
     evidence.extend(result.get("evidence", ()))
+    evidence.extend(explored)
     evidence.extend(injected)
     verdict = fuse_evidence(cell.params, evidence, strict=strict)
     records = result.get("records", ())
@@ -169,9 +208,8 @@ def run_atlas(
             ``CONFLICT`` rows and keeps sweeping (render/debug path).
         progress: Optional callback receiving one line per cell.
         shard: Optional ``(index, count)`` stripe: sweep only the cells
-            whose lattice position is congruent to ``index`` mod
-            ``count`` (the same position-striping as
-            :func:`repro.experiments.campaign.shard_units`).  Rows keep
+            of every ``count``-th scope group from ``index`` on
+            (:func:`shard_positions`).  Rows keep
             their **global** lattice index, which is what lets
             :func:`repro.atlas.merge.merge_shards` reassemble shard
             logs byte-identically to an unsharded sweep.
@@ -195,7 +233,7 @@ def run_atlas(
     )
     selected = range(len(units))
     if shard is not None:
-        selected = shard_units(selected, *shard)
+        selected = shard_positions(cells, *shard)
     inject = dict(inject or {})
     if inject and resume:
         # Resumed rows (and cached unit results) were fused without the
@@ -228,16 +266,37 @@ def run_atlas(
     else:
         log.reset()
 
-    # The pipeline delivers in input order, so the row function pairs
-    # each result with the next remaining lattice index.
+    # Scopes are planned from the cells still to run, so a resumed
+    # sweep searches only the scopes its remaining cells need.
     todo = selected[outcome.resumed:]
+    explored: dict[tuple, list] = {}  # scope group -> explorer items
+
+    def stream() -> Iterator[UnitSpec]:
+        planned = set()
+        for index in todo:
+            params = cells[index].params
+            group = scope_group(params)
+            if cells[index].with_explorer and group not in planned:
+                planned.add(group)
+                yield ExploreScope.for_cell(params)
+            yield units[index]
+
+    # The pipeline delivers in input order, so the row function pairs
+    # each cell result with the next remaining lattice index.
     indices = iter(todo)
 
-    def finish(unit: AtlasUnit, result: dict, cached: bool) -> None:
+    def finish(unit: UnitSpec, result: dict, cached: bool) -> None:
+        if isinstance(unit, ExploreScope):
+            explored[scope_group(unit.params)] = result["evidence"]
+            return
         index = next(indices)
         cell = cells[index]
+        items = ()
+        if cell.with_explorer:
+            items = explored[scope_group(cell.params)]
         row = _fuse_row(
-            index, cell, unit, result, inject.get(cell.label, ()), strict,
+            index, cell, unit, result, items, inject.get(cell.label, ()),
+            strict,
         )
         log.append(row)
         outcome.written += 1
@@ -248,9 +307,7 @@ def run_atlas(
         tally(row, "fused")
 
     try:
-        run_units(
-            (units[index] for index in todo), workers, finish, cache, resume,
-        )
+        run_units(stream(), workers, finish, cache, resume)
     finally:
         outcome.elapsed_s = time.perf_counter() - start  # reprolint: disable=RL002 -- diagnostic timing only
     return outcome

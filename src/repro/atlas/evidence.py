@@ -13,14 +13,15 @@ JSON-compatible dicts -- from up to three independent machinery stacks:
   constructive impossibility demonstration.  Grades ``"verdict"``
   (battery outcome) and ``"witness"`` (a demonstration that exhibited
   the violation).
-* **explorer** (:func:`run_atlas_unit` with ``with_explorer=True``):
-  bounded strategy exploration.  A violation is replayed through the
-  plain execution pipeline before it may carry grade ``"witness"``; a
-  witness whose replay does not reproduce the violation degrades to
-  ``"unconfirmed"`` and can neither prove nor conflict.  An exhausted
-  sweep is grade ``"certificate"`` inside the solvable region and
-  ``"inconclusive"`` outside it (a bounded family that found no attack
-  below the bound proves nothing).
+* **explorer** (:class:`ExploreScope`): bounded strategy exploration,
+  one search per *scope* -- the ``(n, ell, t, synchrony)`` the search
+  reads -- shared by every explorer cell of that scope.  A violation
+  is replayed through the plain execution pipeline before it may carry
+  grade ``"witness"``; a witness whose replay does not reproduce the
+  violation degrades to ``"unconfirmed"`` and can neither prove nor
+  conflict.  An exhausted sweep is grade ``"certificate"`` inside the
+  solvable region and ``"inconclusive"`` outside it (a bounded family
+  that found no attack below the bound proves nothing).
 
 :func:`fuse_evidence` folds the items into one of the four cell
 verdicts -- ``proved-solvable``, ``witnessed-unsolvable``,
@@ -28,12 +29,13 @@ verdicts -- ``proved-solvable``, ``witnessed-unsolvable``,
 built around: *any* decisive evidence (grade ``"verdict"`` or
 ``"witness"``) contradicting the closed form is a hard error
 (:class:`~repro.core.errors.AtlasConflict`).  :class:`AtlasUnit` is
-the unit-pipeline spec that collects one cell's evidence.
+the unit-pipeline spec that collects one cell's campaign evidence;
+:class:`ExploreScope` is the one that runs a scope's explorer search.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Mapping, Sequence
 
 from repro.analysis.bounds import (
@@ -44,7 +46,7 @@ from repro.analysis.bounds import (
     solvable,
     sync_bound,
 )
-from repro.atlas.lattice import BUDGET_SKIPPED, PLANS, WITH_EXPLORER
+from repro.atlas.lattice import BUDGET_SKIPPED, PLANS
 from repro.core.errors import (
     AtlasConflict,
     ConfigurationError,
@@ -56,6 +58,14 @@ from repro.experiments.campaign import (
     PROBLEMS,
     UnitSpec,
     require_unique_labels,
+)
+from repro.experiments.harness import (
+    algorithm_for,
+    delay_slice_keys,
+    evaluate_unsolvable_cell,
+    run_delay_slice,
+    run_solvable_slice,
+    solvable_slice_keys,
 )
 
 #: The four fused cell verdicts.
@@ -151,15 +161,6 @@ def _campaign_evidence(
         ``(algorithm, records, demonstration, demonstration_kind,
         evidence_items)``.
     """
-    from repro.experiments.harness import (
-        algorithm_for,
-        delay_slice_keys,
-        evaluate_unsolvable_cell,
-        run_delay_slice,
-        run_solvable_slice,
-        solvable_slice_keys,
-    )
-
     evidence: list[dict] = []
     if not solvable(params):
         cell = evaluate_unsolvable_cell(params, problem, seed)
@@ -308,36 +309,33 @@ def run_atlas_unit(
     seed: int = 0,
     quick: bool = True,
     problem: AgreementProblem = BINARY,
-    with_explorer: bool = False,
     budget_skipped: bool = False,
 ) -> dict:
-    """Collect all of one cell's non-symbolic evidence; worker entry point.
+    """Collect one cell's campaign evidence; worker entry point.
 
     This is the work of an :class:`AtlasUnit`: everything
     is rebuilt deterministically from the arguments, so results are
     identical in-process, in a pool worker, or replayed from the
-    content-hash cache.
+    content-hash cache.  Explorer evidence is not collected here: the
+    cells of one scope share one :class:`ExploreScope` search, whose
+    items the driver appends at fusion time.
 
     Args:
         params: The cell's parameters.
         seed: The battery seed.
         quick: Use the trimmed quick batteries.
         problem: The agreement problem.
-        with_explorer: Also run bounded strategy exploration (small
-            scopes only -- the caller gates this via
-            :meth:`repro.atlas.lattice.LatticeSpec.in_explorer_scope`).
         budget_skipped: The cell is outside the lattice's campaign cost
             envelope: skip all workloads and emit the explicit
-            :func:`budget_skipped_evidence` note instead (``with_explorer``
-            is ignored -- the envelope gates the whole empirical stack).
+            :func:`budget_skipped_evidence` note instead.
 
     Returns:
         ``{"algorithm", "records", "demonstration",
         "demonstration_kind", "evidence"}`` where ``records`` are
         :class:`~repro.experiments.harness.RunRecord` dicts and
-        ``evidence`` is the list of evidence items (campaign first,
-        then explorer; the closed-form item is added at fusion time by
-        the driver).
+        ``evidence`` is the list of campaign evidence items (the
+        closed-form item and the scope's explorer items are added at
+        fusion time by the driver).
     """
     if budget_skipped:
         algorithm, records, demonstration, kind = "", [], "", ""
@@ -346,8 +344,6 @@ def run_atlas_unit(
         algorithm, records, demonstration, kind, evidence = (
             _campaign_evidence(params, problem, seed, quick)
         )
-        if with_explorer:
-            evidence.extend(_explorer_evidence(params, problem))
     return {
         "algorithm": algorithm,
         "records": [asdict(r) for r in records],
@@ -359,12 +355,13 @@ def run_atlas_unit(
 
 @dataclass(frozen=True)
 class AtlasUnit(UnitSpec):
-    """The pipeline unit of one atlas cell: its whole evidence plan.
+    """The pipeline unit of one atlas cell: its campaign evidence.
 
     :meth:`run` is :func:`run_atlas_unit` on the cell.  ``plan`` is one
     of :data:`~repro.atlas.lattice.PLANS`; any other value is refused
     when the spec is built, so a misspelled plan cannot silently drop
-    evidence.
+    evidence.  A ``campaign+explorer`` cell gets its explorer items
+    from its scope's :class:`ExploreScope`, never from this unit.
     """
 
     kind = "atlas"
@@ -390,9 +387,70 @@ class AtlasUnit(UnitSpec):
         return run_atlas_unit(
             self.params, seed=self.seed, quick=self.quick,
             problem=PROBLEMS[self.problem],
-            with_explorer=self.plan == WITH_EXPLORER,
             budget_skipped=self.plan == BUDGET_SKIPPED,
         )
+
+
+@dataclass(frozen=True)
+class ExploreScope(UnitSpec):
+    """The pipeline unit of one explorer search, shared by a scope group.
+
+    The search reads only ``(n, ell, t, synchrony)`` and the problem:
+    the algorithms it runs (T(EIG) and fig5-dls) never read the numeracy
+    or restriction flags, so the explorer cells of one scope group
+    (:func:`~repro.atlas.lattice.scope_group`) get the same items from
+    one search.  ``params`` is the scope's representative, always
+    innumerate and unrestricted; build a cell's scope with
+    :meth:`for_cell`.  :meth:`run` returns the explorer evidence in the
+    unit-result shape, with no records.
+    """
+
+    kind = "explore-scope"
+
+    label: str
+    params: SystemParams
+    problem: str = "binary"
+
+    def __post_init__(self) -> None:
+        if self.params.numerate or self.params.restricted:
+            raise ConfigurationError(
+                f"explore scope {self.label!r} needs innumerate, "
+                f"unrestricted representative params, got "
+                f"{self.params.describe()}"
+            )
+
+    @classmethod
+    def for_cell(cls, params: SystemParams,
+                 problem: str = "binary") -> "ExploreScope":
+        """The scope whose search serves the explorer cell ``params``.
+
+        Raises:
+            ConfigurationError: ``params`` is restricted and numerate,
+                a family the explorer never searches (its algorithm is
+                not one of the scope's).
+        """
+        if params.restricted and params.numerate:
+            raise ConfigurationError(
+                f"{params.describe()}: restricted+numerate cells are "
+                f"outside explorer scope"
+            )
+        scope = replace(params, numerate=False, restricted=False)
+        return cls(
+            f"n{scope.n} ell{scope.ell} t{scope.t} "
+            f"{scope.synchrony.short} scope",
+            scope, problem,
+        )
+
+    def run(self) -> dict:
+        problem = PROBLEMS[self.problem]
+        algorithm, _, _ = algorithm_for(
+            self.params, problem, unchecked=not solvable(self.params)
+        )
+        return {
+            "algorithm": algorithm,
+            "records": [],
+            "evidence": _explorer_evidence(self.params, problem),
+        }
 
 
 def enumerate_atlas_units(

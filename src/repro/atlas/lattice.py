@@ -11,7 +11,9 @@ The explorer dimension is part of the cell spec: bounded strategy
 exploration is a small-scope instrument, so :class:`LatticeSpec` marks
 exactly which cells are inside its scope (``n <= explore_max_n`` and
 not the restricted+numerate family, whose deep per-round horizons make
-exhaustive sweeps intractable even at ``n = 3``).
+exhaustive sweeps intractable even at ``n = 3``).  The search reads
+only the cell's :func:`scope_group`, so the explorer cells of one group
+share one search, and sharded sweeps stripe whole groups.
 """
 
 from __future__ import annotations
@@ -60,6 +62,16 @@ class AtlasCell:
         if not self.with_campaign:
             return BUDGET_SKIPPED
         return WITH_EXPLORER if self.with_explorer else CAMPAIGN_ONLY
+
+
+def scope_group(params: SystemParams) -> tuple[int, int, int, Synchrony]:
+    """The cell's scope group: ``(t, n, ell, synchrony)``.
+
+    The explorer search reads exactly these (plus the problem), never
+    the numeracy or restriction flags, so the cells of one group share
+    one :class:`~repro.atlas.evidence.ExploreScope` search.
+    """
+    return params.t, params.n, params.ell, params.synchrony
 
 
 def _cell_label(params: SystemParams) -> str:

@@ -19,10 +19,11 @@ Resume contract: rows are written in lattice enumeration order and
 each row carries its cell's campaign ``unit_id`` (a content hash of the
 full cell spec).  :meth:`AtlasLog.resume_prefix` walks the existing
 file against the expected id sequence and truncates it to the longest
-valid prefix -- a torn final line (a previous run died mid-append), a
-corrupt row, or an id mismatch (the lattice or schema changed) all cut
-the prefix there.  Because every row is deterministic, a resumed run's
-final log is byte-for-byte identical to a fresh one.
+valid prefix -- a torn final line (a previous run died mid-append) or
+an id mismatch (the lattice or schema changed) cuts the prefix there,
+while mid-file corruption raises like every other reader.  Because
+every row is deterministic, a resumed run's final log is byte-for-byte
+identical to a fresh one.
 """
 
 from __future__ import annotations
@@ -183,10 +184,13 @@ class AtlasLog:
         """Validate and keep the longest usable prefix of the log.
 
         Walks existing rows against the expected per-cell unit-id
-        sequence; the first torn or corrupt line, or id mismatch, ends
+        sequence; a torn or corrupt final line, or an id mismatch, ends
         the prefix.  The file is physically truncated to the surviving
         rows, so subsequent :meth:`append` calls continue the stream
-        seamlessly.
+        seamlessly.  A bad line with well-formed rows after it is not
+        wear but mid-file corruption: truncating there would silently
+        re-execute fsynced rows, so it raises instead and the file is
+        left as it was.
 
         Args:
             expected_unit_ids: Cell unit ids in lattice enumeration
@@ -197,13 +201,22 @@ class AtlasLog:
         Returns:
             The number of rows kept; the next cell to execute is
             ``expected_unit_ids[kept]``.
+
+        Raises:
+            AtlasLogCorrupt: A bad line inside the walked prefix has a
+                well-formed row after it.
         """
         if not self.path.exists():
             self.reset()
             return 0
         kept = keep_bytes = 0
-        for expected, (row, end) in zip(expected_unit_ids, self._scan()):
-            if row is None or row.get("unit_id") != expected:
+        scan = self._scan()
+        for expected, (row, end) in zip(expected_unit_ids, scan):
+            if row is None:
+                for _ in scan:  # raises if a well-formed row follows
+                    pass
+                break
+            if row.get("unit_id") != expected:
                 break
             kept += 1
             keep_bytes = end

@@ -59,6 +59,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Sequence
 
@@ -660,6 +661,11 @@ def _atlas_render(args) -> int:
         render_markdown,
     )
 
+    if not os.path.isfile(args.log):
+        # Folding nothing would report "rendered 0 cells" and leave a
+        # cursor behind for a log that does not exist.
+        print(f"error: no atlas log at {args.log}", file=sys.stderr)
+        return 1
     cursor = args.cursor or f"{args.log}.cursor.json"
     agg, new_rows, incremental = aggregate_incremental(args.log, cursor)
     mode = "incremental" if incremental else "full refold"

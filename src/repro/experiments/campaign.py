@@ -85,7 +85,10 @@ PROBLEMS: dict[str, AgreementProblem] = {"binary": BINARY}
 #: run records carry the exact basic-model ``"losses"`` count next to
 #: ``"rounds"``/``"messages"`` (delay slices and the soak farm's loss
 #: accounting), so records written by the 6-key schema miss.
-CACHE_SCHEMA = "campaign/7"
+#: ``campaign/8``: ``atlas`` units of explorer cells no longer carry
+#: the explorer item (their scope's ``explore-scope`` unit does), so a
+#: cached pre-split result can never add a second explorer item to a row.
+CACHE_SCHEMA = "campaign/8"
 
 PSYNC = Synchrony.PARTIALLY_SYNCHRONOUS
 
@@ -472,7 +475,7 @@ def shard_units(units: Sequence[_T], index: int, count: int) -> list[_T]:
 
     Args:
         units: The full unit list (enumeration order), or any sequence
-            striped the same way (the atlas stripes lattice positions).
+            striped the same way (the atlas stripes its scope groups).
         index: Zero-based shard index, ``0 <= index < count``.
         count: Total number of shards.
 

@@ -660,6 +660,7 @@ def _dfs(
     scenario: ExploreScenario,
     engine: ExecutionKernel,
     bank: GhostBank,
+    bank_id: int,
     faces: Mapping[tuple[int, int], Hashable],
     path: dict[int, dict],
     cut: Cut | None,
@@ -699,6 +700,8 @@ def _dfs(
     Args:
         bank: The ghost bank, already stepped into this round; shared
             with the node's siblings, so it is only ever forked.
+        bank_id: The interned id of ``bank``'s digest, computed once
+            by whoever stepped the bank and shared by the siblings.
         faces: ``bank``'s faces for this round.
 
     Returns:
@@ -728,7 +731,6 @@ def _dfs(
 
     mid = engine.checkpoint()
     post = _post_states(scenario, engine, mid, payloads, deltas, intern)
-    bank_id = intern.setdefault(bank.digest(), len(intern))
     symmetric = _is_symmetric(scenario, cut)
     last_round = r + 1 >= scenario.depth
     payload_ids = {
@@ -744,8 +746,9 @@ def _dfs(
         record[3] for records in classes for record in records
     )
     # Every recursing child shows its ghosts this round's payloads, so
-    # they share one bank stepped into the next round (made on demand).
-    child_bank = child_faces = None
+    # they share one bank stepped into the next round (made on demand),
+    # and one digest of it.
+    child_bank = child_bank_id = child_faces = None
 
     raw_size = 1
     walked = 0  # class representatives visited so far
@@ -813,9 +816,12 @@ def _dfs(
         if child_bank is None:
             child_bank = bank.fork()
             child_faces = child_bank.step(r + 1, payloads)
+            child_bank_id = intern.setdefault(
+                child_bank.digest(), len(intern)
+            )
         subtree = _dfs(
-            scenario, engine, child_bank, child_faces, path, cut, cut_index,
-            stats, table, intern,
+            scenario, engine, child_bank, child_bank_id, child_faces, path,
+            cut, cut_index, stats, table, intern,
         )
         table[key] = subtree
         raw_size += weight * subtree
@@ -833,9 +839,10 @@ def _explore_tree(scenario: ExploreScenario, stats: SearchStats) -> int:
         engine = _build_engine(scenario, cut)
         bank = GhostBank(scenario)
         faces = bank.step(0, None)
+        bank_id = intern.setdefault(bank.digest(), len(intern))
         total_raw += _dfs(
-            scenario, engine, bank, faces, {}, cut, cut_index, stats, table,
-            intern,
+            scenario, engine, bank, bank_id, faces, {}, cut, cut_index,
+            stats, table, intern,
         )
         stats.raw_tree_size = total_raw
     return total_raw

@@ -41,8 +41,13 @@ from repro.atlas import (
     run_atlas,
     run_atlas_unit,
 )
-from repro.atlas.evidence import AtlasUnit, enumerate_atlas_units
-from repro.atlas.lattice import CAMPAIGN_ONLY
+from repro.atlas.evidence import (
+    AtlasUnit,
+    ExploreScope,
+    _explorer_evidence,
+    enumerate_atlas_units,
+)
+from repro.atlas.lattice import CAMPAIGN_ONLY, scope_group
 from repro.cli import main
 from repro.core.canonical import canonical_json
 from repro.core.errors import (
@@ -52,6 +57,7 @@ from repro.core.errors import (
     ProvenanceError,
 )
 from repro.core.params import Synchrony, SystemParams
+from repro.core.problem import BINARY
 from repro.experiments.campaign import CampaignCache
 
 PSYNC = Synchrony.PARTIALLY_SYNCHRONOUS
@@ -228,15 +234,113 @@ class TestAtlasUnit:
         assert item["grade"] == "derived"
 
     def test_explorer_evidence_carries_replayed_witness(self):
-        result = run_atlas_unit(
-            SystemParams(n=3, ell=3, t=1, synchrony=PSYNC),
-            quick=True, with_explorer=True,
+        scope = ExploreScope.for_cell(
+            SystemParams(n=3, ell=3, t=1, synchrony=PSYNC)
         )
-        explorer = [e for e in result["evidence"]
-                    if e["kind"] == "explorer"]
-        assert explorer, "explorer evidence missing"
-        assert explorer[0]["grade"] == "witness"
-        assert "witness" in explorer[0]
+        (item,) = scope.run()["evidence"]
+        assert item["kind"] == "explorer"
+        assert item["grade"] == "witness"
+        assert "witness" in item
+
+    def test_cell_unit_never_explores(self):
+        result = run_atlas_unit(
+            SystemParams(n=3, ell=3, t=1, synchrony=PSYNC), quick=True,
+        )
+        assert all(e["kind"] != "explorer" for e in result["evidence"])
+
+
+class TestExploreScope:
+    """One search serves every explorer cell of its scope group."""
+
+    def test_scope_evidence_equals_each_cells_own_search(self):
+        explorer_cells = [c for c in TINY.cells() if c.with_explorer]
+        assert len(explorer_cells) == 18
+        evidence = {}
+        for cell in explorer_cells:
+            scope = ExploreScope.for_cell(cell.params)
+            if scope not in evidence:
+                evidence[scope] = scope.run()["evidence"]
+            assert evidence[scope] == _explorer_evidence(
+                cell.params, BINARY
+            )
+        assert len(evidence) == 6
+
+    def test_cells_of_one_group_share_one_unit(self):
+        groups = {}
+        for cell in TINY.cells():
+            if cell.with_explorer:
+                groups.setdefault(
+                    scope_group(cell.params), set()
+                ).add(ExploreScope.for_cell(cell.params).unit_id)
+        assert all(len(ids) == 1 for ids in groups.values())
+        assert len({i for ids in groups.values() for i in ids}) == 6
+
+    def test_restricted_numerate_cell_has_no_scope(self):
+        with pytest.raises(ConfigurationError, match="outside explorer"):
+            ExploreScope.for_cell(SystemParams(
+                n=3, ell=3, t=1, numerate=True, restricted=True,
+            ))
+
+    def test_scope_params_must_be_the_representative(self):
+        with pytest.raises(ConfigurationError, match="representative"):
+            ExploreScope("s", SystemParams(n=3, ell=3, t=1, numerate=True))
+
+    def test_sweep_searches_each_scope_once(self, tmp_path, monkeypatch):
+        import repro.experiments.campaign as campaign_mod
+
+        kinds = []
+        real_execute = campaign_mod.execute_unit
+
+        def counting_execute(unit):
+            kinds.append(unit.kind)
+            return real_execute(unit)
+
+        monkeypatch.setattr(campaign_mod, "execute_unit", counting_execute)
+        cache = CampaignCache(tmp_path / "cache")
+        cold = tmp_path / "cold.jsonl"
+        outcome = run_atlas(TINY, cold, quick=True, cache=cache)
+        assert kinds.count("explore-scope") == 6
+        assert kinds.count("atlas") == outcome.executed == 24
+
+        # A warm resume replays cells and scopes from the cache; every
+        # explorer row still carries exactly one explorer item.
+        kinds.clear()
+        warm = tmp_path / "warm.jsonl"
+        outcome = run_atlas(TINY, warm, quick=True, cache=cache, resume=True)
+        assert kinds == []
+        assert outcome.cached == 24
+        assert warm.read_bytes() == cold.read_bytes()
+        for cell, row in zip(TINY.cells(), AtlasLog(warm).rows()):
+            explorer = [e for e in row["evidence"] if e["kind"] == "explorer"]
+            assert len(explorer) == int(cell.with_explorer)
+
+    def test_resume_searches_only_the_scopes_left(self, tmp_path,
+                                                  monkeypatch):
+        import repro.experiments.campaign as campaign_mod
+
+        fresh_path, _ = TestDriver()._fresh(tmp_path, "fresh.jsonl")
+        # Keep the first 9 rows: both ell=1 groups are done and the
+        # ell=2 sync group is part done, so it and the three groups
+        # after it are searched again, the ell=1 groups never.
+        resumed_path = tmp_path / "resumed.jsonl"
+        lines = fresh_path.read_bytes().splitlines(keepends=True)
+        resumed_path.write_bytes(b"".join(lines[:9]))
+        scopes = []
+        real_execute = campaign_mod.execute_unit
+
+        def counting_execute(unit):
+            if isinstance(unit, ExploreScope):
+                scopes.append(scope_group(unit.params))
+            return real_execute(unit)
+
+        monkeypatch.setattr(campaign_mod, "execute_unit", counting_execute)
+        run_atlas(TINY, resumed_path, quick=True, resume=True)
+        cells = TINY.cells()
+        assert len(scopes) == 4
+        assert scopes == list(dict.fromkeys(
+            scope_group(c.params) for c in cells[9:] if c.with_explorer
+        ))
+        assert resumed_path.read_bytes() == fresh_path.read_bytes()
 
 
 class TestStream:
@@ -308,12 +412,14 @@ class TestDriver:
 
         crash_after = 5
         calls = {"n": 0}
+        done = []
         real_execute = campaign_mod.execute_unit
 
         def dying_execute(unit):
             if calls["n"] >= crash_after:
                 raise KeyboardInterrupt("simulated mid-cell kill")
             calls["n"] += 1
+            done.append(unit.kind)
             return real_execute(unit)
 
         crashed_path = tmp_path / "crashed.jsonl"
@@ -322,17 +428,20 @@ class TestDriver:
             run_atlas(TINY, crashed_path, quick=True)
         monkeypatch.setattr(campaign_mod, "execute_unit", real_execute)
 
-        # The log holds exactly the cells fused before the kill...
+        # The log holds exactly the cells fused before the kill (the
+        # executor also ran the scope searches, which write no row)...
+        fused = done.count("atlas")
+        assert 0 < fused < crash_after
         survivors = crashed_path.read_bytes()
         assert survivors.endswith(b"\n")
-        assert len(survivors.splitlines()) == crash_after
+        assert len(survivors.splitlines()) == fused
         # ...plus, in the worst crash, a torn final line mid-append.
         with crashed_path.open("ab") as fh:
             fh.write(b'{"unit_id": "torn')
 
         resumed = run_atlas(TINY, crashed_path, quick=True, resume=True)
-        assert resumed.resumed == crash_after
-        assert resumed.written == resumed.cells_total - crash_after
+        assert resumed.resumed == fused
+        assert resumed.written == resumed.cells_total - fused
         assert crashed_path.read_bytes() == fresh_path.read_bytes()
 
     def test_crash_before_any_cell_resumes_from_scratch(
@@ -595,6 +704,18 @@ class TestCLI:
         assert "ATLAS CONFLICT" in captured.err
 
 
+    def test_render_of_missing_log_is_an_error(self, tmp_path, capsys):
+        log = tmp_path / "missing.jsonl"
+        cursor = tmp_path / "missing.jsonl.cursor.json"
+        for _ in range(2):  # a first call must not leave a cursor behind
+            code = main(["atlas", "render", "--log", str(log)])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert err.startswith("error:")
+            assert str(log) in err
+            assert not cursor.exists()
+
+
 class TestStreamCorruption:
     """Regression: `AtlasLog.rows` must not swallow mid-file corruption.
 
@@ -685,10 +806,11 @@ class TestLogDefects:
     A log is ``k`` canonical rows plus one defect: a torn tail, a bad
     final line (with or without its newline, non-UTF-8 included), a
     bad line mid-file followed by rows, a duplicated row, or two
-    swapped rows.  ``rows()`` and a cold-cursor
-    :func:`aggregate_incremental` keep the same rows or both raise
-    :class:`AtlasLogCorrupt`; ``resume_prefix`` keeps exactly the rows
-    before the first bad line or the first id mismatch.
+    swapped rows.  ``rows()``, a cold-cursor
+    :func:`aggregate_incremental` and ``resume_prefix`` keep the same
+    rows or all raise :class:`AtlasLogCorrupt`; ``resume_prefix`` keeps
+    exactly the rows before a bad final line or the first id mismatch,
+    and leaves a corrupt file untouched.
     """
 
     @given(
@@ -738,6 +860,13 @@ class TestLogDefects:
                     list(log.rows())
                 with pytest.raises(AtlasLogCorrupt):
                     aggregate_incremental(path, cursor)
+                # Resuming past the damage would silently re-execute
+                # the fsynced rows after it: refuse, truncate nothing.
+                with pytest.raises(AtlasLogCorrupt):
+                    log.resume_prefix(ids)
+                assert path.read_bytes() == b"".join(
+                    line for line, _ in entries
+                )
             else:
                 assert list(log.rows()) == kept_rows
                 agg, folded, incremental = aggregate_incremental(
@@ -745,10 +874,10 @@ class TestLogDefects:
                 )
                 assert (folded, incremental) == (len(kept_rows), False)
                 assert agg.to_dict() == aggregate(kept_rows).to_dict()
-            assert log.resume_prefix(ids) == resumed
-            assert path.read_bytes() == b"".join(
-                line for line, _ in entries[:resumed]
-            )
+                assert log.resume_prefix(ids) == resumed
+                assert path.read_bytes() == b"".join(
+                    line for line, _ in entries[:resumed]
+                )
 
 
 class TestAppendMany:

@@ -9,10 +9,13 @@ get their own fixtures: divergent cross-shard duplicates raise
 :class:`~repro.core.errors.AtlasConflict` with both provenance rows
 attached, tampered verdicts raise
 :class:`~repro.core.errors.AtlasMergeError`, and incomplete shard sets
-surface as gaps instead of a silently partial atlas.  The shard
-selector parser (shared with the campaign CLI) is pinned here too.
+surface as gaps instead of a silently partial atlas.  Shards stripe
+whole scope groups, so no explorer search is split across shards, and
+the shard selector parser (shared with the campaign CLI) is pinned
+here too.
 """
 
+import dataclasses
 import itertools
 
 import pytest
@@ -20,6 +23,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.atlas import AtlasLog, LatticeSpec, merge_shards, run_atlas
+from repro.atlas.driver import shard_positions
+from repro.atlas.lattice import scope_group
 from repro.cli import main
 from repro.core.canonical import canonical_json
 from repro.core.errors import (
@@ -28,6 +33,7 @@ from repro.core.errors import (
     AtlasMergeError,
     ConfigurationError,
 )
+from repro.core.params import model_space
 from repro.experiments.campaign import CampaignCache, parse_shard
 
 #: The one-n lattice from test_atlas.py: 24 cells, seconds to sweep.
@@ -132,12 +138,14 @@ class TestDifferentialGrid:
         killed = case / f"atlas-0-of-{shard_count}.jsonl"
 
         calls = {"n": 0}
+        done = []
         real_execute = campaign_mod.execute_unit
 
         def dying_execute(unit):
             if calls["n"] >= kill_after:
                 raise KeyboardInterrupt("simulated mid-shard kill")
             calls["n"] += 1
+            done.append(unit.kind)
             return real_execute(unit)
 
         # No cache on the dying run: cached cells bypass the executor,
@@ -150,15 +158,17 @@ class TestDifferentialGrid:
         finally:
             campaign_mod.execute_unit = real_execute
 
+        # Scope searches run on the same executor but write no row.
+        fused = done.count("atlas")
         survivors = killed.read_bytes()
-        assert len(survivors.splitlines()) == kill_after
+        assert len(survivors.splitlines()) == fused
         if torn:
             with killed.open("ab") as fh:
                 fh.write(b'{"unit_id": "torn')
 
         resumed = _sweep(TINY, killed, cache, shard=(0, shard_count))
-        assert resumed.resumed == kill_after
-        assert resumed.written == resumed.cells_total - kill_after
+        assert resumed.resumed == fused
+        assert resumed.written == resumed.cells_total - fused
 
         shard_paths = [killed]
         for index in range(1, shard_count):
@@ -176,7 +186,9 @@ class TestDifferentialGrid:
         path = case / "atlas-1-of-3.jsonl"
         _sweep(TINY, path, cache, shard=(1, 3))
         indices = [row["index"] for row in AtlasLog(path).rows()]
-        assert indices == list(range(1, len(TINY.cells()), 3))
+        # Scope groups 1 and 4 of 6 (four cells each).
+        assert indices == [4, 5, 6, 7, 16, 17, 18, 19]
+        assert indices == shard_positions(TINY.cells(), 1, 3)
 
     def test_single_shard_covers_the_whole_lattice(self, scratch, cache):
         case = scratch()
@@ -203,6 +215,33 @@ class TestDifferentialGrid:
         assert fused.read_bytes() == _reference_bytes(
             TINY, scratch, cache
         )
+
+
+class TestScopeStripes:
+    @given(
+        lattice=lattices(),
+        models=st.permutations(tuple(model_space())),
+        shard_count=st.integers(1, 5),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_scope_groups_never_straddle_shards(
+        self, lattice, models, shard_count
+    ):
+        # Any model order, so groups may interleave in the lattice.
+        cells = dataclasses.replace(lattice, models=models).cells()
+        stripes = [
+            shard_positions(cells, index, shard_count)
+            for index in range(shard_count)
+        ]
+        assert sorted(p for stripe in stripes for p in stripe) == list(
+            range(len(cells))
+        )
+        shard_of = {}
+        for index, stripe in enumerate(stripes):
+            assert stripe == sorted(stripe)
+            for pos in stripe:
+                group = scope_group(cells[pos].params)
+                assert shard_of.setdefault(group, index) == index
 
 
 def _rewrite_row(path, index, mutate) -> dict:

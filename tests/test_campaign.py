@@ -148,8 +148,8 @@ CHEAP_DELAY_CELLS = [
 
 
 class TestDelayUnits:
-    def test_cache_schema_is_campaign_7(self):
-        assert CACHE_SCHEMA == "campaign/7"
+    def test_cache_schema_is_campaign_8(self):
+        assert CACHE_SCHEMA == "campaign/8"
 
     def test_delay_cells_are_the_psync_solvable_cells(self):
         labels = {label for label, _ in delay_cells()}

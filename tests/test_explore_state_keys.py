@@ -591,3 +591,69 @@ def test_golden_witness_replays_its_violation(name):
     assert dict(result.verdict.decisions) == certificate.decisions
     early = search.replay_witness(scenario, certificate.witness, rounds - 1)
     assert not early.verdict.violated(prop)
+
+
+# ----------------------------------------------------------------------
+# The explorer's algorithms never count copies
+# ----------------------------------------------------------------------
+#: One homonymous numerate scope per algorithm an explorer cell runs.
+#: One atlas search serves a whole scope group because these algorithms
+#: end in the same state whether an inbox counts copies or not.
+NUMERACY_SCOPES = {
+    "T(EIG)": SystemParams(n=4, ell=3, t=1, numerate=True),
+    "fig5-dls": SystemParams(
+        n=4, ell=3, t=1, synchrony=PSYNC, numerate=True
+    ),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _short_run(name: str) -> tuple:
+    """The scope's scenario and, per round of a run to its horizon with
+    silent Byzantine slots, ``(round, composed states, payloads)``."""
+    scenario = default_scenario(NUMERACY_SCOPES[name])
+    engine = search._build_engine(scenario, None)
+    rounds = []
+    for _ in range(scenario.depth):
+        payloads = engine.compose_round()
+        states = {q: engine.processes[q].clone() for q in engine.correct}
+        rounds.append((engine.round_no, states, dict(payloads)))
+        engine.finish_round(payloads, raw_emissions={})
+    return scenario, tuple(rounds)
+
+
+@pytest.mark.parametrize("name", sorted(NUMERACY_SCOPES))
+def test_duplicate_messages_never_change_the_post_state(name):
+    scenario, rounds = _short_run(name)
+    assert any(
+        state.decided for _, states, _ in rounds for state in states.values()
+    ), "the run must reach decisions for the check to cover them"
+    ident_of = scenario.assignment.identifier_of
+    byzantine_ids = [ident_of(b) for b in scenario.byzantine]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        round_no, states, payloads = data.draw(st.sampled_from(rounds))
+        receiver = data.draw(st.sampled_from(sorted(states)))
+        messages = []
+        for sender, payload in sorted(payloads.items()):
+            copies = data.draw(st.integers(1, 3))
+            messages += [Message(ident_of(sender), payload)] * copies
+        # A Byzantine homonym echoing correct payloads under its own
+        # identifier -- the copies a numerate inbox would count.
+        for sender in data.draw(st.lists(st.sampled_from(sorted(payloads)),
+                                         max_size=4)):
+            for ident in byzantine_ids:
+                messages.append(Message(ident, payloads[sender]))
+        counted = Inbox(messages, numerate=True)
+        collapsed = Inbox(messages, numerate=False)
+        state = states[receiver]
+        a = _delivered(state, round_no, counted)
+        b = _delivered(state, round_no, collapsed)
+        assert canonical_state_key(a) == canonical_state_key(b)
+        # The oracle covers every attribute, not just the declared key.
+        assert reflective_state_key(a) == reflective_state_key(b)
+        assert (a.decided, a.decision) == (b.decided, b.decision)
+
+    check()

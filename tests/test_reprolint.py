@@ -307,10 +307,10 @@ class TestRL005:
     def test_schema_bump_requires_deliberate_re_pin(self, schema_copy):
         path = schema_copy / "src/repro/experiments/campaign.py"
         source = path.read_text()
-        assert 'CACHE_SCHEMA = "campaign/7"' in source
+        assert 'CACHE_SCHEMA = "campaign/8"' in source
         path.write_text(
             source.replace(
-                'CACHE_SCHEMA = "campaign/7"', 'CACHE_SCHEMA = "campaign/8"'
+                'CACHE_SCHEMA = "campaign/8"', 'CACHE_SCHEMA = "campaign/9"'
             )
         )
         findings = rules_repo.check_schema(schema_copy)
@@ -324,14 +324,14 @@ class TestRL005:
             source
             .replace('"unit_id": unit.unit_id,', '"uid": unit.unit_id,')
             .replace(
-                'CACHE_SCHEMA = "campaign/7"', 'CACHE_SCHEMA = "campaign/8"'
+                'CACHE_SCHEMA = "campaign/8"', 'CACHE_SCHEMA = "campaign/9"'
             )
         )
         pin = tmp_path / "schema_fingerprint.json"
         rules_repo.update_schema(schema_copy, pin)
         assert rules_repo.check_schema(schema_copy, pin) == []
         written = json.loads(pin.read_text())
-        assert written["cache_schema"] == "campaign/8"
+        assert written["cache_schema"] == "campaign/9"
         shapes = written["result_shapes"]["campaign.execute_unit"]
         assert any("uid" in shape for shape in shapes)
 
