@@ -102,8 +102,8 @@ atlas-quick:
 ## unit cache (shard 1 on a 2-worker pool, so the byte-compare covers
 ## the pooled path), deterministic merge, byte-compare against an
 ## unsharded sweep served from that cache and against a cold unsharded
-## sweep with no cache at all (scope-striped shards and in-run search
-## sharing give the same bytes), incremental render, and a
+## sweep with no cache at all (cost-dealt scope-group shards and in-run
+## search sharing give the same bytes), incremental render, and a
 ## query-service smoke (what the CI atlas-shard-smoke job runs and
 ## uploads)
 atlas-shard-smoke:
@@ -130,7 +130,9 @@ atlas:
 	    --markdown atlas.md --json atlas.json
 
 ## the 2000-instance soak smoke (what CI runs and uploads): a cold run
-## that fills the window unit cache, then a resumed pass over the same
+## that fills the window unit cache and whose log must match the
+## committed sha256 (tests/data/soak-quick-2000.sha256; a change meant
+## to alter behaviour re-pins it), then a resumed pass over the same
 ## cache into a fresh log, byte-compared against the cold one (the
 ## window specs' cache keys on a 4-worker pool); then the resumed log's
 ## final row is torn and a second resume must repair it back to the
@@ -138,6 +140,7 @@ atlas:
 soak-smoke:
 	$(PYTHON) -m repro soak --profile quick --instances 2000 --workers 4 \
 	    --log soak.jsonl --report soak-report.json --cache-dir .soak-cache
+	sha256sum -c tests/data/soak-quick-2000.sha256
 	rm -f soak-resumed.jsonl
 	$(PYTHON) -m repro soak --profile quick --instances 2000 --workers 4 \
 	    --resume --log soak-resumed.jsonl --cache-dir .soak-cache

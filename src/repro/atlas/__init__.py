@@ -30,7 +30,7 @@ scope group's one explorer search as a ``kind="explore-scope"`` unit,
 sharing the campaign engine's worker pool and content-hash cache.
 
 At lattice scale the atlas distributes: ``run_atlas(...,
-shard=(index, count))`` stripes whole scope groups across machines
+shard=(index, count))`` deals whole scope groups across machines
 into per-shard logs, :func:`~repro.atlas.merge.merge_shards` fuses them
 back into the canonical ``atlas.jsonl`` byte-identically, renders
 re-fold only appended rows via a persisted cursor

@@ -6,7 +6,7 @@ LatticeSpec` end to end:
 1. every cell becomes one :class:`~repro.atlas.evidence.AtlasUnit`
    carrying the cell's evidence plan
    (:func:`repro.atlas.evidence.enumerate_atlas_units`); a shard keeps
-   the cells of its stripe of scope groups (:func:`shard_positions`);
+   the cells of its share of scope groups (:func:`shard_positions`);
 2. the explorer cells of one scope group share one
    :class:`~repro.atlas.evidence.ExploreScope` search, which enters
    the unit stream just before the first remaining cell that needs it;
@@ -52,12 +52,7 @@ from repro.atlas.evidence import (
 from repro.atlas.lattice import AtlasCell, LatticeSpec, scope_group
 from repro.atlas.stream import AtlasLog
 from repro.core.errors import ConfigurationError
-from repro.experiments.campaign import (
-    CampaignCache,
-    UnitSpec,
-    run_units,
-    shard_units,
-)
+from repro.experiments.campaign import CampaignCache, UnitSpec, run_units
 
 
 @dataclass
@@ -103,22 +98,52 @@ def shard_positions(
 ) -> list[int]:
     """The lattice positions of shard ``index`` of ``count``.
 
-    Shards stripe whole scope groups
-    (:func:`~repro.atlas.lattice.scope_group`), numbered in order of
-    first appearance, so every explorer search runs on exactly one
-    shard even when shards share no cache.
+    Shards take whole scope groups
+    (:func:`~repro.atlas.lattice.scope_group`), so every explorer search
+    runs on exactly one shard even when shards share no cache.  Groups
+    are dealt by estimated cost (:func:`scope_group_costs`), heaviest
+    first, each to the least-loaded shard (the highest-numbered among
+    equals); equal-cost groups go in order of first appearance.
 
     Raises:
         ConfigurationError: ``index``/``count`` out of range.
     """
-    groups: dict[tuple, int] = {}
-    for cell in cells:
-        groups.setdefault(scope_group(cell.params), len(groups))
-    kept = set(shard_units(range(len(groups)), index, count))
+    if count < 1 or not 0 <= index < count:
+        raise ConfigurationError(
+            f"bad shard {index}/{count}: need 0 <= index < count"
+        )
+    costs = scope_group_costs(cells)
+    loads = [0] * count
+    shard_of: dict[tuple, int] = {}
+    # A stable sort keeps equal-cost groups in order of appearance.
+    for group in sorted(costs, key=costs.__getitem__, reverse=True):
+        least = min(range(count), key=lambda s: (loads[s], -s))
+        shard_of[group] = least
+        loads[least] += costs[group]
     return [
         pos for pos, cell in enumerate(cells)
-        if groups[scope_group(cell.params)] in kept
+        if shard_of[scope_group(cell.params)] == index
     ]
+
+
+def scope_group_costs(cells: Sequence[AtlasCell]) -> dict[tuple, int]:
+    """Each scope group's estimated cost, in order of first appearance:
+    its cells' :meth:`AtlasUnit.weight
+    <repro.atlas.evidence.AtlasUnit.weight>` plus, when any of them
+    takes explorer evidence, its :meth:`ExploreScope.weight
+    <repro.atlas.evidence.ExploreScope.weight>`."""
+    costs: dict[tuple, int] = {}
+    searched: set[tuple] = set()
+    for cell in cells:
+        group = scope_group(cell.params)
+        cost = costs.get(group, 0) + AtlasUnit(
+            cell.label, cell.params, cell.variant
+        ).weight()
+        if cell.with_explorer and group not in searched:
+            searched.add(group)
+            cost += ExploreScope.for_cell(cell.params).weight()
+        costs[group] = cost
+    return costs
 
 
 def _fuse_row(
@@ -207,8 +232,8 @@ def run_atlas(
             first conflicting cell (the default); ``False`` records
             ``CONFLICT`` rows and keeps sweeping (render/debug path).
         progress: Optional callback receiving one line per cell.
-        shard: Optional ``(index, count)`` stripe: sweep only the cells
-            of every ``count``-th scope group from ``index`` on
+        shard: Optional ``(index, count)`` share: sweep only the cells
+            of the scope groups dealt to shard ``index``
             (:func:`shard_positions`).  Rows keep
             their **global** lattice index, which is what lets
             :func:`repro.atlas.merge.merge_shards` reassemble shard

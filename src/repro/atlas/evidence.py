@@ -57,6 +57,7 @@ from repro.core.problem import BINARY, AgreementProblem
 from repro.experiments.campaign import (
     PROBLEMS,
     UnitSpec,
+    cell_weight,
     require_unique_labels,
 )
 from repro.experiments.harness import (
@@ -390,6 +391,31 @@ class AtlasUnit(UnitSpec):
             budget_skipped=self.plan == BUDGET_SKIPPED,
         )
 
+    def weight(self) -> int:
+        """Crude cost estimate on the campaign cell units' scale
+        (:func:`~repro.experiments.campaign.cell_weight`).
+
+        A solvable cell runs one validation slice, plus a delay slice
+        three times as heavy under partial synchrony.  An unsolvable
+        cell runs one demonstration, except a cited (``n <= 3t``) or
+        dominated (``ell < 3t`` outside the restricted+numerate family)
+        impossibility, which runs nothing; so does a budget-skipped
+        cell.
+        """
+        params = self.params
+        if self.plan == BUDGET_SKIPPED:
+            return 0
+        weight = cell_weight(params)
+        if solvable(params):
+            psync = params.synchrony is Synchrony.PARTIALLY_SYNCHRONOUS
+            return 4 * weight if psync else weight
+        restricted_numerate = params.restricted and params.numerate
+        if not params.meets_psl_bound or (
+            params.ell < 3 * params.t and not restricted_numerate
+        ):
+            return 1
+        return weight
+
 
 @dataclass(frozen=True)
 class ExploreScope(UnitSpec):
@@ -451,6 +477,23 @@ class ExploreScope(UnitSpec):
             "records": [],
             "evidence": _explorer_evidence(self.params, problem),
         }
+
+    def weight(self) -> int:
+        """Crude cost estimate on :meth:`AtlasUnit.weight`'s scale.
+
+        Searches grow about eightfold per process: ``8 ** (n - 1)``,
+        eight times that for a solvable scope (an exhaustive
+        certificate), an eighth of it for an unsolvable synchronous one
+        (its hunt stops at an early violation).  Fitted to measured
+        n = 3 and 4 search times and the n = 5 synchronous certificate.
+        """
+        params = self.params
+        exponent = params.n - 1
+        if solvable(params):
+            exponent += 1
+        elif params.synchrony is Synchrony.SYNCHRONOUS:
+            exponent -= 1
+        return 8 ** exponent
 
 
 def enumerate_atlas_units(

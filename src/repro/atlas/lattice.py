@@ -13,7 +13,7 @@ exactly which cells are inside its scope (``n <= explore_max_n`` and
 not the restricted+numerate family, whose deep per-round horizons make
 exhaustive sweeps intractable even at ``n = 3``).  The search reads
 only the cell's :func:`scope_group`, so the explorer cells of one group
-share one search, and sharded sweeps stripe whole groups.
+share one search, and sharded sweeps deal out whole groups.
 """
 
 from __future__ import annotations

@@ -35,13 +35,24 @@ A *valid* message contains at most one init per ``m`` (claiming the
 current superround) and at most one echo per ``(h, m, r)``; invalid
 messages are discarded wholesale (only Byzantine processes produce
 them).
+
+Receiving is split in two.  What a round's messages imply for *any*
+receiver -- the validity of each message's items
+(:func:`validate_items`), their counts (:func:`count_message`) and the
+thresholds of lines 13-21 over them (:func:`tally_round`) -- is a pure
+function of the messages and the round, so a host that reads whole
+inboxes computes it once per inbox and every receiver of that inbox
+only :meth:`~MultiplicityBroadcast.apply`-s the resulting
+:class:`RoundTally` to its own counters.  The message-by-message host
+contract (:meth:`~MultiplicityBroadcast.note_message` then
+:meth:`~MultiplicityBroadcast.end_round`) runs the same threshold code.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, NamedTuple
 
 from repro.core.canonical import exact_key
 from repro.core.errors import BoundViolation
@@ -72,6 +83,10 @@ class MultiplicityBroadcast:
     3. :meth:`note_message` once per received physical message;
     4. :meth:`end_round` after the inbox is consumed -- returns the
        ``Accept`` events of this round (only odd rounds produce any).
+
+    Steps 3-4 may instead be one :meth:`apply` of a
+    :class:`RoundTally` the host derived from the whole inbox; both
+    routes run the same threshold code (:func:`tally_round`).
     """
 
     def __init__(
@@ -148,96 +163,169 @@ class MultiplicityBroadcast:
         Invalid messages (duplicate init/echo keys, inits claiming the
         wrong round, echoes from the future) are discarded wholesale.
         """
-        parsed = self._validate(sender_id, items, round_no)
-        if parsed is None:
-            return
-        inits, echoes = parsed
-        for m in inits:
-            key = (int(sender_id), m)
-            self._round_inits[key] = self._round_inits.get(key, 0) + 1
-        for (h, m, r), alpha in echoes.items():
-            self._round_echoes.setdefault((h, m, r), []).append(alpha)
+        count_message(
+            self._round_inits, self._round_echoes, sender_id,
+            validate_items(items, round_no),
+        )
 
     def end_round(self, round_no: int) -> list[MultiplicityAccept]:
         """Apply the thresholds of Figure 6 lines 13-21 for this round."""
-        accepts: list[MultiplicityAccept] = []
-
-        # Lines 13-14: first round of a superround seeds a[..] from inits.
-        if round_no % 2 == 0:
-            r = round_no // 2
-            for (h, m), alpha in self._round_inits.items():
-                key = (h, m, r)
-                if alpha > self._a.get(key, 0):
-                    self._a[key] = alpha
-
-        # Lines 15-18: raise counters on n - 2t message support.
-        low = self.n - 2 * self.t
-        high = self.n - self.t
-        for key in sorted(self._round_echoes, key=repr):
-            alphas = sorted(self._round_echoes[key], reverse=True)
-            if len(alphas) >= low:
-                alpha1 = alphas[low - 1]  # largest alpha with n-2t support
-                if alpha1 > self._a.get(key, 0):
-                    self._a[key] = alpha1
-            # Lines 19-21: accept on n - t support, odd rounds only.
-            if round_no % 2 == 1 and len(alphas) >= high:
-                alpha2 = alphas[high - 1]
-                h, m, r = key
-                accepts.append(
-                    MultiplicityAccept(
-                        ident=h,
-                        multiplicity=alpha2,
-                        message=m,
-                        superround=r,
-                        accepted_superround=round_no // 2,
-                    )
-                )
-
+        tally = tally_round(
+            self.n, self.t, round_no, self._round_inits, self._round_echoes
+        )
         self._round_echoes = {}
         self._round_inits = {}
-        return accepts
+        self.apply(tally)
+        return [
+            MultiplicityAccept(
+                ident=h, multiplicity=alpha, message=m, superround=r,
+                accepted_superround=round_no // 2,
+            )
+            for (h, m, r), alpha in tally.accepts
+        ]
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _validate(
-        self, sender_id: int, items: Iterable[Hashable], round_no: int
-    ):
-        """Message-level validity check (the paper's "valid" predicate)."""
-        inits: list[Hashable] = []
-        echoes: dict[tuple[int, Hashable, int], int] = {}
-        seen_init: set[Hashable] = set()
-        for item in items:
-            if not isinstance(item, tuple) or not item:
-                continue  # foreign payload items ride in the same bundle
-            if item[0] == INIT_TAG:
-                if len(item) != 3 or not isinstance(item[2], int):
-                    return None
-                _tag, m, r = item
-                if 2 * r != round_no or m in seen_init:
-                    return None
-                seen_init.add(m)
-                inits.append(m)
-            elif item[0] == ECHO_TAG:
-                if len(item) != 5:
-                    return None
-                _tag, h, alpha, m, r = item
-                if not (
-                    isinstance(h, int)
-                    and isinstance(alpha, int)
-                    and isinstance(r, int)
-                ):
-                    return None
-                if alpha < 1 or round_no < 2 * r:
-                    return None
-                key = (h, m, r)
-                if key in echoes:
-                    return None
-                echoes[key] = alpha
-        return inits, echoes
+    def apply(self, tally: "RoundTally") -> None:
+        """Raise this process's counters by a round's tally.
+
+        :meth:`end_round` applies the tally of the messages noted one by
+        one; a host that tallies a whole inbox at once
+        (:func:`tally_round` over :func:`count_message`) applies it here
+        and reads the round's accepts from ``tally.accepts``.
+        """
+        a = self._a
+        for key, alpha in tally.raises:
+            if alpha > a.get(key, 0):
+                a[key] = alpha
 
     # ------------------------------------------------------------------
     # Introspection (tests)
     # ------------------------------------------------------------------
     def counter(self, ident: int, message: Hashable, superround: int) -> int:
         return self._a.get((ident, message, superround), 0)
+
+
+# ----------------------------------------------------------------------
+# Receive-side derivations shared by every receiver of a round
+# ----------------------------------------------------------------------
+class RoundTally(NamedTuple):
+    """What one round's valid messages imply, for any receiver.
+
+    ``raises`` are the counter floors of Figure 6 lines 13-18 in the
+    order they apply (the even-round init seeds, then the ``n - 2t``
+    echo supports); a receiver raises ``a[key]`` to each that exceeds
+    it.  ``accepts`` are the round's lines 19-21 ``Accept(h, alpha, m,
+    r)`` events as ``((h, m, r), alpha)`` pairs, ordered by the ``repr``
+    of their key.  Neither depends on the receiver's own counters.
+    """
+
+    raises: tuple[tuple[tuple[int, Hashable, int], int], ...]
+    accepts: tuple[tuple[tuple[int, Hashable, int], int], ...]
+
+
+def tally_round(
+    n: int,
+    t: int,
+    round_no: int,
+    inits: dict[tuple[int, Hashable], int],
+    echoes: dict[tuple[int, Hashable, int], list[int]],
+) -> RoundTally:
+    """Figure 6 lines 13-21 over one round's counted messages.
+
+    Sorts the alpha lists of ``echoes`` in place.
+
+    Args:
+        n: The number of processes.
+        t: The fault bound.
+        round_no: The engine round.
+        inits: ``(h, m) -> number of valid messages`` carrying the init
+            (as :func:`count_message` fills it).
+        echoes: ``(h, m, r) -> alphas`` from valid messages, in receipt
+            order.
+
+    Returns:
+        The round's :class:`RoundTally`.
+    """
+    raises: list[tuple[tuple[int, Hashable, int], int]] = []
+    # Lines 13-14: first round of a superround seeds a[..] from inits.
+    if round_no % 2 == 0:
+        r = round_no // 2
+        raises.extend(((h, m, r), alpha) for (h, m), alpha in inits.items())
+    # Lines 15-18: raise counters on n - 2t message support.
+    low = n - 2 * t
+    high = n - t
+    odd = round_no % 2 == 1
+    accepting: list[tuple[tuple[int, Hashable, int], int]] = []
+    for key, alphas in echoes.items():
+        if len(alphas) >= low:
+            alphas.sort(reverse=True)
+            raises.append((key, alphas[low - 1]))  # largest with n-2t support
+            # Lines 19-21: accept on n - t support, odd rounds only.
+            if odd and len(alphas) >= high:
+                accepting.append((key, alphas[high - 1]))
+    accepting.sort(key=lambda entry: repr(entry[0]))
+    return RoundTally(tuple(raises), tuple(accepting))
+
+
+def count_message(
+    inits: dict[tuple[int, Hashable], int],
+    echoes: dict[tuple[int, Hashable, int], list[int]],
+    sender_id: int,
+    valid: tuple[list[Hashable], dict] | None,
+) -> None:
+    """Add one received message's validated items to a round's counts.
+
+    Args:
+        inits: The round's init counts (updated).
+        echoes: The round's echo alphas (updated).
+        sender_id: The message's authenticated identifier.
+        valid: The message's :func:`validate_items` answer; ``None``
+            (an invalid message) counts nothing.
+    """
+    if valid is None:
+        return
+    for m in valid[0]:
+        key = (int(sender_id), m)
+        inits[key] = inits.get(key, 0) + 1
+    for key, alpha in valid[1].items():
+        echoes.setdefault(key, []).append(alpha)
+
+
+def validate_items(items: Iterable[Hashable], round_no: int):
+    """The paper's "valid message" predicate over one message's items.
+
+    Returns ``(inits, echoes)`` -- the init messages ``m`` and the
+    ``(h, m, r) -> alpha`` echoes -- or ``None`` for an invalid message.
+    A pure function of the items and the round, so a host may share one
+    answer among every receiver of the same items (which only read it).
+    """
+    inits: list[Hashable] = []
+    echoes: dict[tuple[int, Hashable, int], int] = {}
+    seen_init: set[Hashable] = set()
+    for item in items:
+        if not isinstance(item, tuple) or not item:
+            continue  # foreign payload items ride in the same bundle
+        if item[0] == INIT_TAG:
+            if len(item) != 3 or not isinstance(item[2], int):
+                return None
+            _tag, m, r = item
+            if 2 * r != round_no or m in seen_init:
+                return None
+            seen_init.add(m)
+            inits.append(m)
+        elif item[0] == ECHO_TAG:
+            if len(item) != 5:
+                return None
+            _tag, h, alpha, m, r = item
+            if not (
+                isinstance(h, int)
+                and isinstance(alpha, int)
+                and isinstance(r, int)
+            ):
+                return None
+            if alpha < 1 or round_no < 2 * r:
+                return None
+            key = (h, m, r)
+            if key in echoes:
+                return None
+            echoes[key] = alpha
+    return inits, echoes

@@ -37,8 +37,9 @@ derived once per *value*.  States carrying ``True``, ``1.0`` or other
 values ``==`` would merge are never shared.  A transition of a tree
 the spec built itself appends the new level to the sorted tree instead
 of rebuilding it: every path it adds is longer than all the existing
-ones.  Likewise each run-round payload object is parsed once,
-not once per receiver and delta.
+ones.  Likewise each run-round payload object is parsed once per round,
+not once per receiver and delta, in the bounded identity memo every
+receive path shares (:class:`~repro.core.memo.IdentityMemo`).
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from typing import Hashable, Mapping
 
 from repro.classic.spec import ClassicSpec, majority_value
 from repro.core.canonical import exact_key, is_plain
+from repro.core.memo import MISS, IdentityMemo
 from repro.core.problem import AgreementProblem
 
 
@@ -156,13 +158,10 @@ def _built(ident: int, rounds_done: int, tree: tuple, plain: bool) -> EIGState:
     return state
 
 
-#: ``(id(payload), round_no, ell) -> (payload, (entries, plain))``:
-#: recently parsed run-round payloads.  The payload is held so its id
-#: stays unique while the entry lives; the table is cleared when it
-#: fills, which bounds what it retains (one explored node hands every
-#: receiver the same handful of payload objects).
-_PARSED: dict[tuple[int, int, int], tuple[Hashable, tuple]] = {}
-_PARSED_MAX = 256
+#: Recently parsed run-round payloads: payload object, ``(round_no,
+#: ell)`` -> ``(entries, plain)``.  Bounded; one explored node hands
+#: every receiver the same handful of payload objects.
+_PARSED = IdentityMemo(256)
 
 
 def _plain_tree(tree: Hashable) -> bool:
@@ -376,21 +375,19 @@ class EIGSpec(ClassicSpec):
         payload object: every receiver of a round, under every
         Byzantine delta, is handed the same payload objects.
         """
-        key = (id(payload), round_no, self.ell)
-        cached = _PARSED.get(key)
-        if cached is not None:
-            return cached[1]
-        if len(_PARSED) >= _PARSED_MAX:
-            _PARSED.clear()
+        context = (round_no, self.ell)
+        parsed = _PARSED.get(payload, context)
+        if parsed is not MISS:
+            return parsed
         level = round_no - 1
         entries = tuple(
             (path, value)
             for path, value in self._parse_payload(payload, round_no)
             if len(path) == level
         )
-        parsed = entries, _plain_entries(entries)
-        _PARSED[key] = (payload, parsed)
-        return parsed
+        return _PARSED.put(
+            payload, context, (entries, _plain_entries(entries))
+        )
 
     def _parse_payload(self, payload: Hashable, round_no: int):
         if not (isinstance(payload, tuple) and len(payload) == 3):

@@ -203,11 +203,17 @@ class CellUnit(UnitSpec):
 
     def weight(self) -> int:
         """Crude cost estimate used to schedule heavy units first."""
-        params = self.params
-        weight = params.n * params.n
-        if params.synchrony is PSYNC:
-            weight *= 8 if not (params.restricted and params.numerate) else 2
-        return weight
+        return cell_weight(self.params)
+
+
+def cell_weight(params: SystemParams) -> int:
+    """Crude cost estimate of one run slice (or demonstration) of a
+    cell: ``n**2``, eight times that under partial synchrony (twice for
+    the restricted+numerate family, whose Figure 7 runs are lighter)."""
+    weight = params.n * params.n
+    if params.synchrony is PSYNC:
+        weight *= 8 if not (params.restricted and params.numerate) else 2
+    return weight
 
 
 @dataclass(frozen=True)
@@ -474,8 +480,7 @@ def shard_units(units: Sequence[_T], index: int, count: int) -> list[_T]:
     and expensive units; the ``count`` shards partition the grid.
 
     Args:
-        units: The full unit list (enumeration order), or any sequence
-            striped the same way (the atlas stripes its scope groups).
+        units: The full unit list (enumeration order).
         index: Zero-based shard index, ``0 <= index < count``.
         count: Total number of shards.
 

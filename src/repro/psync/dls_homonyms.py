@@ -47,6 +47,7 @@ from repro.broadcast.authenticated import (
 )
 from repro.core.canonical import exact_key, shared_key
 from repro.core.errors import BoundViolation
+from repro.core.memo import MISS, IdentityMemo
 from repro.core.messages import Inbox
 from repro.core.params import SystemParams
 from repro.core.problem import AgreementProblem
@@ -80,6 +81,41 @@ def check_dls_bound(n: int, ell: int, t: int) -> None:
         raise BoundViolation(
             f"Figure 5 requires 2*ell > n + 3t, got n={n}, ell={ell}, t={t}"
         )
+
+
+#: Parsed bundles: payload object, problem key -> :func:`_parse_bundle`.
+_BUNDLES = IdentityMemo(128)
+
+
+def _parse_bundle(
+    payload: Hashable, problem: AgreementProblem, problem_key: str
+):
+    """One Figure 5 payload's ``((inits, echoes), directs,
+    proper_values)``, or ``None`` for a payload that is not a bundle.
+
+    Computed once per payload object (``problem_key`` is the problem's
+    :func:`~repro.core.canonical.shared_key`); the answer is shared by
+    every receiver, which only reads it.
+    """
+    bundle = _BUNDLES.get(payload, problem_key)
+    if bundle is not MISS:
+        return bundle
+    if not (
+        isinstance(payload, tuple)
+        and len(payload) == 5
+        and payload[0] == BUNDLE_TAG
+        and isinstance(payload[1], tuple)
+        and isinstance(payload[2], tuple)
+        and isinstance(payload[3], tuple)
+    ):
+        bundle = None
+    else:
+        bundle = (
+            parse_broadcast_items(payload[1] + payload[2]),
+            payload[3],
+            decode_proper(payload[4], problem),
+        )
+    return _BUNDLES.put(payload, problem_key, bundle)
 
 
 class DLSHomonymProcess(Process):
@@ -259,8 +295,9 @@ class DLSHomonymProcess(Process):
         acks_this_round: dict[Hashable, set[int]] = {}
         decides_this_round: dict[Hashable, set[int]] = {}
 
+        problem_key = shared_key(self.problem)
         for m in inbox:
-            bundle = self._parse_bundle(m.payload)
+            bundle = _parse_bundle(m.payload, self.problem, problem_key)
             if bundle is None:
                 continue
             inits_echoes, directs, proper_values = bundle
@@ -299,20 +336,6 @@ class DLSHomonymProcess(Process):
             if len(decides_this_round[value]) >= self.t + 1:
                 self.record_decision(value, round_no)
                 break
-
-    def _parse_bundle(self, payload: Hashable):
-        if not (
-            isinstance(payload, tuple)
-            and len(payload) == 5
-            and payload[0] == BUNDLE_TAG
-            and isinstance(payload[1], tuple)
-            and isinstance(payload[2], tuple)
-            and isinstance(payload[3], tuple)
-        ):
-            return None
-        inits_echoes = parse_broadcast_items(payload[1] + payload[2])
-        proper_values = decode_proper(payload[4], self.problem)
-        return inits_echoes, payload[3], proper_values
 
     def _route_direct(
         self,

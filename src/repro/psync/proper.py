@@ -55,6 +55,25 @@ def decode_proper(
     return tuple(v for v in payload if v in problem.domain)
 
 
+def message_proper_rule(
+    counts: dict[Hashable, int], total: int, t: int
+) -> tuple[tuple[Hashable, ...], bool]:
+    """The message-counting rules over one round's proper sets.
+
+    Args:
+        counts: value -> number of this round's messages carrying it.
+        total: Number of this round's well-formed proper sets.
+        t: The fault bound.
+
+    Returns:
+        ``(adds, whole_domain)``: the values carried by ``t + 1``
+        messages (in ``counts`` order), and whether ``2t + 1`` messages
+        with no such value add the whole domain.
+    """
+    adds = tuple(v for v, count in counts.items() if count >= t + 1)
+    return adds, not adds and total >= 2 * t + 1
+
+
 class IdentifierProperTracker:
     """Identifier-counting tracker used by the Figure 5 algorithm."""
 
@@ -149,15 +168,18 @@ class MessageProperTracker:
 
     def end_round(self) -> None:
         """Apply the t+1 / 2t+1 rules to this round's counts, then reset."""
-        for v, count in self._round_counts.items():
-            if count >= self.t + 1:
-                self.proper.add(v)
-        if self._round_total >= 2 * self.t + 1 and not any(
-            count >= self.t + 1 for count in self._round_counts.values()
-        ):
-            self.proper.update(self.problem.domain)
+        self.absorb(*message_proper_rule(
+            self._round_counts, self._round_total, self.t
+        ))
         self._round_counts = {}
         self._round_total = 0
+
+    def absorb(self, adds: Iterable[Hashable], whole_domain: bool) -> None:
+        """Grow the proper set by a :func:`message_proper_rule` outcome
+        (a host that counts a whole inbox at once applies it here)."""
+        self.proper.update(adds)
+        if whole_domain:
+            self.proper.update(self.problem.domain)
 
     def encoded(self) -> tuple[Hashable, ...]:
         return encode_proper(self.proper)

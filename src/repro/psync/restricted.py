@@ -26,20 +26,41 @@ correct processes decide directly in the good phase -- the decision rule
 at lines 20-23 has no leader restriction), and the proper set counts
 same-round *messages* instead of identifiers (sound because restricted
 Byzantine processes contribute at most one message per round).
+
+The receive path does its per-payload and per-inbox work once per
+round, however many receivers share it: each payload object is parsed
+once (bundle shape, multiplicity-item validity, proper set, directs),
+and each inbox object is tallied once into a :class:`RoundView` -- the
+Figure 6 thresholds, witness totals, proper-set rule, leader locks and
+acks, none of which reads the receiver's state.  Each receiver then
+applies the view to its own counters, witnesses, proper set and locks.
+Both memos are keyed by object identity (``1 == True == 1.0``) and live
+outside the processes (:mod:`repro.core.memo`).
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Hashable
+from typing import Hashable, NamedTuple
 
-from repro.broadcast.multiplicity import MultiplicityBroadcast
+from repro.broadcast.multiplicity import (
+    MultiplicityBroadcast,
+    RoundTally,
+    count_message,
+    tally_round,
+    validate_items,
+)
 from repro.core.canonical import exact_key, shared_key
 from repro.core.errors import BoundViolation
+from repro.core.memo import MISS, IdentityMemo
 from repro.core.messages import Inbox
 from repro.core.params import SystemParams
 from repro.core.problem import AgreementProblem
-from repro.psync.proper import MessageProperTracker, decode_proper
+from repro.psync.proper import (
+    MessageProperTracker,
+    decode_proper,
+    message_proper_rule,
+)
 from repro.sim.process import Process
 
 BUNDLE_TAG = "fig7"
@@ -220,37 +241,22 @@ class RestrictedNumerateProcess(Process):
     # ------------------------------------------------------------------
     def deliver(self, round_no: int, inbox: Inbox) -> None:
         phase, pos, first = self.position(round_no)
-        ack_counts: dict[Hashable, int] = {}
+        view = round_view(
+            inbox, round_no, self.n, self.t, self.ell, self.problem
+        )
 
-        for m in inbox:
-            bundle = self._parse_bundle(m.payload)
-            if bundle is None:
-                continue
-            items, directs, proper_values = bundle
-            self.mb.note_message(m.sender_id, items, round_no)
-            if proper_values is not None:
-                self.proper.note(proper_values)
-            self._route_directs(
-                m.sender_id, directs, phase, first, pos, ack_counts
-            )
-
-        # Witness totals sum multiplicities across identifiers; a
-        # superround's Accepts arrive together (odd round), so the
-        # per-superround sum is the sum over fresh accepts by ident.
-        pending: dict[tuple[Hashable, int], dict[int, int]] = {}
-        for accept in self.mb.end_round(round_no):
-            self._fold_witnesses(pending, accept)
-        self._flush_witnesses(pending)
-
-        self.proper.end_round()
+        for key, total in view.witnesses:
+            if total > self._witness_max.get(key, 0):
+                self._witness_max[key] = total
+        self.mb.apply(view.tally)
+        self.proper.absorb(view.proper_adds, view.proper_domain)
+        for ph, value in view.leader_locks:
+            self._leader_locks.setdefault(ph, set()).add(value)
 
         # Lines 20-23: decide on n - t same-round acks for a witnessed value.
         if first and pos == 3:
-            for value in sorted(ack_counts, key=repr):
-                if (
-                    ack_counts[value] >= self.quorum
-                    and self.witnesses(("propose", value), 4 * phase) >= self.quorum
-                ):
+            for value in view.acked:
+                if self.witnesses(("propose", value), 4 * phase) >= self.quorum:
                     self.record_decision(value, round_no)
                     break
 
@@ -261,59 +267,6 @@ class RestrictedNumerateProcess(Process):
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _parse_bundle(self, payload: Hashable):
-        if not (
-            isinstance(payload, tuple)
-            and len(payload) == 4
-            and payload[0] == BUNDLE_TAG
-            and isinstance(payload[1], tuple)
-            and isinstance(payload[2], tuple)
-        ):
-            return None
-        proper_values = decode_proper(payload[3], self.problem)
-        return payload[1], payload[2], proper_values
-
-    def _route_directs(
-        self,
-        sender_id: int,
-        directs: tuple,
-        phase: int,
-        first: bool,
-        pos: int,
-        ack_counts: dict[Hashable, int],
-    ) -> None:
-        seen_ack = False
-        for item in directs:
-            if not (isinstance(item, tuple) and len(item) == 3):
-                continue
-            tag, value, ph = item
-            if value not in self.problem.domain or not isinstance(ph, int):
-                continue
-            if tag == "lock" and sender_id == leader_of_phase(ph, self.ell):
-                self._leader_locks.setdefault(ph, set()).add(value)
-            elif tag == "ack" and first and pos == 3 and ph == phase:
-                # Count *messages* containing an ack (numerate); a
-                # message with duplicate ack items still counts once.
-                if not seen_ack:
-                    ack_counts[value] = ack_counts.get(value, 0) + 1
-                    seen_ack = True
-
-    # Witness bookkeeping: accepts for one (m, r) from different idents in
-    # the same round are summed; the historical maximum is retained.
-    @staticmethod
-    def _fold_witnesses(pending: dict, accept) -> None:
-        key = (accept.message, accept.superround)
-        per_ident = pending.setdefault(key, {})
-        per_ident[accept.ident] = max(
-            per_ident.get(accept.ident, 0), accept.multiplicity
-        )
-
-    def _flush_witnesses(self, pending: dict) -> None:
-        for key, per_ident in pending.items():
-            total = sum(per_ident.values())
-            if total > self._witness_max.get(key, 0):
-                self._witness_max[key] = total
-
     def _release_stale_locks(self) -> None:
         for v1, ph1 in list(self.locks.items()):
             superseded = any(
@@ -331,6 +284,166 @@ class RestrictedNumerateProcess(Process):
         for (message, superround) in self._witness_max:
             phases.append(superround // 4)
         return max(phases)
+
+
+class RoundView(NamedTuple):
+    """The receiver-independent part of one Figure 7 round.
+
+    Everything a round's inbox implies before a receiver's own state is
+    consulted: the Figure 6 tally, the witness totals of its accepts,
+    the proper-set rule outcome, the leader locks and the values with
+    ``n - t`` same-round acks.  Each receiver then applies it to its own
+    counters, witnesses, proper set and locks.
+    """
+
+    #: The multiplicity-broadcast tally (counter floors and accepts).
+    tally: RoundTally
+    #: ``((message, superround), witness total)`` per accepted broadcast.
+    witnesses: tuple[tuple[tuple[Hashable, int], int], ...]
+    #: Values the ``t + 1`` rule adds to the proper set, and whether the
+    #: ``2t + 1`` rule adds the whole domain.
+    proper_adds: tuple[Hashable, ...]
+    proper_domain: bool
+    #: ``(phase, value)`` lock requests from that phase's leaders.
+    leader_locks: tuple[tuple[int, Hashable], ...]
+    #: Values acked by ``n - t`` messages this round (pos-3 first
+    #: rounds only), ``repr``-ordered.
+    acked: tuple[Hashable, ...]
+
+
+#: Parsed bundles: payload object, ``(round, problem key)`` ->
+#: :func:`_parse_bundle`.
+_BUNDLES = IdentityMemo(128)
+#: Round views: inbox object, ``(round, n, t, ell, problem key)`` ->
+#: :class:`RoundView`.
+_VIEWS = IdentityMemo(32)
+
+
+def _parse_bundle(
+    payload: Hashable, round_no: int, problem: AgreementProblem
+):
+    """What one payload contributes to a round, whoever sent it.
+
+    ``None`` for a payload that is not a bundle; otherwise ``(valid,
+    proper_values, locks, acks)``: the multiplicity items'
+    :func:`~repro.broadcast.multiplicity.validate_items` answer, the
+    :func:`~repro.psync.proper.decode_proper` answer, the well-formed
+    ``(phase, value)`` lock directs (the leader check needs the sender)
+    and the value of the first ack for this round's phase when the round
+    counts acks (a message counts once however many acks it holds).
+    """
+    if not (
+        isinstance(payload, tuple)
+        and len(payload) == 4
+        and payload[0] == BUNDLE_TAG
+        and isinstance(payload[1], tuple)
+        and isinstance(payload[2], tuple)
+    ):
+        return None
+    phase, pos, first = RestrictedNumerateProcess.position(round_no)
+    counting_acks = first and pos == 3
+    domain = problem.domain
+    locks: list[tuple[int, Hashable]] = []
+    acks: tuple[Hashable, ...] = ()
+    for item in payload[2]:
+        if not (isinstance(item, tuple) and len(item) == 3):
+            continue
+        tag, value, ph = item
+        if value not in domain or not isinstance(ph, int):
+            continue
+        if tag == "lock":
+            locks.append((ph, value))
+        elif tag == "ack" and counting_acks and ph == phase and not acks:
+            acks = (value,)
+    return (
+        validate_items(payload[1], round_no),
+        decode_proper(payload[3], problem),
+        tuple(locks),
+        acks,
+    )
+
+
+def round_view(
+    inbox: Inbox, round_no: int, n: int, t: int, ell: int,
+    problem: AgreementProblem,
+) -> RoundView:
+    """The :class:`RoundView` of ``inbox`` in round ``round_no``.
+
+    A pure function of the inbox and its context, computed once per
+    inbox object: receivers the fabric hands the same inbox share it.
+    Each payload is parsed once per round (:func:`_parse_bundle`),
+    whichever inboxes hold it.
+    """
+    problem_key = shared_key(problem)
+    context = (round_no, n, t, ell, problem_key)
+    view = _VIEWS.get(inbox, context)
+    if view is MISS:
+        view = _VIEWS.put(
+            inbox, context,
+            _tally_inbox(inbox, round_no, n, t, ell, problem, problem_key),
+        )
+    return view
+
+
+def _tally_inbox(
+    inbox: Inbox, round_no: int, n: int, t: int, ell: int,
+    problem: AgreementProblem, problem_key: str,
+) -> RoundView:
+    parse_context = (round_no, problem_key)
+    inits: dict = {}
+    echoes: dict = {}
+    proper_counts: dict[Hashable, int] = {}
+    proper_total = 0
+    leader_locks: list[tuple[int, Hashable]] = []
+    ack_counts: dict[Hashable, int] = {}
+
+    for m in inbox:
+        payload = m.payload
+        bundle = _BUNDLES.get(payload, parse_context)
+        if bundle is MISS:
+            bundle = _BUNDLES.put(
+                payload, parse_context,
+                _parse_bundle(payload, round_no, problem),
+            )
+        if bundle is None:
+            continue
+        valid, proper_values, locks, acks = bundle
+        count_message(inits, echoes, m.sender_id, valid)
+        if proper_values is not None:
+            proper_total += 1
+            for v in proper_values:  # decode_proper kept domain values only
+                proper_counts[v] = proper_counts.get(v, 0) + 1
+        for ph, value in locks:
+            if m.sender_id == leader_of_phase(ph, ell):
+                leader_locks.append((ph, value))
+        # Count *messages* containing an ack (numerate).
+        for value in acks:
+            ack_counts[value] = ack_counts.get(value, 0) + 1
+
+    tally = tally_round(n, t, round_no, inits, echoes)
+    # Witness totals sum multiplicities across identifiers; a
+    # superround's Accepts arrive together (odd round), so the
+    # per-superround sum is the sum over fresh accepts by ident.
+    pending: dict[tuple[Hashable, int], dict[int, int]] = {}
+    for (h, message, r), alpha in tally.accepts:
+        per_ident = pending.setdefault((message, r), {})
+        per_ident[h] = max(per_ident.get(h, 0), alpha)
+    adds, whole_domain = message_proper_rule(proper_counts, proper_total, t)
+    quorum = n - t
+    return RoundView(
+        tally,
+        tuple(
+            (key, sum(per_ident.values()))
+            for key, per_ident in pending.items()
+        ),
+        adds,
+        whole_domain,
+        tuple(leader_locks),
+        tuple(
+            value for value in sorted(ack_counts, key=repr)
+            if ack_counts[value] >= quorum
+        ),
+    )
 
 
 def restricted_factory(

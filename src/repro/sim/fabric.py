@@ -12,7 +12,10 @@ hot path of the system.  This module owns that path, as one function,
   and every receiver without an adversary delta or a removal shares
   that one inbox; adversary deltas are merged into the sorted base
   (:meth:`Inbox.merged <repro.core.messages.Inbox.merged>`), never
-  re-sorted with it;
+  re-sorted with it, each Byzantine payload is keyed once per round,
+  and receivers with the same mask row and the same delta payload
+  objects share one merged inbox (so receive paths that memoise per
+  inbox object, :mod:`repro.core.memo`, tally it once);
 * on rounds where the timing model may remove edges
   (:meth:`~repro.sim.kernel.TimingModel.active`), the removal decision
   is a single ``(n_receivers, n_senders)`` boolean mask obtained in one
@@ -112,14 +115,26 @@ def _adversary_deltas(
     ids: Sequence[int],
     emissions: Mapping[int, Mapping[int, tuple[Hashable, ...]]],
 ) -> dict[int, list[_Keyed]]:
-    """Per-recipient adversary messages, keyed (recipient -> messages)."""
+    """Per-recipient adversary messages, keyed (recipient -> messages).
+
+    Each ``(identifier, payload object)`` is keyed and wrapped once per
+    round, however many recipients it goes to: recipients of the same
+    payloads hold the same keyed entries (the emissions keep every
+    payload alive for the round, so its ``id`` is stable).
+    """
+    made: dict[tuple[int, int], _Keyed] = {}
     additions: dict[int, list[_Keyed]] = {}
     for b, per_recipient in emissions.items():
         ident = ids[b]
         for q, batch in per_recipient.items():
-            additions.setdefault(q, []).extend(
-                ((ident, repr(p)), Message(ident, p)) for p in batch
-            )
+            extra = additions.setdefault(q, [])
+            for p in batch:
+                keyed = made.get((ident, id(p)))
+                if keyed is None:
+                    keyed = made[ident, id(p)] = (
+                        (ident, repr(p)), Message(ident, p)
+                    )
+                extra.append(keyed)
     return additions
 
 
@@ -198,7 +213,8 @@ def deliver_round(
       mask rows share one survivor inbox, built once per *distinct*
       row from each canonical message's position; adversary deltas are
       merged into the receiver's (shared) base with
-      :meth:`Inbox.merged <repro.core.messages.Inbox.merged>`.
+      :meth:`Inbox.merged <repro.core.messages.Inbox.merged>`, once
+      per distinct (row, delta) pair, and that merged inbox is shared.
 
     Args:
         kernel: The executing kernel (mutated: processes receive
@@ -294,6 +310,9 @@ def deliver_round(
     additions = _adversary_deltas(ids, emissions)
     if additions:
         ckeys = [keys[j] for j in order]
+    # (group, keyed delta entries) -> (merged inbox, delta bytes): each
+    # distinct row and delta is merged once and its inbox shared.
+    merged: dict[tuple, tuple[Inbox, int]] = {}
     byz_deliveries = 0
     byz_bytes = 0
     processes = kernel.processes
@@ -301,17 +320,24 @@ def deliver_round(
         inbox = group_inboxes[g]
         extra = additions.get(q)
         if extra is not None:
-            byz_deliveries += len(extra)
-            byz_bytes += sum(len(text) for (_, text), _ in extra)
-            merge_base = merge_bases.get(g)
-            if merge_base is None:
-                present = group_present[g]
-                merge_base = merge_bases[g] = (
-                    ckeys if present is None
-                    else list(compress(ckeys, present)),
-                    None if numerate else set(inbox.messages()),
+            signature = (g, *map(id, extra))
+            hit = merged.get(signature)
+            if hit is None:
+                merge_base = merge_bases.get(g)
+                if merge_base is None:
+                    present = group_present[g]
+                    merge_base = merge_bases[g] = (
+                        ckeys if present is None
+                        else list(compress(ckeys, present)),
+                        None if numerate else set(inbox.messages()),
+                    )
+                hit = merged[signature] = (
+                    Inbox.merged(inbox, merge_base[0], extra, merge_base[1]),
+                    sum(len(text) for (_, text), _ in extra),
                 )
-            inbox = Inbox.merged(inbox, merge_base[0], extra, merge_base[1])
+            inbox = hit[0]
+            byz_deliveries += len(extra)
+            byz_bytes += hit[1]
         processes[q].deliver(round_no, inbox)
 
     return RoundDeliveries(

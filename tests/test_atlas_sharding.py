@@ -9,10 +9,10 @@ get their own fixtures: divergent cross-shard duplicates raise
 :class:`~repro.core.errors.AtlasConflict` with both provenance rows
 attached, tampered verdicts raise
 :class:`~repro.core.errors.AtlasMergeError`, and incomplete shard sets
-surface as gaps instead of a silently partial atlas.  Shards stripe
-whole scope groups, so no explorer search is split across shards, and
-the shard selector parser (shared with the campaign CLI) is pinned
-here too.
+surface as gaps instead of a silently partial atlas.  Shards take
+whole scope groups, dealt by estimated cost, so no explorer search is
+split across shards, and the shard selector parser (shared with the
+campaign CLI) is pinned here too.
 """
 
 import dataclasses
@@ -23,8 +23,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.atlas import AtlasLog, LatticeSpec, merge_shards, run_atlas
-from repro.atlas.driver import shard_positions
-from repro.atlas.lattice import scope_group
+from repro.atlas.driver import scope_group_costs, shard_positions
+from repro.atlas.lattice import quick_lattice, scope_group
 from repro.cli import main
 from repro.core.canonical import canonical_json
 from repro.core.errors import (
@@ -186,8 +186,8 @@ class TestDifferentialGrid:
         path = case / "atlas-1-of-3.jsonl"
         _sweep(TINY, path, cache, shard=(1, 3))
         indices = [row["index"] for row in AtlasLog(path).rows()]
-        # Scope groups 1 and 4 of 6 (four cells each).
-        assert indices == [4, 5, 6, 7, 16, 17, 18, 19]
+        # Scope groups 2 and 3 of 6 (ell=2, four cells each).
+        assert indices == [8, 9, 10, 11, 12, 13, 14, 15]
         assert indices == shard_positions(TINY.cells(), 1, 3)
 
     def test_single_shard_covers_the_whole_lattice(self, scratch, cache):
@@ -242,6 +242,25 @@ class TestScopeStripes:
             for pos in stripe:
                 group = scope_group(cells[pos].params)
                 assert shard_of.setdefault(group, index) == index
+
+
+    @pytest.mark.parametrize("shard_count", [2, 3, 4, 5])
+    def test_cost_dealing_is_no_worse_than_striping(self, shard_count):
+        # The heaviest shard's estimated cost under cost dealing, against
+        # striping the groups by order of appearance.
+        cells = quick_lattice().cells()
+        costs = scope_group_costs(cells)
+        dealt = [
+            {scope_group(cells[pos].params)
+             for pos in shard_positions(cells, index, shard_count)}
+            for index in range(shard_count)
+        ]
+        striped = [
+            list(costs)[index::shard_count] for index in range(shard_count)
+        ]
+        assert max(sum(costs[g] for g in share) for share in dealt) <= max(
+            sum(costs[g] for g in share) for share in striped
+        )
 
 
 def _rewrite_row(path, index, mutate) -> dict:

@@ -14,8 +14,9 @@ against code outside the fabric:
 * composed timing against a per-link reconstruction from ``delivers``,
   ``drops`` and ``delay >= delta``;
 * fixed systems against the basic-model oracle: per-payload byte
-  sizes, homonym copies merged into survivor inboxes, and one ``repr``
-  per payload and round;
+  sizes, homonym copies merged into survivor inboxes, one ``repr``
+  per payload and round, and one merged inbox shared by the receivers
+  of one mask row and one delta;
 
 plus the unit seams: the vectorized ``blocked_mask`` / ``dropped_mask``
 / ``delay_matrix`` builders vs their per-link primitives, the
@@ -776,6 +777,28 @@ def test_merge_delta_duplicating_a_surviving_message(numerate):
         inbox = kernel.processes[q].received[0].messages()
         assert inbox.count(Message(1, ("v", 0))) == copies
     assert Message(2, ("v", 1)) not in kernel.processes[2].received[0]
+
+
+@pytest.mark.parametrize("numerate", [False, True])
+def test_receivers_with_equal_deltas_share_one_merged_inbox(numerate):
+    """Receivers 0 and 1 (one mask row) get the same Byzantine payload
+    object and share one merged inbox; receiver 2 gets the same delta
+    but loses slot 0 (another row), receiver 3 the same row but another
+    payload: each gets its own.  Deliveries, bytes, traces and inboxes
+    still equal the oracle's (``_fixed_pair``)."""
+    same, other = ("byz", "same"), ("byz", "other")
+    payloads = {0: ("v", 0), 1: ("v", 1), 2: ("v", 2), 3: ("v", 3)}
+    kernel = _fixed_pair(
+        (1, 2, 3, 4, 1), payloads,
+        {4: {0: (same,), 1: (same,), 2: (same,), 3: (other,)}}, numerate,
+        drops=ExplicitDrops({(r, 0, 2) for r in range(2)}),
+    )
+    for r in range(2):
+        got = [kernel.processes[q].received[r] for q in range(4)]
+        assert got[0] is got[1]
+        assert Message(1, same) in got[0]
+        assert len({id(inbox) for inbox in got}) == 3
+        assert Message(1, same) in got[2] and Message(1, other) in got[3]
 
 
 # ----------------------------------------------------------------------

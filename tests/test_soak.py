@@ -300,6 +300,25 @@ class TestDriver:
                      log_path=str(tmp_path / "soak.jsonl"))
 
 
+class TestGoldenLog:
+    """The farm's output pinned byte for byte: the sha256 of a small
+    seed-0 quick log.  A change meant to keep behaviour (a faster
+    receive path, a new memo) must leave it alone; a change meant to
+    alter behaviour re-pins it and says why.  ``make soak-smoke`` checks
+    the 2000-instance log the same way
+    (``tests/data/soak-quick-2000.sha256``)."""
+
+    DIGEST = (
+        "cf5fac535cde00661b591c2947ccf0dd74f7742311c111454f5ccd34636cafd6"
+    )
+
+    def test_quick_log_matches_its_pinned_digest(self, tmp_path):
+        path = tmp_path / "soak.jsonl"
+        run_soak("quick", seed=0, instances=200, window=100, workers=1,
+                 log_path=str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.DIGEST
+
+
 class TestDurationBudget:
     def test_pooled_farm_stops_at_the_first_window_past_the_budget(
         self, tmp_path
