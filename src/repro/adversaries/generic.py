@@ -8,9 +8,9 @@ Most interesting strategies run *correct algorithm instances* inside the
 adversary -- a Byzantine process pretending to be a correct process with
 a different input, crashing mid-run, or showing different faces to
 different recipients.  :class:`SimulatedCorrectAdversary` provides the
-shared machinery: it replays the engine's delivery rules to feed the
-internal instances (a Byzantine process is full-information, so it sees
-every message regardless of topology or drop schedules).
+shared machinery: it feeds the internal instances the fabric's inbox
+for their slot (a Byzantine process is full-information, so it hears
+every correct broadcast regardless of topology or drop schedules).
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ import random
 from typing import Callable, Hashable, Mapping, Sequence
 
 from repro.core.identity import IdentityAssignment
-from repro.core.messages import Inbox, Message
+from repro.core.messages import Inbox
 from repro.core.params import SystemParams
-from repro.sim.adversary import Adversary, AdversaryView, Emission
+from repro.sim.adversary import Adversary, AdversaryView, Emission, NullAdversary
 from repro.sim.process import Process
 
 #: Factory building the correct-process object an adversary imitates:
@@ -38,7 +38,7 @@ class SimulatedCorrectAdversary(Adversary):
 
     The internal instances are driven exactly like engine processes:
     ``compose(r)`` happens while the adversary answers round ``r``, and
-    the round-``r`` inbox (reconstructed from the trace, ignoring drops
+    the round-``r`` inbox (:meth:`heard`: the fabric's, ignoring drops
     and topology -- the adversary hears everything) is delivered when
     round ``r + 1`` is being answered.
     """
@@ -46,9 +46,6 @@ class SimulatedCorrectAdversary(Adversary):
     def __init__(self, factory: ImitationFactory) -> None:
         self._factory = factory
         self._instances: dict[int, list[Process]] = {}
-        self._params: SystemParams | None = None
-        self._assignment: IdentityAssignment | None = None
-        self._proposals: Mapping[int, Hashable] = {}
 
     # ------------------------------------------------------------------
     # Subclass hooks
@@ -70,6 +67,10 @@ class SimulatedCorrectAdversary(Adversary):
             return {}
         return {q: (payloads[0],) for q in range(view.params.n)}
 
+    def heard(self, view: AdversaryView, slot: int) -> Inbox:
+        """Last round's inbox for ``slot`` (default: ``view.heard``)."""
+        return view.heard[slot]
+
     # ------------------------------------------------------------------
     # Adversary interface
     # ------------------------------------------------------------------
@@ -80,9 +81,6 @@ class SimulatedCorrectAdversary(Adversary):
         byzantine: tuple[int, ...],
         proposals: Mapping[int, Hashable],
     ) -> None:
-        self._params = params
-        self._assignment = assignment
-        self._proposals = dict(proposals)
         self._instances = {}
         for slot in byzantine:
             ident = assignment.identifier_of(slot)
@@ -93,7 +91,10 @@ class SimulatedCorrectAdversary(Adversary):
 
     def emissions(self, view: AdversaryView) -> Mapping[int, Emission]:
         if view.round_no > 0:
-            self._deliver_previous_round(view)
+            for slot, instances in self._instances.items():
+                inbox = self.heard(view, slot)
+                for inst in instances:
+                    inst.deliver(view.round_no - 1, inbox)
         result: dict[int, Emission] = {}
         for slot in view.byzantine:
             payloads = [
@@ -103,28 +104,6 @@ class SimulatedCorrectAdversary(Adversary):
             if emission:
                 result[slot] = emission
         return result
-
-    # ------------------------------------------------------------------
-    # Internal delivery replay
-    # ------------------------------------------------------------------
-    def _deliver_previous_round(self, view: AdversaryView) -> None:
-        prev = view.round_no - 1
-        record = view.trace.record(prev)
-        for slot, instances in self._instances.items():
-            inbox = self._rebuild_inbox(view, record, slot)
-            for inst in instances:
-                inst.deliver(prev, inbox)
-
-    def _rebuild_inbox(self, view: AdversaryView, record, slot: int) -> Inbox:
-        assignment = view.assignment
-        messages = [
-            Message(assignment.identifier_of(k), payload)
-            for k, payload in record.payloads.items()
-        ]
-        for b, per_recipient in record.emissions.items():
-            for payload in per_recipient.get(slot, ()):
-                messages.append(Message(assignment.identifier_of(b), payload))
-        return Inbox(messages, numerate=view.params.numerate)
 
 
 class CrashAdversary(SimulatedCorrectAdversary):
@@ -304,7 +283,7 @@ def standard_attack_suite(
 ) -> list[tuple[str, Adversary]]:
     """The named attacks every "solvable" configuration must survive."""
     attacks: list[tuple[str, Adversary]] = [
-        ("silent", _silent()),
+        ("silent", NullAdversary()),
         ("crash@3", CrashAdversary(factory, crash_round=3, proposal=1)),
         ("flip0", InputFlipAdversary(factory, proposal=0)),
         ("flip1", InputFlipAdversary(factory, proposal=1)),
@@ -316,9 +295,3 @@ def standard_attack_suite(
         (f"random-{seed}", RandomByzantineAdversary(seed=seed)) for seed in seeds
     )
     return attacks
-
-
-def _silent() -> Adversary:
-    from repro.sim.adversary import NullAdversary
-
-    return NullAdversary()

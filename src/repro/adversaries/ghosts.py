@@ -14,14 +14,14 @@ faces as ordinary :class:`~repro.sim.adversary.Adversary` objects it
 can mix into sustained traffic, so this module packages one
 :class:`~repro.explore.alphabet.GhostPlan` as a
 :class:`GhostFaceAdversary` -- the generic simulated-correct machinery
-with the delivery replay narrowed to the plan's visibility.
+hearing through the plan's rule instead of the fabric's inbox.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Hashable, Sequence
 
-from repro.core.messages import Inbox, Message
+from repro.core.messages import Inbox
 from repro.adversaries.generic import ImitationFactory, SimulatedCorrectAdversary
 
 if TYPE_CHECKING:  # avoid adversaries <- explore <- harness import cycle
@@ -32,10 +32,9 @@ class GhostFaceAdversary(SimulatedCorrectAdversary):
     """One ghost plan per Byzantine slot, played as a full adversary.
 
     Every Byzantine slot runs a private correct instance proposing
-    ``plan.proposal``; its inbox replay is restricted to the correct
-    slots ``plan.sees`` (plus its own previous broadcast -- the model's
-    unconditional self-delivery), exactly the view a
-    :class:`~repro.explore.alphabet.GhostBank` ghost gets.  The
+    ``plan.proposal`` and hears what
+    :meth:`~repro.explore.alphabet.GhostPlan.heard` gives it -- the rule
+    a :class:`~repro.explore.alphabet.GhostBank` ghost is fed by.  The
     instance's current payload is broadcast to everybody, so emissions
     are restricted-model legal by construction.
 
@@ -54,21 +53,12 @@ class GhostFaceAdversary(SimulatedCorrectAdversary):
     def instance_plan(self, slot: int, ident: int) -> Sequence[Hashable]:
         return (self.plan.proposal,)
 
-    def _rebuild_inbox(self, view, record, slot: int) -> Inbox:
-        assignment = view.assignment
-        messages = [
-            Message(assignment.identifier_of(k), payload)
-            for k, payload in record.payloads.items()
-            if self.plan.sees(k)
-        ]
-        # Unconditional self-delivery: the ghost hears what it itself
-        # broadcast last round (its emission routed to its own slot),
-        # regardless of the plan's visibility -- mirroring GhostBank's
-        # ``_last`` replay.  Other Byzantine slots stay invisible, as
-        # they are to a bank ghost.
-        for payload in record.emissions.get(slot, {}).get(slot, ()):
-            messages.append(Message(assignment.identifier_of(slot), payload))
-        return Inbox(messages, numerate=view.params.numerate)
+    def heard(self, view, slot: int) -> Inbox:
+        record = view.trace.record(view.round_no - 1)
+        # Its own broadcast last round is its emission to its own slot.
+        own = record.emissions.get(slot, {}).get(slot, (None,))[0]
+        return self.plan.heard(record.payloads, view.assignment.identifier_of,
+                               slot, own, view.params.numerate)
 
     def describe(self) -> str:
         return self.plan.describe()

@@ -80,15 +80,6 @@ CLOSED_FORM = "closed-form"
 CAMPAIGN = "campaign"
 EXPLORER = "explorer"
 
-#: Evidence grades, strongest first.  ``theorem`` is the symbolic
-#: claim; ``witness`` and ``verdict`` are decisive (they can prove and
-#: they can conflict); ``certificate`` and ``derived`` support without
-#: proving (a bounded sweep, or a sound reduction to another cell's
-#: result that was not machine-checked *here*); ``unconfirmed`` and
-#: ``inconclusive`` merely attest that the machinery ran.
-GRADES = ("theorem", "witness", "verdict", "certificate", "derived",
-          "unconfirmed", "inconclusive")
-
 #: Grades that may establish -- or contradict -- a solvability claim.
 DECISIVE_GRADES = ("witness", "verdict")
 

@@ -33,7 +33,7 @@ transposition table treat "same process states + same ghost states" as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable, Mapping
+from typing import TYPE_CHECKING, Callable, Hashable, Mapping
 
 from repro.core.canonical import canonical_state_key
 from repro.core.messages import Inbox, Message
@@ -74,6 +74,20 @@ class GhostPlan:
 
     def sees(self, slot: int) -> bool:
         return self.visible is None or slot in self.visible
+
+    def heard(self, payloads: Mapping[int, Hashable],
+              ident_of: Callable[[int], int], slot: int, own: Hashable,
+              numerate: bool) -> Inbox:
+        """What the ghost at Byzantine ``slot`` hears of one round: the
+        correct ``payloads`` it sees plus ``own``, its own broadcast
+        (self-delivery is unconditional; ``None``: silent), and no other
+        Byzantine slot.  The one ghost rule, shared by :class:`GhostBank`
+        and :class:`~repro.adversaries.ghosts.GhostFaceAdversary`."""
+        messages = [Message(ident_of(k), payload)
+                    for k, payload in payloads.items() if self.sees(k)]
+        if own is not None:
+            messages.append(Message(ident_of(slot), own))
+        return Inbox(messages, numerate=numerate)
 
     def describe(self) -> str:
         view = "all" if self.visible is None else str(list(self.visible))
@@ -124,9 +138,9 @@ class GhostBank:
         """Advance every ghost into ``round_no`` and return its faces.
 
         For ``round_no > 0`` each ghost is first delivered the previous
-        round's inbox as its restricted view saw it: the payloads of the
-        visible correct slots plus its own previous broadcast.  Then
-        every ghost composes its ``round_no`` payload.
+        round's inbox as its restricted view saw it
+        (:meth:`GhostPlan.heard`).  Then every ghost composes its
+        ``round_no`` payload.
 
         Args:
             round_no: The engine round about to be answered.
@@ -142,16 +156,10 @@ class GhostBank:
         ident_of = scenario.assignment.identifier_of
         if round_no > 0 and prev_payloads is not None:
             for (slot, i), ghost in self._ghosts.items():
-                plan = scenario.ghost_plans[i]
-                messages = [
-                    Message(ident_of(k), payload)
-                    for k, payload in prev_payloads.items()
-                    if plan.sees(k)
-                ]
-                own = self._last.get((slot, i))
-                if own is not None:
-                    messages.append(Message(ident_of(slot), own))
-                ghost.deliver(round_no - 1, Inbox(messages, numerate=numerate))
+                ghost.deliver(round_no - 1, scenario.ghost_plans[i].heard(
+                    prev_payloads, ident_of, slot, self._last.get((slot, i)),
+                    numerate,
+                ))
         faces: dict[tuple[int, int], Hashable] = {}
         for key, ghost in self._ghosts.items():
             payload = ghost.compose(round_no)

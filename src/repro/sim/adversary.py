@@ -20,7 +20,7 @@ implementations:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Hashable, Mapping, Sequence
 
 from repro.core.errors import AdversaryViolation
@@ -29,6 +29,7 @@ from repro.core.messages import ensure_hashable
 from repro.core.params import SystemParams
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
+    from repro.core.messages import Inbox
     from repro.sim.process import Process
     from repro.sim.trace import Trace
 
@@ -63,6 +64,10 @@ class AdversaryView:
         adversary is computationally unbounded and full-information.
     trace:
         The execution trace so far (previous rounds).
+    heard:
+        ``Byzantine slot -> Inbox`` the message fabric built for the
+        previous round: every correct broadcast plus the Byzantine
+        messages addressed to that slot (empty at round 0).
     """
 
     round_no: int
@@ -72,12 +77,7 @@ class AdversaryView:
     correct_payloads: Mapping[int, Hashable]
     processes: Sequence["Process | None"]
     trace: "Trace"
-
-    @property
-    def correct(self) -> tuple[int, ...]:
-        """Indices of correct processes."""
-        byz = set(self.byzantine)
-        return tuple(k for k in range(self.assignment.n) if k not in byz)
+    heard: Mapping[int, "Inbox"] = field(default_factory=dict)
 
     def identifier_of(self, index: int) -> int:
         return self.assignment.identifier_of(index)

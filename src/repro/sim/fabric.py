@@ -16,6 +16,10 @@ hot path of the system.  This module owns that path, as one function,
   and receivers with the same mask row and the same delta payload
   objects share one merged inbox (so receive paths that memoise per
   inbox object, :mod:`repro.core.memo`, tally it once);
+* each Byzantine slot's *heard* inbox (every correct broadcast, plus
+  the messages addressed to it) is merged through the same table, so
+  an impostor shares a correct receiver's inbox object when their
+  deliveries coincide (:attr:`~repro.sim.adversary.AdversaryView.heard`);
 * on rounds where the timing model may remove edges
   (:meth:`~repro.sim.kernel.TimingModel.active`), the removal decision
   is a single ``(n_receivers, n_senders)`` boolean mask obtained in one
@@ -219,7 +223,7 @@ def deliver_round(
     Args:
         kernel: The executing kernel (mutated: processes receive
             inboxes, losses are appended when the timing model logs
-            them).
+            them, ``kernel._heard`` is replaced).
         round_no: The current round.
         payloads: This round's correct payloads (ascending index).
         emissions: Normalized Byzantine emissions.
@@ -259,6 +263,7 @@ def deliver_round(
     # for survivor rows, which canonical positions survive; the keys
     # and members merges need are filled in per group on first use.
     group_of = repeat(0)
+    lost: list = [()]
     group_inboxes: list[Inbox] = [zero_inbox]
     group_present: list[list[bool] | None] = [None]
     merge_bases: dict[int, tuple] = {}
@@ -313,32 +318,53 @@ def deliver_round(
     # (group, keyed delta entries) -> (merged inbox, delta bytes): each
     # distinct row and delta is merged once and its inbox shared.
     merged: dict[tuple, tuple[Inbox, int]] = {}
+
+    def merge(g: int, extra: list[_Keyed]) -> tuple[Inbox, int]:
+        signature = (g, *map(id, extra))
+        hit = merged.get(signature)
+        if hit is None:
+            inbox = group_inboxes[g]
+            base = merge_bases.get(g)
+            if base is None:
+                present = group_present[g]
+                base = merge_bases[g] = (
+                    ckeys if present is None
+                    else list(compress(ckeys, present)),
+                    None if numerate else set(inbox.messages()),
+                )
+            hit = merged[signature] = (
+                Inbox.merged(inbox, base[0], extra, base[1]),
+                sum(len(text) for (_, text), _ in extra),
+            )
+        return hit
+
     byz_deliveries = 0
     byz_bytes = 0
     processes = kernel.processes
     for q, g in zip(receivers, group_of):
-        inbox = group_inboxes[g]
         extra = additions.get(q)
-        if extra is not None:
-            signature = (g, *map(id, extra))
-            hit = merged.get(signature)
-            if hit is None:
-                merge_base = merge_bases.get(g)
-                if merge_base is None:
-                    present = group_present[g]
-                    merge_base = merge_bases[g] = (
-                        ckeys if present is None
-                        else list(compress(ckeys, present)),
-                        None if numerate else set(inbox.messages()),
-                    )
-                hit = merged[signature] = (
-                    Inbox.merged(inbox, merge_base[0], extra, merge_base[1]),
-                    sum(len(text) for (_, text), _ in extra),
-                )
-            inbox = hit[0]
+        if extra is None:
+            inbox = group_inboxes[g]
+        else:
+            inbox, delta_bytes = merge(g, extra)
             byz_deliveries += len(extra)
-            byz_bytes += hit[1]
+            byz_bytes += delta_bytes
         processes[q].deliver(round_no, inbox)
+
+    # A Byzantine slot hears every correct broadcast (the adversary is
+    # full-information) plus its delta: the no-removal group's inbox,
+    # or a group of its own that no receiver maps to.
+    heard: dict[int, Inbox] = {}
+    if kernel.byzantine:
+        full = next((g for g, cols in enumerate(lost) if not len(cols)), None)
+        if full is None:
+            full = len(group_inboxes)
+            group_inboxes.append(zero_inbox)
+            group_present.append(None)
+        for b in kernel.byzantine:
+            extra = additions.get(b)
+            heard[b] = merge(full, extra)[0] if extra else group_inboxes[full]
+    kernel._heard = heard
 
     return RoundDeliveries(
         round_no=round_no,

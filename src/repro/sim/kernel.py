@@ -55,14 +55,14 @@ sorted indices and inboxes are canonically ordered.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Hashable, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.errors import ConfigurationError, SimulationError
 from repro.core.identity import IdentityAssignment
-from repro.core.messages import ensure_hashable
+from repro.core.messages import Inbox, ensure_hashable
 from repro.core.params import SystemParams
 from repro.sim import fabric
 from repro.sim.adversary import (
@@ -335,12 +335,13 @@ class EngineCheckpoint:
     """A restorable snapshot of an :class:`ExecutionKernel` mid-execution.
 
     Captures everything the kernel mutates round over round: the process
-    objects, the trace records, the delivery log, the loss log and the
-    round counter.  Static configuration (params, assignment, timing
-    model) is shared with the live kernel, and **adversary state is
-    deliberately not captured**: stateful adversaries are owned by the
-    caller (the strategy explorer scripts its adversary externally and
-    checkpoints its own ghost instances).
+    objects, the trace records, the delivery and loss logs, the round
+    counter and the last :attr:`~repro.sim.adversary.AdversaryView.heard`.
+    Static configuration (params, assignment, timing model) is shared
+    with the live kernel, and **adversary state is deliberately not
+    captured**: stateful adversaries are owned by the caller (the
+    strategy explorer scripts its adversary externally and checkpoints
+    its own ghost instances).
 
     Process snapshots are copy-on-write: :meth:`ExecutionKernel.checkpoint`
     freezes the kernel's process list by *reference* and the kernel
@@ -356,6 +357,7 @@ class EngineCheckpoint:
     trace_records: tuple
     deliveries: tuple[RoundDeliveries, ...]
     losses: tuple[tuple[int, int, int], ...] = ()
+    heard: Mapping[int, Inbox] = field(default_factory=dict)
 
 
 # ----------------------------------------------------------------------
@@ -428,6 +430,8 @@ class ExecutionKernel:
         #: loss set, in (round, recipient, sender-order) order.
         self.losses: list[tuple[int, int, int]] = []
         self.round_no = 0
+        #: Last round's ``Byzantine slot -> Inbox`` (set by the fabric).
+        self._heard: Mapping[int, Inbox] = {}
         #: True while ``self.processes`` is aliased by a live
         #: :class:`EngineCheckpoint`; the next mutation clones
         #: first (copy-on-write; see :meth:`checkpoint`).
@@ -613,6 +617,7 @@ class ExecutionKernel:
             trace_records=self.trace.snapshot(),
             deliveries=tuple(self.deliveries),
             losses=tuple(self.losses),
+            heard=self._heard,
         )
 
     def restore(self, checkpoint: EngineCheckpoint) -> None:
@@ -636,6 +641,7 @@ class ExecutionKernel:
         self.trace.restore(checkpoint.trace_records)
         self.deliveries = list(checkpoint.deliveries)
         self.losses = list(checkpoint.losses)
+        self._heard = checkpoint.heard
 
     def _own_processes(self) -> None:
         """Clone the process list if a checkpoint still aliases it.
@@ -667,6 +673,7 @@ class ExecutionKernel:
             correct_payloads=dict(payloads),
             processes=self.processes,
             trace=self.trace,
+            heard=self._heard,
         )
         raw = self.adversary.emissions(view)
         return normalize_emissions(self.params, self.byzantine, raw, self.round_no)

@@ -8,12 +8,14 @@ serves three consumers:
 * the **replay adversaries** that realise the paper's lower-bound
   constructions (Figures 1 and 4 re-send messages recorded in
   reference executions);
-* the metrics layer, which derives message counts from it.
+* live adversaries reading history: the random adversary's stale
+  replays and a ghost face's view of last round (impostors that hear
+  everything read the fabric's ``AdversaryView.heard`` instead).
 
 Traces record *payloads*, not delivered inboxes: because correct
 processes broadcast, per-recipient inboxes are reconstructible from the
-payloads plus the topology and drop schedule, and not storing them
-keeps long executions small.
+payloads plus the timing model, and not storing them keeps long
+executions small.
 """
 
 from __future__ import annotations

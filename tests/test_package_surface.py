@@ -116,6 +116,60 @@ def test_one_reader_for_the_result_logs():
     assert found == []
 
 
+def _inbox_builds(tree):
+    """``(enclosing qualname, line)`` of every ``Inbox(...)``,
+    ``Inbox.from_canonical(...)`` and ``Inbox.merged(...)`` call."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (
+                    isinstance(func, ast.Name) and func.id == "Inbox"
+                ) or (
+                    isinstance(func, ast.Attribute)
+                    and func.attr in ("from_canonical", "merged")
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id == "Inbox"
+                ):
+                    found.append((scope, child.lineno))
+            visit(child, inner)
+
+    visit(tree, "")
+    return found
+
+
+def test_delivered_inboxes_are_built_in_three_places():
+    """A delivered inbox is built by the message fabric, by the
+    explorer's ``_post_states`` (its scratch deliveries) or by the one
+    ghost rule ``GhostPlan.heard`` -- nowhere else.  ``core/messages.py``
+    defines the constructors (and ``merge_inboxes``, a union of inboxes
+    already delivered)."""
+    anywhere = {"sim/fabric.py", "core/messages.py"}
+    allowed = {
+        ("explore/search.py", "_post_states"),
+        ("explore/alphabet.py", "GhostPlan.heard"),
+    }
+    package = REPO_ROOT / "src" / "repro"
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        rel = path.relative_to(package).as_posix()
+        if rel in anywhere:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        offenders += [
+            f"{rel}:{line} ({scope or 'module'})"
+            for scope, line in _inbox_builds(tree)
+            if (rel, scope) not in allowed
+        ]
+    assert offenders == []
+
+
 def test_setup_version_matches_package_version():
     """``repro.__version__`` feeds every campaign unit id; the
     distribution metadata must carry the same version."""

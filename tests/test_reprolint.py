@@ -196,12 +196,13 @@ ORACLE_FILES = [
     "tests/oracles/scenario.py",
     "tests/oracles/broadcast.py",
     "tests/oracles/naive_explore.py",
+    "tests/oracles/heard.py",
 ]
 
 
 @pytest.fixture
 def oracle_copy(tmp_path):
-    """A throwaway tree holding copies of the five pinned oracle files."""
+    """A throwaway tree holding copies of the six pinned oracle files."""
     for rel in ORACLE_FILES:
         target = tmp_path / rel
         target.parent.mkdir(parents=True, exist_ok=True)
@@ -246,6 +247,16 @@ class TestRL004:
         findings = rules_repo.check_oracles(oracle_copy)
         assert codes(findings) == ["RL004"]
         assert "naive-explore-module" in findings[0].message
+
+    def test_editing_the_heard_rebuild_fails_lint(self, oracle_copy):
+        path = oracle_copy / "tests/oracles/heard.py"
+        source = path.read_text()
+        marker = "per_recipient.get(slot, ())"
+        assert marker in source
+        path.write_text(source.replace(marker, "per_recipient.get(b, ())", 1))
+        findings = rules_repo.check_oracles(oracle_copy)
+        assert codes(findings) == ["RL004"]
+        assert "heard-rebuild" in findings[0].message
 
     def test_update_oracles_re_pins_deliberately(self, oracle_copy, tmp_path):
         path = oracle_copy / "tests/oracles/broadcast.py"
