@@ -93,10 +93,16 @@ campaign:
 explore-frontier:
 	$(PYTHON) -m repro campaign --explore --workers 4 --resume
 
-## the small-lattice atlas sweep (what CI smokes and uploads)
+## the small-lattice atlas sweep (what CI smokes and uploads); the
+## rendered atlas.md and atlas.json must match their committed sha256
+## (tests/data/atlas-quick.sha256), so no cell's verdict or evidence
+## moves unnoticed.  A change meant to alter a verdict re-pins the file
+## and says why in CHANGES.md.  atlas.jsonl stays unpinned: its rows
+## carry the unit ids, which change with the cache key.
 atlas-quick:
 	$(PYTHON) -m repro atlas --quick --workers 4 \
 	    --markdown atlas.md --json atlas.json
+	sha256sum -c tests/data/atlas-quick.sha256
 
 ## the sharded atlas pipeline end to end: 3 shard sweeps over a shared
 ## unit cache (shard 1 on a 2-worker pool, so the byte-compare covers

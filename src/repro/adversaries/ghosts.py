@@ -14,7 +14,7 @@ faces as ordinary :class:`~repro.sim.adversary.Adversary` objects it
 can mix into sustained traffic, so this module packages one
 :class:`~repro.explore.alphabet.GhostPlan` as a
 :class:`GhostFaceAdversary` -- the generic simulated-correct machinery
-hearing through the plan's rule instead of the fabric's inbox.
+hearing through the plan's rule on a fabric round table.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Hashable, Sequence
 
 from repro.core.messages import Inbox
 from repro.adversaries.generic import ImitationFactory, SimulatedCorrectAdversary
+from repro.sim.fabric import RoundTable
 
 if TYPE_CHECKING:  # avoid adversaries <- explore <- harness import cycle
     from repro.explore.alphabet import GhostPlan
@@ -57,8 +58,9 @@ class GhostFaceAdversary(SimulatedCorrectAdversary):
         record = view.trace.record(view.round_no - 1)
         # Its own broadcast last round is its emission to its own slot.
         own = record.emissions.get(slot, {}).get(slot, (None,))[0]
-        return self.plan.heard(record.payloads, view.assignment.identifier_of,
-                               slot, own, view.params.numerate)
+        ids = view.assignment.ids
+        table = RoundTable(record.payloads, ids, view.params.numerate)
+        return self.plan.heard(table, ids[slot], own)
 
     def describe(self) -> str:
         return self.plan.describe()

@@ -453,6 +453,20 @@ def cmd_explore(args) -> int:
     return 0 if consistent else 1
 
 
+def _shard_and_cache(args, default_cache: str):
+    """``(shard, cache)`` from the pipeline flags: the ``--shard``
+    stripe (``soak`` has none) and the unit cache in ``--cache-dir``,
+    or in ``default_cache`` under ``--resume`` (``None``: neither)."""
+    shard = getattr(args, "shard", None)
+    cache_dir = args.cache_dir
+    if args.resume and cache_dir is None:
+        cache_dir = default_cache
+    return (
+        parse_shard(shard) if shard is not None else None,
+        CampaignCache(cache_dir) if cache_dir else None,
+    )
+
+
 def cmd_campaign(args) -> int:
     """``campaign``: validate the Table 1 battery via the campaign engine.
 
@@ -471,11 +485,7 @@ def cmd_campaign(args) -> int:
         0 when every evaluated cell is consistent with the paper,
         1 otherwise.
     """
-    shard = parse_shard(args.shard) if args.shard is not None else None
-    cache_dir = args.cache_dir
-    if args.resume and cache_dir is None:
-        cache_dir = ".campaign-cache"
-    cache = CampaignCache(cache_dir) if cache_dir else None
+    shard, cache = _shard_and_cache(args, ".campaign-cache")
     progress = print if args.verbose else None
 
     if args.explore:
@@ -551,16 +561,12 @@ def _atlas_sweep(args) -> int:
     from repro.core.errors import AtlasConflict
 
     lattice = _atlas_lattice(args)
-    shard = parse_shard(args.shard) if args.shard is not None else None
+    shard, cache = _shard_and_cache(args, ".atlas-cache")
     log_path = args.log
     if shard is not None and log_path == "atlas.jsonl":
         # The canonical per-shard log name; merge fuses them back into
         # the unsharded atlas.jsonl.
         log_path = f"atlas-{shard[0]}-of-{shard[1]}.jsonl"
-    cache_dir = args.cache_dir
-    if args.resume and cache_dir is None:
-        cache_dir = ".atlas-cache"
-    cache = CampaignCache(cache_dir) if cache_dir else None
 
     inject = {}
     if args.inject_conflict:
@@ -775,10 +781,7 @@ def cmd_soak(args) -> int:
             f"unknown soak profile {profile!r} (profiles: {known})"
         )
 
-    cache_dir = args.cache_dir
-    if args.resume and cache_dir is None:
-        cache_dir = ".soak-cache"
-    cache = CampaignCache(cache_dir) if cache_dir else None
+    _, cache = _shard_and_cache(args, ".soak-cache")
 
     budget = (
         f"{instances} instances" if instances is not None

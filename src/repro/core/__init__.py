@@ -17,7 +17,7 @@ from repro.core.identity import (
     random_assignment,
     stacked_assignment,
 )
-from repro.core.messages import Inbox, Message, merge_inboxes
+from repro.core.messages import Inbox, Message
 from repro.core.params import Synchrony, SystemParams, model_space
 from repro.core.problem import (
     BINARY,
@@ -48,7 +48,6 @@ __all__ = [
     "assignment_from_sizes",
     "balanced_assignment",
     "check_agreement_properties",
-    "merge_inboxes",
     "model_space",
     "random_assignment",
     "stacked_assignment",

@@ -283,11 +283,3 @@ class Inbox:
                 continue
             support.setdefault(value, set()).add(m.sender_id)
         return {value: frozenset(ids) for value, ids in support.items()}
-
-
-def merge_inboxes(inboxes: Iterable[Inbox], numerate: bool) -> Inbox:
-    """Union several inboxes into one (used by multi-round collectors)."""
-    merged: list[Message] = []
-    for inbox in inboxes:
-        merged.extend(inbox.messages())
-    return Inbox(merged, numerate)

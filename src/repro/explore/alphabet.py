@@ -33,10 +33,11 @@ transposition table treat "same process states + same ghost states" as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Hashable, Mapping
+from typing import TYPE_CHECKING, Hashable, Mapping
 
 from repro.core.canonical import canonical_state_key
-from repro.core.messages import Inbox, Message
+from repro.core.messages import Inbox
+from repro.sim.fabric import RoundTable, keyed
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.explore.search import ExploreScenario
@@ -72,22 +73,18 @@ class GhostPlan:
     proposal: Hashable
     visible: tuple[int, ...] | None = None
 
-    def sees(self, slot: int) -> bool:
-        return self.visible is None or slot in self.visible
-
-    def heard(self, payloads: Mapping[int, Hashable],
-              ident_of: Callable[[int], int], slot: int, own: Hashable,
-              numerate: bool) -> Inbox:
-        """What the ghost at Byzantine ``slot`` hears of one round: the
-        correct ``payloads`` it sees plus ``own``, its own broadcast
-        (self-delivery is unconditional; ``None``: silent), and no other
-        Byzantine slot.  The one ghost rule, shared by :class:`GhostBank`
+    def heard(self, table: RoundTable, ident: int, own: Hashable) -> Inbox:
+        """What this ghost, authenticated as ``ident``, hears of
+        ``table``'s round: the base minus the correct senders it cannot
+        see, plus ``own``, its own broadcast (``None``: silent), and no
+        other Byzantine slot.  The one ghost rule, for :class:`GhostBank`
         and :class:`~repro.adversaries.ghosts.GhostFaceAdversary`."""
-        messages = [Message(ident_of(k), payload)
-                    for k, payload in payloads.items() if self.sees(k)]
-        if own is not None:
-            messages.append(Message(ident_of(slot), own))
-        return Inbox(messages, numerate=numerate)
+        hidden = () if self.visible is None else [
+            j for j, k in enumerate(table.senders) if k not in self.visible
+        ]
+        return table.inbox(
+            table.group(hidden), None if own is None else [keyed(ident, own)]
+        )
 
     def describe(self) -> str:
         view = "all" if self.visible is None else str(list(self.visible))
@@ -139,8 +136,9 @@ class GhostBank:
 
         For ``round_no > 0`` each ghost is first delivered the previous
         round's inbox as its restricted view saw it
-        (:meth:`GhostPlan.heard`).  Then every ghost composes its
-        ``round_no`` payload.
+        (:meth:`GhostPlan.heard`, all from one
+        :class:`~repro.sim.fabric.RoundTable`).  Then every ghost
+        composes its ``round_no`` payload.
 
         Args:
             round_no: The engine round about to be answered.
@@ -152,13 +150,12 @@ class GhostBank:
             round (``None`` entries mean the ghost is silent).
         """
         scenario = self._scenario
-        numerate = scenario.params.numerate
-        ident_of = scenario.assignment.identifier_of
         if round_no > 0 and prev_payloads is not None:
+            ids = scenario.assignment.ids
+            table = RoundTable(prev_payloads, ids, scenario.params.numerate)
             for (slot, i), ghost in self._ghosts.items():
                 ghost.deliver(round_no - 1, scenario.ghost_plans[i].heard(
-                    prev_payloads, ident_of, slot, self._last.get((slot, i)),
-                    numerate,
+                    table, ids[slot], self._last.get((slot, i)),
                 ))
         faces: dict[tuple[int, int], Hashable] = {}
         for key, ghost in self._ghosts.items():

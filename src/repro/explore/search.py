@@ -56,7 +56,6 @@ from repro.analysis.bounds import solvable
 from repro.core.canonical import canonical_state_key
 from repro.core.errors import ConfigurationError
 from repro.core.identity import IdentityAssignment, balanced_assignment
-from repro.core.messages import Inbox, Message
 from repro.core.params import SystemParams, Synchrony
 from repro.core.problem import BINARY, AgreementProblem
 from repro.explore.alphabet import (
@@ -69,6 +68,7 @@ from repro.explore.alphabet import (
 from repro.explore.certificate import Certificate, SearchStats
 from repro.explore.strategy import StrategyScript, StrategyTreeAdversary
 from repro.sim.adversary import normalize_emissions
+from repro.sim.fabric import RoundTable, keyed
 from repro.sim.kernel import (
     BasicPsync,
     EngineCheckpoint,
@@ -521,9 +521,11 @@ def _post_states(
     receivers there are ``k * c`` distinct per-receiver outcomes but
     ``k^c`` children, so each ``(receiver, delta)`` pair is delivered
     once to a :meth:`~repro.sim.process.Process.clone` of the receiver
-    and keyed with :func:`~repro.core.canonical.canonical_state_key`;
-    children then assemble their transposition keys from the
-    precomputed (interned) keys without touching the engine.
+    -- the inbox the kernel would build, from the round's
+    :class:`~repro.sim.fabric.RoundTable` -- and keyed with
+    :func:`~repro.core.canonical.canonical_state_key`; children then
+    assemble their transposition keys from the precomputed (interned)
+    keys without touching the engine.
 
     Args:
         scenario: The exploration scenario.
@@ -540,42 +542,22 @@ def _post_states(
         The clones are the children's states: :func:`_dfs` installs
         class leaders in the engine instead of re-delivering them.
     """
-    numerate = scenario.params.numerate
-    ident_of = scenario.assignment.identifier_of
+    ids = scenario.assignment.ids
     r = engine.round_no
-    senders = tuple(payloads)
+    table = RoundTable(payloads, ids, scenario.params.numerate)
     receivers = engine.correct
+    groups = [0] * len(receivers)  # lock-step: all hear the base
     if engine.timing.active(r):
-        lost = engine.timing.removed_mask(r, receivers, senders).tolist()
-    else:
-        lost = [[False] * len(senders)] * len(receivers)
-    extras = [
-        [(m.sort_key(), m) for m in (
-            Message(ident_of(slot), p) for slot, p in delta
-        )]
-        for delta in deltas
-    ]
-    # One inbox per delta and distinct loss row (in lock-step every
-    # receiver shares one row): the base (correct-sender) inbox after
-    # the timing model's removals, sorted once, with each delta merged
-    # in as in repro.sim.fabric.deliver_round.
-    inboxes_by_row: dict[tuple[bool, ...], list[Inbox]] = {}
+        mask = engine.timing.removed_mask(r, receivers, table.senders)
+        groups = [table.group(row.nonzero()[0]) for row in mask]
+    extras = [[keyed(ids[slot], p) for slot, p in delta] for delta in deltas]
+    # One inbox per delta and distinct loss row (group).
+    inboxes = {g: [table.inbox(g, extra) for extra in extras]
+               for g in dict.fromkeys(groups)}
     result: dict[int, list[tuple[int, Process]]] = {}
-    for q, lost_row in zip(receivers, lost):
-        row = tuple(lost_row)
-        inboxes = inboxes_by_row.get(row)
-        if inboxes is None:
-            base = Inbox((
-                Message(ident_of(s), payloads[s])
-                for s, gone in zip(senders, row) if not gone
-            ), numerate=numerate)
-            keys = [m.sort_key() for m in base]
-            members = None if numerate else set(base.messages())
-            inboxes = inboxes_by_row[row] = [
-                Inbox.merged(base, keys, extra, members) for extra in extras
-            ]
+    for q, g in zip(receivers, groups):
         outcomes: list[tuple[int, Process]] = []
-        for inbox in inboxes:
+        for inbox in inboxes[g]:
             proc = mid.processes[q].clone()
             proc.deliver(r, inbox)
             key = canonical_state_key(proc)

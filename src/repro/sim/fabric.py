@@ -1,35 +1,28 @@
-"""The array-native message fabric: vectorized round delivery.
+"""The array-native message fabric: where every delivered inbox is built.
 
 :class:`~repro.sim.kernel.ExecutionKernel` is the one execution loop of
 the whole package -- every surface (scenario, classic, broadcast,
 explorer, atlas, soak) rides it -- so its per-round delivery is *the*
-hot path of the system.  This module owns that path, as one function,
-:func:`deliver_round`:
+hot path of the system.  What a process hears in a round is exactly
+the authenticated ``(identifier, payload)`` pairs delivered to it (a
+set when innumerate, a multiset when numerate), and this module is the
+one place that builds it:
 
-* every round materialises its *canonical base* once -- one message
-  per broadcast, keyed by ``(identifier, repr)`` once and sorted a
-  single time on those keys, the ``repr`` doubling as the byte size --
-  and every receiver without an adversary delta or a removal shares
-  that one inbox; adversary deltas are merged into the sorted base
-  (:meth:`Inbox.merged <repro.core.messages.Inbox.merged>`), never
-  re-sorted with it, each Byzantine payload is keyed once per round,
-  and receivers with the same mask row and the same delta payload
-  objects share one merged inbox (so receive paths that memoise per
-  inbox object, :mod:`repro.core.memo`, tally it once);
-* each Byzantine slot's *heard* inbox (every correct broadcast, plus
-  the messages addressed to it) is merged through the same table, so
-  an impostor shares a correct receiver's inbox object when their
-  deliveries coincide (:attr:`~repro.sim.adversary.AdversaryView.heard`);
-* on rounds where the timing model may remove edges
+* :class:`RoundTable` sorts one round's correct broadcasts once and
+  builds from them every inbox of the round.  Kernel receivers, the
+  impostors' ``heard`` map, the explorer's scratch deliveries
+  (:mod:`repro.explore.search`) and the ghosts' restricted views
+  (:meth:`GhostPlan.heard <repro.explore.alphabet.GhostPlan.heard>`)
+  all take their inbox from a table.
+* :func:`deliver_round` runs one kernel round on top of its table.  On
+  rounds where the timing model may remove edges
   (:meth:`~repro.sim.kernel.TimingModel.active`), the removal decision
   is a single ``(n_receivers, n_senders)`` boolean mask obtained in one
-  batch call (:meth:`~repro.sim.kernel.TimingModel.removed_mask`).
-  Past one ``any`` pass only the columns that remove something are
-  read: their per-column counts give delivered edges and bytes, their
-  ``nonzero`` the loss log, and receivers whose rows coincide *share*
-  one survivor inbox.  This is what pushes the kernel from n ~ 64 into
-  the thousands.  Inactive rounds build no mask and make no numpy call
-  at all.
+  batch call (:meth:`~repro.sim.kernel.TimingModel.removed_mask`), and
+  past one ``any`` pass only the columns that remove something are
+  read.  This is what pushes the kernel from n ~ 64 into the
+  thousands.  Inactive rounds build no mask and make no numpy call at
+  all.
 
 numpy is a hard dependency.  The fabric is pinned byte-identical to the
 frozen pure-Python oracles in ``tests/oracles/`` (the pre-fabric round
@@ -43,6 +36,7 @@ are logged in (receiver-ascending, sender-ascending) order per round.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import compress, repeat
 from operator import ne
 from typing import TYPE_CHECKING, Callable, Hashable, Mapping, Sequence
@@ -109,16 +103,155 @@ def mask_from_links(
 
 
 # ----------------------------------------------------------------------
-# Round delivery
+# The round table: every delivered inbox
 # ----------------------------------------------------------------------
 #: A message with its ``(identifier, repr)`` sort key.
-_Keyed = tuple[tuple[int, str], Message]
+Keyed = tuple[tuple[int, str], Message]
 
 
+def keyed(ident: int, payload: Hashable) -> Keyed:
+    """``payload`` from ``ident`` as a :meth:`RoundTable.inbox` extra."""
+    return (ident, repr(payload)), Message(ident, payload)
+
+
+class RoundTable:
+    """One round's correct broadcasts and every inbox built from them.
+
+    The *canonical base* -- one message per broadcast (per homonym
+    class when innumerate) -- is keyed by ``(identifier, repr)`` and
+    sorted once.  From it the table builds, each once: the *survivor
+    group* per distinct set of removed senders (:meth:`group`), and the
+    *merged* inbox per distinct group and extra message objects
+    (:meth:`inbox`; :meth:`Inbox.merged
+    <repro.core.messages.Inbox.merged>`, never re-sorted).  Callers
+    with the same group and extras share the inbox object, so receive
+    paths that memoise per inbox object (:mod:`repro.core.memo`) tally
+    it once.
+
+    Args:
+        payloads: The round's correct payloads (ascending sender).
+        ids: ``process index -> identifier``.
+        numerate: Multiset (True) or set (False) delivery.
+    """
+
+    def __init__(
+        self,
+        payloads: Mapping[int, Hashable],
+        ids: Sequence[int],
+        numerate: bool,
+    ) -> None:
+        self.numerate = numerate
+        #: The broadcasting senders (ascending); :meth:`group` names
+        #: removed senders by their position in this tuple.
+        self.senders = senders = tuple(payloads)
+        n_send = len(senders)
+        self._idents = idents = list(map(ids.__getitem__, senders))
+        self._values = values = list(payloads.values())
+        self._reprs = reprs = list(map(repr, values))
+        keys = list(zip(idents, reprs))
+        #: Each broadcast's byte size (the length of its ``repr``,
+        #: :func:`~repro.sim.metrics.payload_size`).
+        self.sizes = list(map(len, reprs))
+        if numerate:
+            self._cls = None
+            reps = range(n_send)
+        else:
+            # Homonym collapse: each column maps to the first column
+            # carrying an equal message, which represents it.
+            first: dict[tuple[int, Hashable], int] = {}
+            self._cls = list(
+                map(first.setdefault, zip(idents, values), range(n_send))
+            )
+            reps = first.values()
+        self._order = order = sorted(reps, key=keys.__getitem__)
+        self._canonical = canonical = tuple(
+            Message(idents[j], values[j]) for j in order
+        )
+        self._ckeys = [keys[j] for j in order]
+        # Per group: its inbox, the inbox's sort keys, and (innumerate,
+        # from the first merge on) its members.  Group 0 is the base.
+        self._groups: dict[bytes, int] = {b"": 0}
+        self._built = [[
+            Inbox.from_canonical(canonical, numerate), self._ckeys, None
+        ]]
+        # The extras are kept with their inbox, so the ids in the keys
+        # stay unique while the table lives.
+        self._merged: dict[tuple, tuple[Inbox, Sequence[Keyed]]] = {}
+
+    def group(self, removed: Sequence[int] | np.ndarray) -> int:
+        """The survivor group missing ``senders[j]`` for each ``j`` in
+        ``removed`` (ascending); ``()`` is the base, group 0."""
+        cols = np.asarray(removed, dtype=np.intp)
+        key = cols.tobytes()
+        g = self._groups.get(key)
+        if g is None:
+            g = self._groups[key] = len(self._built)
+            self._built.append(self._survivors(cols))
+        return g
+
+    def inbox(self, group: int, extra: Sequence[Keyed] | None) -> Inbox:
+        """The ``group``'s inbox with ``extra`` (:func:`keyed` messages,
+        in delivery order) merged in.  Innumerate merges drop extras
+        equal to a survivor or to an earlier extra, as the set collapse
+        would."""
+        built = self._built[group]
+        if not extra:
+            return built[0]
+        signature = (group, *map(id, extra))
+        hit = self._merged.get(signature)
+        if hit is None:
+            inbox, keys, members = built
+            if members is None and not self.numerate:
+                members = built[2] = set(inbox.messages())
+            hit = self._merged[signature] = (
+                Inbox.merged(inbox, keys, extra, members), extra
+            )
+        return hit[0]
+
+    def _survivors(self, cols: np.ndarray) -> list:
+        """A group's ``[inbox, sort keys, members]``: canonical position
+        ``p`` survives while some column mapping to it is kept."""
+        pos, class_size, mixed = self._survival
+        if mixed:
+            gone = set(cols.tolist())
+            inbox = Inbox((
+                Message(ident, value) for j, (ident, value)
+                in enumerate(zip(self._idents, self._values))
+                if j not in gone
+            ), self.numerate)
+            return [inbox, [m.sort_key() for m in inbox], None]
+        lost_of = np.bincount(pos[cols], minlength=len(class_size))
+        present = (class_size > lost_of).tolist()
+        inbox = Inbox.from_canonical(
+            tuple(compress(self._canonical, present)), self.numerate
+        )
+        return [inbox, list(compress(self._ckeys, present)), None]
+
+    @cached_property
+    def _survival(self) -> tuple:
+        """``(pos, class_size, mixed)``: each column's canonical
+        position, each position's column count, and whether survivor
+        groups are sorted in full: a homonym class of equal payloads
+        with unequal reprs (1 / True / 1.0) shows its first *surviving*
+        copy, which may sort elsewhere than the canonical one."""
+        order, cls, reprs = self._order, self._cls, self._reprs
+        rank = np.empty(len(self.senders), dtype=np.intp)
+        rank[order] = np.arange(len(order))
+        pos = rank if cls is None else rank[cls]
+        class_size = np.bincount(pos, minlength=len(order))
+        mixed = cls is not None and any(
+            map(ne, reprs, map(reprs.__getitem__, cls))
+        )
+        return pos, class_size, mixed
+
+
+# ----------------------------------------------------------------------
+# Round delivery
+# ----------------------------------------------------------------------
 def _adversary_deltas(
     ids: Sequence[int],
     emissions: Mapping[int, Mapping[int, tuple[Hashable, ...]]],
-) -> dict[int, list[_Keyed]]:
+) -> dict[int, list[Keyed]]:
     """Per-recipient adversary messages, keyed (recipient -> messages).
 
     Each ``(identifier, payload object)`` is keyed and wrapped once per
@@ -126,19 +259,17 @@ def _adversary_deltas(
     payloads hold the same keyed entries (the emissions keep every
     payload alive for the round, so its ``id`` is stable).
     """
-    made: dict[tuple[int, int], _Keyed] = {}
-    additions: dict[int, list[_Keyed]] = {}
+    made: dict[tuple[int, int], Keyed] = {}
+    additions: dict[int, list[Keyed]] = {}
     for b, per_recipient in emissions.items():
         ident = ids[b]
         for q, batch in per_recipient.items():
             extra = additions.setdefault(q, [])
             for p in batch:
-                keyed = made.get((ident, id(p)))
-                if keyed is None:
-                    keyed = made[ident, id(p)] = (
-                        (ident, repr(p)), Message(ident, p)
-                    )
-                extra.append(keyed)
+                entry = made.get((ident, id(p)))
+                if entry is None:
+                    entry = made[ident, id(p)] = keyed(ident, p)
+                extra.append(entry)
     return additions
 
 
@@ -158,7 +289,7 @@ def _removals(
 
     Returns:
         ``None`` when the mask removes nothing; otherwise ``(edges,
-        bytes, group_of, lost)``: the removed edge and byte totals,
+        bytes, row_of, lost)``: the removed edge and byte totals,
         each receiver's distinct-row id, and per distinct row the
         removed sender columns (ascending; empty for the no-removal
         row).
@@ -200,25 +331,19 @@ def deliver_round(
 ) -> RoundDeliveries:
     """Deliver one round: one sort, one mask, shared inboxes.
 
-    The round's cost centres are batched:
+    The inboxes come from the round's :class:`RoundTable` (one sort;
+    one survivor group per distinct mask row; one merge per distinct
+    group and delta).  On top of it this function owns:
 
-    * *canonical base* -- each broadcast's ``(identifier, repr)`` key
-      is computed once and the base sorted once on those keys; the same
-      ``repr`` gives the byte size
-      (:func:`~repro.sim.metrics.payload_size`);
     * *removal decisions* -- on active rounds, one ``(receivers,
       senders)`` boolean mask from the timing model; inactive rounds
       skip it entirely;
     * *accounting* -- delivered-edge and byte totals come from the
       per-column counts of the columns that remove something, and the
       loss log from ``np.nonzero`` over those columns only;
-    * *inbox stamping* -- receivers without a removal or adversary
-      delta share the canonical base inbox; receivers with identical
-      mask rows share one survivor inbox, built once per *distinct*
-      row from each canonical message's position; adversary deltas are
-      merged into the receiver's (shared) base with
-      :meth:`Inbox.merged <repro.core.messages.Inbox.merged>`, once
-      per distinct (row, delta) pair, and that merged inbox is shared.
+    * the *heard* map -- each Byzantine slot hears the base (the
+      adversary is full-information) merged with the messages addressed
+      to it (:attr:`~repro.sim.adversary.AdversaryView.heard`).
 
     Args:
         kernel: The executing kernel (mutated: processes receive
@@ -231,140 +356,40 @@ def deliver_round(
     Returns:
         The round's :class:`~repro.sim.metrics.RoundDeliveries` record.
     """
-    numerate = kernel.params.numerate
     ids = kernel.assignment.ids
-
-    # The base: one message per broadcast, keyed once, sorted once.
-    senders = tuple(payloads)  # ascending (composed over sorted indices)
-    n_send = len(senders)
-    idents = list(map(ids.__getitem__, senders))
-    values = list(payloads.values())
-    reprs = list(map(repr, values))
-    keys = list(zip(idents, reprs))
-    sizes = list(map(len, reprs))
-    if numerate:
-        cls = None
-        reps = range(n_send)
-    else:
-        # Homonym collapse: each column maps to the first column
-        # carrying an equal message, which represents it.
-        first: dict[tuple[int, Hashable], int] = {}
-        cls = list(map(first.setdefault, zip(idents, values), range(n_send)))
-        reps = first.values()
-    order = sorted(reps, key=keys.__getitem__)
-    canonical = tuple(Message(idents[j], values[j]) for j in order)
-    zero_inbox = Inbox.from_canonical(canonical, numerate)
-
+    table = RoundTable(payloads, ids, kernel.params.numerate)
+    n_send = len(table.senders)
     receivers = kernel._correct
     n_recv = len(receivers)
     correct_deliveries = n_recv * n_send
-    correct_bytes = n_recv * sum(sizes)
-    # Receivers grouped by distinct mask row: the group's inbox and,
-    # for survivor rows, which canonical positions survive; the keys
-    # and members merges need are filled in per group on first use.
-    group_of = repeat(0)
-    lost: list = [()]
-    group_inboxes: list[Inbox] = [zero_inbox]
-    group_present: list[list[bool] | None] = [None]
-    merge_bases: dict[int, tuple] = {}
+    correct_bytes = n_recv * sum(table.sizes)
+    row_of, row_group = repeat(0), [0]
     removal = (
-        _removals(kernel, round_no, senders, sizes)
+        _removals(kernel, round_no, table.senders, table.sizes)
         if kernel.timing.active(round_no) else None
     )
     if removal is not None:
-        edges, nbytes, group_of, lost = removal
+        edges, nbytes, row_of, lost = removal
         correct_deliveries -= edges
         correct_bytes -= nbytes
-        # pos[j]: canonical position of column j's message; a position
-        # survives a row while some column mapping to it is kept.
-        rank = np.empty(n_send, dtype=np.intp)
-        rank[order] = np.arange(len(order))
-        pos = rank if cls is None else rank[cls]
-        class_size = np.bincount(pos, minlength=len(canonical))
-        # A homonym class holding equal payloads with unequal reprs
-        # (1 / True / 1.0) shows its first *surviving* copy, which may
-        # sort elsewhere than the canonical one: such rounds sort their
-        # survivor rows in full.
-        mixed = cls is not None and any(
-            map(ne, reprs, map(reprs.__getitem__, cls))
-        )
-        group_inboxes, group_present = [], []
-        for g, cols in enumerate(lost):
-            present = None
-            if not cols.size:
-                inbox = zero_inbox
-            elif mixed:
-                kept = np.ones(n_send, dtype=bool)
-                kept[cols] = False
-                inbox = Inbox((
-                    Message(idents[j], values[j])
-                    for j in np.flatnonzero(kept).tolist()
-                ), numerate)
-                merge_bases[g] = (
-                    [m.sort_key() for m in inbox], set(inbox.messages())
-                )
-            else:
-                lost_of = np.bincount(pos[cols], minlength=len(canonical))
-                present = (class_size > lost_of).tolist()
-                inbox = Inbox.from_canonical(
-                    tuple(compress(canonical, present)), numerate
-                )
-            group_inboxes.append(inbox)
-            group_present.append(present)
+        row_group = list(map(table.group, lost))
+    row_inbox = [table.inbox(g, None) for g in row_group]
 
     additions = _adversary_deltas(ids, emissions)
-    if additions:
-        ckeys = [keys[j] for j in order]
-    # (group, keyed delta entries) -> (merged inbox, delta bytes): each
-    # distinct row and delta is merged once and its inbox shared.
-    merged: dict[tuple, tuple[Inbox, int]] = {}
-
-    def merge(g: int, extra: list[_Keyed]) -> tuple[Inbox, int]:
-        signature = (g, *map(id, extra))
-        hit = merged.get(signature)
-        if hit is None:
-            inbox = group_inboxes[g]
-            base = merge_bases.get(g)
-            if base is None:
-                present = group_present[g]
-                base = merge_bases[g] = (
-                    ckeys if present is None
-                    else list(compress(ckeys, present)),
-                    None if numerate else set(inbox.messages()),
-                )
-            hit = merged[signature] = (
-                Inbox.merged(inbox, base[0], extra, base[1]),
-                sum(len(text) for (_, text), _ in extra),
-            )
-        return hit
-
     byz_deliveries = 0
     byz_bytes = 0
     processes = kernel.processes
-    for q, g in zip(receivers, group_of):
+    for q, row in zip(receivers, row_of):
+        inbox = row_inbox[row]
         extra = additions.get(q)
-        if extra is None:
-            inbox = group_inboxes[g]
-        else:
-            inbox, delta_bytes = merge(g, extra)
+        if extra is not None:
             byz_deliveries += len(extra)
-            byz_bytes += delta_bytes
+            byz_bytes += sum(len(text) for (_, text), _ in extra)
+            inbox = table.inbox(row_group[row], extra)
         processes[q].deliver(round_no, inbox)
-
-    # A Byzantine slot hears every correct broadcast (the adversary is
-    # full-information) plus its delta: the no-removal group's inbox,
-    # or a group of its own that no receiver maps to.
-    heard: dict[int, Inbox] = {}
-    if kernel.byzantine:
-        full = next((g for g, cols in enumerate(lost) if not len(cols)), None)
-        if full is None:
-            full = len(group_inboxes)
-            group_inboxes.append(zero_inbox)
-            group_present.append(None)
-        for b in kernel.byzantine:
-            extra = additions.get(b)
-            heard[b] = merge(full, extra)[0] if extra else group_inboxes[full]
-    kernel._heard = heard
+    kernel._heard = {
+        b: table.inbox(0, additions.get(b)) for b in kernel.byzantine
+    }
 
     return RoundDeliveries(
         round_no=round_no,

@@ -28,16 +28,12 @@ each receiver not get?*
 
 **The message fabric.**  Each :meth:`ExecutionKernel.step` executes one
 round: correct processes compose broadcasts; the (rushing) adversary
-emits for every Byzantine slot; delivery materialises the round's
-*common base* once -- one :class:`~repro.core.messages.Message` per
-broadcast, canonically sorted a single time -- and derives each
-receiver's inbox as that base minus the timing model's removals plus
-the adversary's per-receiver delta.  Receivers with an empty delta
-share the base's canonical inbox directly
-(:meth:`Inbox.from_canonical <repro.core.messages.Inbox.from_canonical>`);
-the others merge their adversary messages into it
-(:meth:`Inbox.merged <repro.core.messages.Inbox.merged>`).
-The fabric counts every edge it delivers into
+emits for every Byzantine slot; delivery sorts the round's *common
+base* once -- one :class:`~repro.core.messages.Message` per broadcast
+-- and derives each receiver's inbox as that base minus the timing
+model's removals plus the adversary's per-receiver delta
+(:class:`~repro.sim.fabric.RoundTable`, where every delivered inbox
+is built).  The fabric counts every edge it delivers into
 :attr:`ExecutionKernel.deliveries` -- the exact-cost input of
 :func:`~repro.sim.metrics.metrics_from_deliveries` -- and, when the
 timing model logs losses (:class:`DelayBased`), records every removed

@@ -16,7 +16,13 @@ instances, and the ghost faces deliver :meth:`GhostPlan.heard
   against a :class:`~repro.explore.alphabet.GhostBank` stepped on the
   same correct payloads: the same faces, round by round;
 * checkpoint/restore: a restored kernel hands the adversary the heard
-  map of the checkpoint, not that of a divergent branch.
+  map of the checkpoint, not that of a divergent branch;
+* the ghosts' views (:class:`~repro.explore.alphabet.GhostBank`) and
+  the explorer's scratch deliveries (``_post_states``), both taken
+  from the fabric's round table, against the frozen code they
+  replaced (:func:`tests.oracles.heard.ghost_heard`,
+  :func:`tests.oracles.heard.scratch_inboxes`), under random drops and
+  cut schedules.
 """
 
 from hypothesis import given, settings
@@ -28,13 +34,14 @@ from repro.core.params import SystemParams, Synchrony
 from repro.core.problem import BINARY
 from repro.experiments.harness import algorithm_for
 from repro.explore.alphabet import GhostBank, GhostPlan
-from repro.explore.search import ExploreScenario
+from repro.explore.search import ExploreScenario, _post_states
+from repro.explore.strategy import StrategyScript
 from repro.sim.adversary import Adversary
 from repro.sim.kernel import BasicPsync, ExecutionKernel
 from repro.sim.partial import RandomDrops
 from repro.sim.process import EchoProcess, Process
 from repro.sim.runner import make_processes
-from tests.oracles.heard import rebuild_inbox
+from tests.oracles.heard import ghost_heard, rebuild_inbox, scratch_inboxes
 
 #: Equal-but-distinct twins (same ``==`` and hash, other type and
 #: ``repr``), plus tuples carrying them.
@@ -259,3 +266,117 @@ def test_restore_brings_back_the_heard_map():
     assert sorted(got) == sorted(want)
     for slot in byzantine:
         assert exact(got[slot]) == exact(want[slot])
+
+
+# ----------------------------------------------------------------------
+# Ghost views and scratch deliveries against the frozen oracles
+# ----------------------------------------------------------------------
+class _Recorder(_Scripted):
+    """A scripted process that keeps every inbox it is delivered."""
+
+    def __init__(self, identifier, script):
+        super().__init__(identifier, script)
+        self.received = {}
+
+    def deliver(self, round_no, inbox):
+        self.received[round_no] = inbox
+
+
+@st.composite
+def explorer_rounds(draw):
+    """A homonym system, correct and ghost scripts, ghost plans, a
+    delta alphabet and a lossy timing model (random drops or a cut)."""
+    n = draw(st.integers(3, 6))
+    n_byz = draw(st.integers(1, 2))
+    ell = draw(st.integers(1, n))
+    ids = list(range(1, ell + 1)) + draw(
+        st.lists(st.integers(1, ell), min_size=n - ell, max_size=n - ell)
+    )
+    ids = draw(st.permutations(ids))
+    byzantine = tuple(sorted(draw(st.sets(
+        st.integers(0, n - 1), min_size=n_byz, max_size=n_byz
+    ))))
+    correct = [k for k in range(n) if k not in byzantine]
+    params = SystemParams(
+        n=n, ell=ell, t=n_byz, numerate=draw(st.booleans()),
+        synchrony=Synchrony.PARTIALLY_SYNCHRONOUS,
+    )
+    rounds = draw(st.integers(2, 4))
+    payload = st.one_of(st.none(), st.sampled_from(VALUES))
+    scripts = {k: [draw(payload) for _ in range(rounds)] for k in correct}
+    visible = st.one_of(st.none(), st.lists(
+        st.sampled_from(correct), unique=True, max_size=len(correct) - 1
+    ).map(lambda slots: tuple(sorted(slots))))
+    plans = tuple(
+        GhostPlan(i, draw(visible)) for i in range(draw(st.integers(1, 3)))
+    )
+    ghost_scripts = [[draw(payload) for _ in range(rounds)] for _ in plans]
+    deltas = draw(st.lists(st.lists(st.tuples(
+        st.sampled_from(byzantine), st.sampled_from(VALUES)
+    ), max_size=2), min_size=1, max_size=3))
+    loss = draw(st.sampled_from(("none", "drops", "cut")))
+    if loss == "drops":
+        schedule = RandomDrops(gst=rounds, p=draw(st.sampled_from((0.4, 1.0))),
+                               seed=draw(st.integers(0, 99)))
+    elif loss == "cut":
+        block = draw(st.sets(st.sampled_from(correct)))
+        schedule = StrategyScript(emissions={}, cut=(
+            tuple(sorted(block)),
+            tuple(k for k in correct if k not in block),
+        ), cut_until=rounds).drop_schedule()
+    timing = None if loss == "none" else BasicPsync(schedule)
+    scenario = ExploreScenario(
+        params=params, assignment=IdentityAssignment(ell, tuple(ids)),
+        byzantine=byzantine,
+        factory=lambda ident, i: _Recorder(ident, ghost_scripts[i]),
+        proposals={}, depth=rounds, ghost_plans=plans,
+    )
+    return scenario, scripts, deltas, timing
+
+
+@settings(max_examples=150, deadline=None)
+@given(explorer_rounds())
+def test_table_inboxes_match_the_frozen_oracles(case):
+    scenario, scripts, deltas, timing = case
+    params, assignment = scenario.params, scenario.assignment
+    ident_of = assignment.identifier_of
+    kernel = ExecutionKernel(params, assignment, [
+        _Recorder(ident_of(k), scripts[k]) if k in scripts else None
+        for k in range(params.n)
+    ], scenario.byzantine, None, timing)
+    bank = GhostBank(scenario)
+    prev = None
+    last = {}
+    for r in range(scenario.depth):
+        faces = bank.step(r, prev)
+        if prev is not None:
+            for (slot, i), ghost in bank._ghosts.items():
+                want = ghost_heard(
+                    scenario.ghost_plans[i].visible, prev, ident_of, slot,
+                    last[slot, i], params.numerate,
+                )
+                got = ghost.received[r - 1]
+                assert got.numerate == want.numerate
+                assert exact(got) == exact(want), (r - 1, slot, i)
+        last = faces
+
+        payloads = kernel.compose_round()
+        outcomes = _post_states(
+            scenario, kernel, kernel.checkpoint(), payloads, deltas, {}
+        )
+        receivers = kernel.correct
+        rows = [[False] * len(payloads)] * len(receivers)
+        if kernel.timing.active(r):
+            rows = kernel.timing.removed_mask(
+                r, receivers, tuple(payloads)
+            ).tolist()
+        for q, row in zip(receivers, rows):
+            want = scratch_inboxes(
+                payloads, ident_of, params.numerate, row, deltas
+            )
+            got = [proc.received[r] for _, proc in outcomes[q]]
+            assert [inbox.numerate for inbox in got] == \
+                [inbox.numerate for inbox in want]
+            assert list(map(exact, got)) == list(map(exact, want)), (r, q)
+        kernel.finish_round(payloads, {})
+        prev = payloads

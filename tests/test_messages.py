@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import ProtocolViolation
-from repro.core.messages import Inbox, Message, ensure_hashable, merge_inboxes
+from repro.core.messages import Inbox, Message, ensure_hashable
 
 
 def msg(ident, payload):
@@ -92,15 +92,6 @@ class TestSupportHelper:
         support = inbox.values_with_id_support(extract)
         assert support[0] == {1, 2}
         assert support[1] == {3}
-
-
-def test_merge_inboxes_unions_messages():
-    a = Inbox([msg(1, "x")], numerate=True)
-    b = Inbox([msg(1, "x"), msg(2, "y")], numerate=True)
-    merged = merge_inboxes([a, b], numerate=True)
-    assert merged.count_copies(msg(1, "x")) == 2
-    merged_set = merge_inboxes([a, b], numerate=False)
-    assert len(merged_set) == 2
 
 
 @given(

@@ -46,16 +46,23 @@ def test_package_carries_no_oracle():
             importlib.import_module(gone)
 
 
+def _reachable(gone):
+    """``module.name`` for every name in ``gone`` that some package
+    module defines, imports or exports."""
+    found = []
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name != "repro.__main__":  # importing it runs the CLI
+            module = importlib.import_module(info.name)
+            names = set(vars(module)) | set(getattr(module, "__all__", ()))
+            found += [f"{info.name}.{name}" for name in sorted(names & gone)]
+    return found
+
+
 def test_overloaded_unit_spec_is_gone():
     """One spec type per kind of work: the overloaded ``CampaignUnit``
     and its soak-window builders are not reachable from any module."""
     gone = {"CampaignUnit", "soak_window_unit", "enumerate_soak_units"}
-    found = []
-    for info in pkgutil.walk_packages(repro.__path__, "repro."):
-        if info.name != "repro.__main__":
-            module = importlib.import_module(info.name)
-            names = set(vars(module)) | set(getattr(module, "__all__", ()))
-            found += [f"{info.name}.{name}" for name in sorted(names & gone)]
+    found = _reachable(gone)
     assert found == []
 
 
@@ -72,12 +79,7 @@ def test_timing_model_is_the_only_loss_spelling():
 
     gone = {"timing_model_for", "run_delay_execution",
             "DelaySimulationResult", "_kernel_delay_result"}
-    found = []
-    for info in pkgutil.walk_packages(repro.__path__, "repro."):
-        if info.name != "repro.__main__":
-            module = importlib.import_module(info.name)
-            names = set(vars(module)) | set(getattr(module, "__all__", ()))
-            found += [f"{info.name}.{name}" for name in sorted(names & gone)]
+    found = _reachable(gone)
     assert found == []
     runners = [
         run_execution,
@@ -103,12 +105,7 @@ def test_one_reader_for_the_result_logs():
     import repro.atlas.render as render
 
     gone = {"SilentProcess", "stream_rows"}
-    found = []
-    for info in pkgutil.walk_packages(repro.__path__, "repro."):
-        if info.name != "repro.__main__":
-            module = importlib.import_module(info.name)
-            names = set(vars(module)) | set(getattr(module, "__all__", ()))
-            found += [f"{info.name}.{name}" for name in sorted(names & gone)]
+    found = _reachable(gone)
     found += [
         f"repro.atlas.render.{name}" for name in ("_parse_line", "_fold_from")
         if hasattr(render, name)
@@ -144,17 +141,13 @@ def _inbox_builds(tree):
     return found
 
 
-def test_delivered_inboxes_are_built_in_three_places():
-    """A delivered inbox is built by the message fabric, by the
-    explorer's ``_post_states`` (its scratch deliveries) or by the one
-    ghost rule ``GhostPlan.heard`` -- nowhere else.  ``core/messages.py``
-    defines the constructors (and ``merge_inboxes``, a union of inboxes
-    already delivered)."""
+def test_delivered_inboxes_are_built_in_one_place():
+    """A delivered inbox is built by the message fabric's round table
+    -- kernel receivers, the impostors' ``heard`` map, the explorer's
+    scratch deliveries and the ghosts' views alike -- and nowhere else.
+    ``core/messages.py`` defines the constructors."""
     anywhere = {"sim/fabric.py", "core/messages.py"}
-    allowed = {
-        ("explore/search.py", "_post_states"),
-        ("explore/alphabet.py", "GhostPlan.heard"),
-    }
+    allowed: set[tuple[str, str]] = set()
     package = REPO_ROOT / "src" / "repro"
     offenders = []
     for path in sorted(package.rglob("*.py")):
@@ -168,6 +161,12 @@ def test_delivered_inboxes_are_built_in_three_places():
             if (rel, scope) not in allowed
         ]
     assert offenders == []
+
+
+def test_unused_inbox_union_is_gone():
+    """``merge_inboxes``, a union of delivered inboxes, had no caller in
+    the package and is not reachable from any module."""
+    assert _reachable({"merge_inboxes"}) == []
 
 
 def test_setup_version_matches_package_version():

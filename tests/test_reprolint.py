@@ -258,6 +258,26 @@ class TestRL004:
         assert codes(findings) == ["RL004"]
         assert "heard-rebuild" in findings[0].message
 
+    def test_editing_the_ghost_rule_oracle_fails_lint(self, oracle_copy):
+        path = oracle_copy / "tests/oracles/heard.py"
+        source = path.read_text()
+        marker = "if own is not None:"
+        assert marker in source
+        path.write_text(source.replace(marker, "if own:", 1))
+        findings = rules_repo.check_oracles(oracle_copy)
+        assert codes(findings) == ["RL004"]
+        assert "ghost-heard" in findings[0].message
+
+    def test_editing_the_scratch_inbox_oracle_fails_lint(self, oracle_copy):
+        path = oracle_copy / "tests/oracles/heard.py"
+        source = path.read_text()
+        marker = "if not gone"
+        assert marker in source
+        path.write_text(source.replace(marker, "if gone", 1))
+        findings = rules_repo.check_oracles(oracle_copy)
+        assert codes(findings) == ["RL004"]
+        assert "scratch-inboxes" in findings[0].message
+
     def test_update_oracles_re_pins_deliberately(self, oracle_copy, tmp_path):
         path = oracle_copy / "tests/oracles/broadcast.py"
         path.write_text(path.read_text() + "\n# drift\n")
